@@ -50,24 +50,19 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} must be at least 1")
-    return value
+def _int_at_least(minimum: int):
+    """An argparse type for integers no smaller than ``minimum``."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from exc
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{text!r} must be at least {minimum}")
+        return value
 
-def _stride(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from exc
-    if value < 2:
-        raise argparse.ArgumentTypeError("stride must be at least 2")
-    return value
+    return parse
 
 
 def _n_slices(text: str) -> int | str:
@@ -141,9 +136,9 @@ def _hs_from_args(args: argparse.Namespace) -> HsParams:
 
 def _add_hs_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float, default=15.0, help="smoothness weight")
-    parser.add_argument("--iterations", type=_positive_int, default=100, help="solver sweeps per warp")
-    parser.add_argument("--pyramid-levels", type=_positive_int, default=3)
-    parser.add_argument("--warps-per-level", type=_positive_int, default=3)
+    parser.add_argument("--iterations", type=_int_at_least(1), default=100, help="solver sweeps per warp")
+    parser.add_argument("--pyramid-levels", type=_int_at_least(1), default=3)
+    parser.add_argument("--warps-per-level", type=_int_at_least(1), default=3)
 
 
 def cmd_decimate(args: argparse.Namespace, written: list[Path]) -> dict:
@@ -294,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decimate", help="keep every stride-th axial slice")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--stride", type=_stride, default=4)
+    p.add_argument("--stride", type=_int_at_least(2), default=4)
     p.set_defaults(handler=cmd_decimate)
 
     p = sub.add_parser("impute", help="insert synthetic slices between consecutive slices")
@@ -332,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--out-labels", required=True)
     p.add_argument("--size", type=_size, default=(64, 64, 33))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--radius", type=float, default=8.0)
     p.add_argument("--step", type=float, default=0.75, help="centre displacement per slice, px along x")
     p.set_defaults(handler=cmd_phantom)

@@ -33,7 +33,7 @@ from .errors import (
     ShapeError,
     TruncatedPayloadError,
 )
-from .volume import Slice2D
+from .volume import Slice2D, _is_count
 
 FLOW_MAGIC = b"VFLO\n"
 
@@ -299,7 +299,7 @@ def load_flow(path: str | Path) -> FlowField:
         if (
             not isinstance(dims, list)
             or len(dims) != 2
-            or not all(isinstance(d, int) and d >= 1 for d in dims)
+            or not all(_is_count(d) for d in dims)
         ):
             raise FileFormatError(f"{path}: dims must be two positive integers, got {dims!r}")
         w, h = dims

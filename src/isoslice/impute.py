@@ -2,27 +2,37 @@
 
 A synthetic slice at position ``t`` between two bracketing slices is the
 position-weighted blend of the two backward-warped endpoints.  Labels travel
-the same way as one-hot indicator stacks and are decided per pixel by argmax
+the same way as per-class indicator maps and are decided per pixel by argmax
 (ties go to the lower class id, so background wins).  ``impute_volume``
 applies this between every pair of consecutive axial slices; the original
 slices are carried over untouched.
+
+Label synthesis visits only the classes present in the two bracketing
+slices and keeps a running per-pixel best, so its cost and memory scale with
+the classes present there, not with the declared class count.  This is
+exact: every blended map is a convex combination of indicators, so an
+absent class is 0.0 everywhere and can never beat a present one.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientSlicesError, ParameterError, ShapeError
+from .errors import DataValidationError, InsufficientSlicesError, ParameterError, ShapeError
 from .flow import FlowField, HsParams, compose_intermediate_flow, estimate_flow, sample_bilinear
 from .volume import LabelVolume, Slice2D, Spacing, Volume
 
 METHOD_FLOW = "flow"
 METHOD_LINEAR = "linear"
-LABEL_RULE_ARGMAX = "argmax-onehot"
+
+# Largest output volume ``impute_volume`` will allocate, in voxels, so a
+# hostile header spacing or slice count fails before any allocation.
+MAX_OUTPUT_VOXELS = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -35,7 +45,6 @@ class ImputeConfig:
 
     n_slices: int | str = "auto"
     method: str = METHOD_FLOW
-    label_rule: str = LABEL_RULE_ARGMAX
     hs: HsParams = field(default_factory=HsParams)
 
     def __post_init__(self) -> None:
@@ -44,8 +53,6 @@ class ImputeConfig:
                 raise ParameterError(f'n_slices must be "auto" or an integer >= 0, got {self.n_slices!r}')
         if self.method not in (METHOD_FLOW, METHOD_LINEAR):
             raise ParameterError(f"method must be {METHOD_FLOW!r} or {METHOD_LINEAR!r}, got {self.method!r}")
-        if self.label_rule != LABEL_RULE_ARGMAX:
-            raise ParameterError(f"label_rule must be {LABEL_RULE_ARGMAX!r}, got {self.label_rule!r}")
 
 
 def backward_warp(img: Slice2D, flow: FlowField) -> Slice2D:
@@ -77,8 +84,45 @@ def synth_intermediate_slice(
         )
     if not (np.isfinite(t) and 0.0 <= t <= 1.0):
         raise ParameterError(f"t={t!r} must lie in [0, 1]")
-    blended = (1.0 - t) * _warp_arr(i0.data, ft0) + t * _warp_arr(i1.data, ft1)
-    return Slice2D(blended)
+    return Slice2D(_blend(i0.data, i1.data, (ft0, ft1), t))
+
+
+def _blend(
+    a: np.ndarray, b: np.ndarray, flows: tuple[FlowField, FlowField] | None, t: float
+) -> np.ndarray:
+    """``(1-t) * warp(a, ft0) + t * warp(b, ft1)``; without flows, the plain blend."""
+    if flows is None:
+        return (1.0 - t) * a + t * b
+    ft0, ft1 = flows
+    return (1.0 - t) * _warp_arr(a, ft0) + t * _warp_arr(b, ft1)
+
+
+def _class_maps(l0: np.ndarray, l1: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """``(id, l0 == id, l1 == id)`` for every class present in either id slice, ascending."""
+    return [(int(c), l0 == c, l1 == c) for c in np.union1d(l0, l1)]
+
+
+def _blend_argmax(
+    maps: Iterable[tuple[int, np.ndarray, np.ndarray]],
+    flows: tuple[FlowField, FlowField] | None,
+    t: float,
+    dtype: np.dtype,
+) -> np.ndarray:
+    """Per-pixel id of the class whose blended map is largest.
+
+    ``maps`` holds ``(id, map0, map1)`` in ascending id order.  One running
+    best value and id are kept per pixel; a later class takes over only where
+    it is strictly greater, which is ``np.argmax``'s lower-id tie rule.
+    """
+    best = ids = None
+    for c, m0, m1 in maps:
+        value = _blend(m0, m1, flows, t)
+        if best is None:
+            best, ids = value, np.full(value.shape, c, dtype=dtype)
+        else:
+            ids[value > best] = c
+            np.maximum(best, value, out=best)
+    return ids
 
 
 def one_hot_stack(labels: np.ndarray, classes: int) -> np.ndarray:
@@ -107,17 +151,16 @@ def synth_intermediate_label(
     """
     l0 = np.asarray(l0, dtype=np.float64)
     l1 = np.asarray(l1, dtype=np.float64)
-    if l0.ndim != 3 or l1.ndim != 3 or l0.shape != l1.shape:
+    if l0.ndim != 3 or l1.ndim != 3 or l0.shape != l1.shape or l0.shape[0] == 0:
         raise ShapeError(f"one-hot stacks must share a (C, H, W) shape, got {l0.shape} and {l1.shape}")
+    if not (np.all(np.isfinite(l0)) and np.all(np.isfinite(l1))):
+        raise DataValidationError("one-hot stacks contain non-finite values")
     h, w = l0.shape[1:]
     if ft0.dims != (w, h) or ft1.dims != (w, h):
         raise ShapeError(f"flow dims {ft0.dims}/{ft1.dims} do not match label dims {(w, h)}")
     if not (np.isfinite(t) and 0.0 <= t <= 1.0):
         raise ParameterError(f"t={t!r} must lie in [0, 1]")
-    blended = np.empty_like(l0)
-    for c in range(l0.shape[0]):
-        blended[c] = (1.0 - t) * _warp_arr(l0[c], ft0) + t * _warp_arr(l1[c], ft1)
-    return np.argmax(blended, axis=0)
+    return _blend_argmax(zip(range(l0.shape[0]), l0, l1), (ft0, ft1), t, np.intp)
 
 
 def auto_slice_count(inter_mm: float, intra_mm: float) -> int:
@@ -148,7 +191,8 @@ def impute_volume(
     through-plane spacing shrinks to ``sz / (N + 1)``.  Original slices land
     unchanged at output index ``k * (N + 1)``.  With ``method="linear"`` the
     flows are identically zero, so each synthetic slice is the plain blend
-    of its neighbours.
+    of its neighbours.  An output of more than ``MAX_OUTPUT_VOXELS`` voxels
+    raises ``ParameterError`` before anything is allocated.
     """
     cfg = cfg or ImputeConfig()
     x, y, z = v.dims
@@ -174,6 +218,11 @@ def impute_volume(
         return v, labels
 
     z_out = z + (z - 1) * n
+    if z_out * y * x > MAX_OUTPUT_VOXELS:
+        raise ParameterError(
+            f"output of {x}x{y}x{z_out} voxels ({n} slices per gap) exceeds the "
+            f"limit of {MAX_OUTPUT_VOXELS} voxels"
+        )
     out = np.empty((z_out, y, x), dtype=np.float32)
     out_labels = None
     if labels is not None:
@@ -184,31 +233,20 @@ def impute_volume(
         if out_labels is not None:
             out_labels[k * (n + 1)] = labels.data[k]
 
+    use_flow = cfg.method == METHOD_FLOW
     for k in range(z - 1):
         a = v.data[k].astype(np.float64)
         b = v.data[k + 1].astype(np.float64)
-        use_flow = cfg.method == METHOD_FLOW
         if use_flow:
             f01, f10 = _pair_flows(a, b, cfg.hs)
         if out_labels is not None:
-            la = one_hot_stack(labels.data[k], labels.classes)
-            lb = one_hot_stack(labels.data[k + 1], labels.classes)
+            maps = _class_maps(labels.data[k], labels.data[k + 1])
         for i in range(1, n + 1):
             t = i / (n + 1)
-            if use_flow:
-                ft0, ft1 = compose_intermediate_flow(f01, f10, t)
-                synth = (1.0 - t) * _warp_arr(a, ft0) + t * _warp_arr(b, ft1)
-            else:
-                synth = (1.0 - t) * a + t * b
-            out[k * (n + 1) + i] = synth
+            flows = compose_intermediate_flow(f01, f10, t) if use_flow else None
+            out[k * (n + 1) + i] = _blend(a, b, flows, t)
             if out_labels is not None:
-                stack = np.empty_like(la)
-                for c in range(la.shape[0]):
-                    if use_flow:
-                        stack[c] = (1.0 - t) * _warp_arr(la[c], ft0) + t * _warp_arr(lb[c], ft1)
-                    else:
-                        stack[c] = (1.0 - t) * la[c] + t * lb[c]
-                out_labels[k * (n + 1) + i] = np.argmax(stack, axis=0).astype(labels.data.dtype)
+                out_labels[k * (n + 1) + i] = _blend_argmax(maps, flows, t, out_labels.dtype)
 
     spacing = Spacing(v.spacing.sx, v.spacing.sy, v.spacing.sz / (n + 1))
     result = Volume(out, spacing)

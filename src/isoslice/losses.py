@@ -49,7 +49,11 @@ class LossWeights:
         unknown = set(overrides) - set(cls.__dataclass_fields__)
         if unknown:
             raise ParameterError(f"unknown weight keys: {sorted(unknown)}")
-        return cls(**{k: float(v) for k, v in overrides.items()})
+        try:
+            values = {k: float(v) for k, v in overrides.items()}
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"weights must be numbers: {exc}") from exc
+        return cls(**values)
 
     def for_term(self, term: str) -> float:
         return {
@@ -142,10 +146,18 @@ def tp_smooth_loss(v: Volume) -> float:
     return float(np.mean(values))
 
 
-def _prob_series(name: str, values: Sequence[float]) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+def _float_series(name: str, values: Sequence[float]) -> np.ndarray:
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{name} must be a series of numbers: {exc}") from exc
     if arr.ndim != 1 or arr.size == 0:
         raise ParameterError(f"{name} must be a non-empty 1D series")
+    return arr
+
+
+def _prob_series(name: str, values: Sequence[float]) -> np.ndarray:
+    arr = _float_series(name, values)
     bad = np.nonzero(~((arr > 0.0) & (arr < 1.0)))[0]
     if bad.size:
         i = int(bad[0])
@@ -154,9 +166,7 @@ def _prob_series(name: str, values: Sequence[float]) -> np.ndarray:
 
 
 def _binary_series(name: str, values: Sequence[float]) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ParameterError(f"{name} must be a non-empty 1D series")
+    arr = _float_series(name, values)
     bad = np.nonzero((arr != 0.0) & (arr != 1.0))[0]
     if bad.size:
         i = int(bad[0])

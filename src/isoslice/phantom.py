@@ -39,6 +39,8 @@ def moving_disk_phantom(
         raise ParameterError(f"phantom dims {dims} must all be at least 16")
     if not (np.isfinite(radius) and radius >= 2.0):
         raise ParameterError(f"radius={radius!r} must be at least 2 px")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParameterError(f"seed={seed!r} must be a non-negative integer")
     spacing = spacing or Spacing(1.0, 1.0, 1.0)
 
     margin = 2.0

@@ -229,6 +229,11 @@ def _parse_header(raw: bytes) -> dict:
     return header
 
 
+def _is_count(value) -> bool:
+    """A header integer >= 1; JSON ``true``/``false`` are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def load_volume(path: str | Path) -> AnyVolume:
     """Read a VVOL file; dtype "f32" yields a Volume, "u8"/"u16" a LabelVolume.
 
@@ -261,7 +266,7 @@ def load_volume(path: str | Path) -> AnyVolume:
         if (
             not isinstance(dims, list)
             or len(dims) != 3
-            or not all(isinstance(d, int) and d >= 1 for d in dims)
+            or not all(_is_count(d) for d in dims)
         ):
             raise FileFormatError(f"{path}: dims must be three positive integers, got {dims!r}")
         spacing_raw = header["spacing"]
@@ -288,7 +293,7 @@ def load_volume(path: str | Path) -> AnyVolume:
             raise DataValidationError(f"{path}: payload contains non-finite values")
         return Volume(arr, spacing)
     classes = header["classes"]
-    if not isinstance(classes, int) or classes < 1:
+    if not _is_count(classes):
         raise FileFormatError(f"{path}: classes must be a positive integer, got {classes!r}")
     return LabelVolume(arr, spacing, classes)
 

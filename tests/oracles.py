@@ -33,6 +33,36 @@ def warp_bilinear(img, u, v):
     return out
 
 
+def impute_labels(labels, classes, n, flows=None):
+    """Dense label imputation: argmax over every declared class's blended map.
+
+    ``labels`` is a (Z, H, W) id volume.  For each gap and each ``t`` every
+    class in ``0..classes-1`` gets a float one-hot map per endpoint, warped
+    by ``flows(k, t) -> (u0, v0, u1, v1)`` (plain blend when ``flows`` is
+    None) and blended with weights ``1-t`` and ``t``; ``np.argmax`` over the
+    full (classes, H, W) stack picks the label, ties to the lower id.
+    """
+    z, h, w = labels.shape
+    out = np.empty((z + (z - 1) * n, h, w), dtype=labels.dtype)
+    for k in range(z):
+        out[k * (n + 1)] = labels[k]
+    for k in range(z - 1):
+        for i in range(1, n + 1):
+            t = i / (n + 1)
+            stack = np.zeros((classes, h, w))
+            warps = flows(k, t) if flows is not None else None
+            for c in range(classes):
+                m0 = (labels[k] == c).astype(np.float64)
+                m1 = (labels[k + 1] == c).astype(np.float64)
+                if warps is not None:
+                    u0, v0, u1, v1 = warps
+                    m0 = warp_bilinear(m0, u0, v0)
+                    m1 = warp_bilinear(m1, u1, v1)
+                stack[c] = (1.0 - t) * m0 + t * m1
+            out[k * (n + 1) + i] = np.argmax(stack, axis=0)
+    return out
+
+
 # ----------------------------------------------------------------- losses
 
 

@@ -37,6 +37,14 @@ def payload(result):
     return json.loads(result.stdout)
 
 
+def assert_single_error(result):
+    """Exit 1 with nothing on stdout and one ``error:`` line on stderr."""
+    assert result.returncode == 1
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+
+
 @pytest.fixture()
 def ramp_volume(tmp_path):
     path = tmp_path / "ramp.vvol"
@@ -120,6 +128,19 @@ class TestImpute:
         )
         assert payload(result)["z_out"] == 3
         assert isinstance(load_volume(out_l), LabelVolume)
+
+    def test_hostile_spacing_is_refused_before_writing(self, tmp_path):
+        spacing = Spacing(1e-6, 1e-6, 4.0)
+        save_volume(Volume(np.zeros((3, 32, 32), np.float32), spacing), tmp_path / "v.vvol")
+        save_volume(LabelVolume(np.zeros((3, 32, 32), np.uint8), spacing, 2), tmp_path / "l.vvol")
+        result = run_cli(
+            "impute", "--in", tmp_path / "v.vvol", "--labels", tmp_path / "l.vvol",
+            "--out", tmp_path / "out.vvol", "--out-labels", tmp_path / "out_l.vvol",
+            "--n", "auto", "--method", "linear",
+        )
+        assert_single_error(result)
+        assert "exceeds the limit" in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["l.vvol", "v.vvol"]
 
     def test_labels_without_out_labels_is_usage_error(self, tmp_path, ramp_volume):
         in_path, _ = ramp_volume
@@ -266,6 +287,20 @@ class TestLoss:
         result = run_cli("loss", "--series-json", series, "--weights-json", weights)
         assert result.returncode == 1
 
+    def test_non_numeric_weight(self, tmp_path):
+        series = tmp_path / "series.json"
+        series.write_text(json.dumps({"ld_fake": [0.5], "gd_fake": [0.5]}))
+        weights = tmp_path / "weights.json"
+        weights.write_text(json.dumps({"lambda_rec": "abc"}))
+        assert_single_error(run_cli("loss", "--series-json", series, "--weights-json", weights))
+
+    def test_non_numeric_series_entry(self, tmp_path):
+        series = tmp_path / "series.json"
+        series.write_text(json.dumps({"ld_fake": ["x"], "gd_fake": [0.5]}))
+        result = run_cli("loss", "--series-json", series)
+        assert_single_error(result)
+        assert "ld_fake" in result.stderr
+
     def test_out_of_domain_probability_names_the_index(self, tmp_path):
         series = tmp_path / "series.json"
         series.write_text(json.dumps({"ld_fake": [0.5, 1.5], "gd_fake": [0.5, 0.5]}))
@@ -335,6 +370,16 @@ class TestPhantom:
             cy = info["start"][1] + z * info["step"][1]
             inside = (xs - cx) ** 2 + (ys - cy) ** 2 < info["radius"] ** 2
             assert np.array_equal(labels.data[z].astype(bool), inside)
+
+    def test_negative_seed_is_usage_error(self, tmp_path):
+        result = run_cli(
+            "phantom", "--out", tmp_path / "p.vvol", "--out-labels", tmp_path / "l.vvol",
+            "--seed", "-1",
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_small_size_is_usage_error(self, tmp_path):
         result = run_cli(

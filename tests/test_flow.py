@@ -210,6 +210,12 @@ class TestFlowFile:
         with pytest.raises(FileFormatError):
             load_flow(path)
 
+    def test_boolean_dims_rejected(self, tmp_path):
+        path = tmp_path / "f.vflo"
+        path.write_bytes(b'VFLO\n{"dims":[true,true]}\n' + b"\x00" * 8)
+        with pytest.raises(FileFormatError, match="dims"):
+            load_flow(path)
+
     def test_truncated(self, tmp_path):
         path = tmp_path / "f.vflo"
         path.write_bytes(b'VFLO\n{"dims":[2,1]}\n' + b"\x00" * 15)

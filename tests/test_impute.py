@@ -1,9 +1,16 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from isoslice import (
     FlowField,
+    HsParams,
     ImputeConfig,
     InsufficientSlicesError,
     LabelVolume,
@@ -295,5 +302,89 @@ class TestImputeVolume:
             ImputeConfig(n_slices=-1)
         with pytest.raises(ParameterError):
             ImputeConfig(method="cubic")
-        with pytest.raises(ParameterError):
-            ImputeConfig(label_rule="nearest")
+
+    def test_output_over_voxel_limit_is_refused(self):
+        v = Volume(np.zeros((2, 64, 64), np.float32), UNIT)
+        with pytest.raises(ParameterError, match="exceeds the limit"):
+            impute_volume(v, cfg=ImputeConfig(n_slices=10**9, method="linear"))
+
+
+@st.composite
+def label_cases(draw):
+    """A small image/label volume with 1-4 of up to 50 declared classes, and n."""
+    classes = draw(st.integers(1, 50))
+    z, h, w = draw(st.integers(2, 3)), draw(st.integers(2, 7)), draw(st.integers(2, 7))
+    ids = draw(st.lists(st.integers(0, classes - 1), min_size=1, max_size=4, unique=True))
+    dtype = draw(st.sampled_from([np.uint8, np.uint16]))
+    labels = draw(hnp.arrays(dtype, (z, h, w), elements=st.sampled_from(ids)))
+    image = draw(hnp.arrays(np.float32, (z, h, w), elements=st.floats(0.0, 1.0, width=32)))
+    # n = 1 and n = 3 put a slice at t = 0.5, where two-class ties are exact.
+    n = draw(st.integers(1, 3))
+    return Volume(image, UNIT), LabelVolume(labels, UNIT, classes), n
+
+
+class TestLabelSynthesisExactness:
+    @settings(max_examples=60, deadline=None)
+    @given(label_cases())
+    def test_linear_labels_match_dense_argmax(self, case):
+        v, labels, n = case
+        _, out = impute_volume(v, labels, ImputeConfig(n_slices=n, method="linear"))
+        expected = oracles.impute_labels(labels.data, labels.classes, n)
+        assert out.data.dtype == labels.data.dtype
+        assert np.array_equal(out.data, expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(label_cases())
+    def test_flow_labels_match_dense_argmax(self, case):
+        v, labels, n = case
+        hs = HsParams(iterations=10, pyramid_levels=1)
+        _, out = impute_volume(v, labels, ImputeConfig(n_slices=n, method="flow", hs=hs))
+
+        def flows(k, t):
+            a, b = Slice2D(v.data[k]), Slice2D(v.data[k + 1])
+            ft0, ft1 = compose_intermediate_flow(estimate_flow(a, b, hs), estimate_flow(b, a, hs), t)
+            return ft0.u, ft0.v, ft1.u, ft1.v
+
+        expected = oracles.impute_labels(labels.data, labels.classes, n, flows)
+        assert np.array_equal(out.data, expected)
+
+    def test_public_label_synthesis_is_argmax_of_any_stack(self):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            c, h, w = rng.integers(1, 6), rng.integers(1, 5), rng.integers(1, 5)
+            # coarse values make exact ties common
+            l0 = rng.integers(0, 3, (c, h, w)) / 2.0
+            l1 = rng.integers(0, 3, (c, h, w)) / 2.0
+            ft0 = FlowField(rng.uniform(-2, 2, (h, w)), rng.uniform(-2, 2, (h, w)))
+            ft1 = FlowField(rng.uniform(-2, 2, (h, w)), rng.uniform(-2, 2, (h, w)))
+            t = float(rng.choice([0.0, 0.25, 0.5, 1.0]))
+            dense = np.stack([
+                (1.0 - t) * oracles.warp_bilinear(l0[k], ft0.u, ft0.v)
+                + t * oracles.warp_bilinear(l1[k], ft1.u, ft1.v)
+                for k in range(c)
+            ])
+            out = synth_intermediate_label(l0, l1, ft0, ft1, t)
+            assert np.array_equal(out, np.argmax(dense, axis=0))
+
+    def test_cost_follows_present_classes_not_declared(self):
+        rng = np.random.default_rng(42)
+        v = Volume(rng.random((5, 128, 128)).astype(np.float32), Spacing(1.0, 1.0, 4.0))
+        ids = rng.integers(0, 3, (5, 128, 128)).astype(np.uint16)
+        cfg = ImputeConfig(n_slices=3, method="linear")
+        out_bytes = 17 * 128 * 128 * (4 + 2)
+        peaks = {}
+        for classes in (3, 4000):
+            labels = LabelVolume(ids, v.spacing, classes)
+            started = time.perf_counter()
+            impute_volume(v, labels, cfg)
+            elapsed = time.perf_counter() - started
+            tracemalloc.start()
+            try:
+                _, out = impute_volume(v, labels, cfg)
+                peaks[classes] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.classes == classes
+            assert elapsed < 1.0
+        assert peaks[4000] < 3 * out_bytes
+        assert peaks[4000] < 1.1 * peaks[3]

@@ -52,3 +52,7 @@ class TestMovingDisk:
     def test_path_must_fit(self):
         with pytest.raises(ParameterError):
             moving_disk_phantom(dims=(16, 16, 33), radius=7.0, step=(2.0, 0.0))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ParameterError, match="seed"):
+            moving_disk_phantom(seed=-1)

@@ -147,6 +147,20 @@ class TestFileFormat:
         with pytest.raises(DataValidationError):
             load_volume(path)
 
+    def test_boolean_dims_rejected(self, tmp_path):
+        path = tmp_path / "bool.vvol"
+        header = b'VVOL\n{"dims":[true,true,true],"spacing":[1.0,1.0,1.0],"dtype":"f32"}\n'
+        path.write_bytes(header + b"\x00" * 4)
+        with pytest.raises(FileFormatError, match="dims"):
+            load_volume(path)
+
+    def test_boolean_classes_rejected(self, tmp_path):
+        path = tmp_path / "bool.vvol"
+        header = b'VVOL\n{"dims":[1,1,1],"spacing":[1.0,1.0,1.0],"dtype":"u8","classes":true}\n'
+        path.write_bytes(header + b"\x00")
+        with pytest.raises(FileFormatError, match="classes"):
+            load_volume(path)
+
     def test_class_id_outside_declared_range(self, tmp_path):
         path = tmp_path / "cls.vvol"
         header = b'VVOL\n{"dims":[1,1,1],"spacing":[1.0,1.0,1.0],"dtype":"u8","classes":2}\n'
