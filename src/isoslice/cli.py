@@ -121,7 +121,7 @@ def _load_json_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as f:
             return json.load(f)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParameterError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -323,7 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_loss)
 
     p = sub.add_parser("phantom", help="generate a synthetic ground-truth volume")
-    p.add_argument("--kind", choices=("moving-disk",), default="moving-disk")
     p.add_argument("--out", required=True)
     p.add_argument("--out-labels", required=True)
     p.add_argument("--size", type=_size, default=(64, 64, 33))
@@ -359,11 +358,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     written: list[Path] = []
     try:
         payload = args.handler(args, written)
-    except IsosliceError as exc:
-        _cleanup(written)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (IsosliceError, OSError) as exc:
         _cleanup(written)
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,7 +10,7 @@ Flow semantics are forward for estimation: the field returned by
 bilinear interpolation (see ``impute.backward_warp``): warping ``i1`` by
 that same field reconstructs ``i0``.
 
-The on-disk container ("VFLO") mirrors the volume format::
+The on-disk container ("VFLO") is the volume container with its own magic::
 
     b"VFLO\\n"
     one JSON line: {"dims":[W,H]}
@@ -19,21 +19,14 @@ The on-disk container ("VFLO") mirrors the volume format::
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
 
-from .errors import (
-    DataValidationError,
-    FileFormatError,
-    ParameterError,
-    ShapeError,
-    TruncatedPayloadError,
-)
-from .volume import Slice2D, _is_count
+from .errors import DataValidationError, FileFormatError, ParameterError, ShapeError
+from .volume import Slice2D, _header_dims, _read_container, _write_container
 
 FLOW_MAGIC = b"VFLO\n"
 
@@ -271,46 +264,21 @@ def flow_magnitude_stats(f: FlowField) -> tuple[float, float]:
 def save_flow(f: FlowField, path: str | Path) -> None:
     """Write ``f`` to ``path`` in the VFLO container (components stored as f32)."""
     w, h = f.dims
-    header = json.dumps({"dims": [w, h]}, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(FLOW_MAGIC)
-        fh.write(header)
-        fh.write(b"\n")
-        fh.write(np.ascontiguousarray(f.u, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(f.v, dtype="<f4").tobytes())
+    _write_container(
+        path, FLOW_MAGIC, {"dims": [w, h]}, f.u.astype("<f4").tobytes(), f.v.astype("<f4").tobytes()
+    )
+
+
+def _flow_payload_size(header: dict) -> int:
+    if set(header) != {"dims"}:
+        raise FileFormatError("header must carry exactly the dims key")
+    w, h = _header_dims(header, 2)
+    return 2 * w * h * 4
 
 
 def load_flow(path: str | Path) -> FlowField:
     """Read a VFLO file back into a FlowField."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(FLOW_MAGIC))
-        if magic != FLOW_MAGIC:
-            raise FileFormatError(f"{path}: not a VFLO file (magic {magic!r})")
-        raw = fh.readline(1 << 20)
-        if not raw.endswith(b"\n"):
-            raise FileFormatError(f"{path}: header line missing terminator")
-        try:
-            header = json.loads(raw[:-1].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FileFormatError(f"{path}: header is not a valid JSON line: {exc}") from exc
-        if not isinstance(header, dict) or set(header) != {"dims"}:
-            raise FileFormatError(f"{path}: header must carry exactly the dims key")
-        dims = header["dims"]
-        if (
-            not isinstance(dims, list)
-            or len(dims) != 2
-            or not all(_is_count(d) for d in dims)
-        ):
-            raise FileFormatError(f"{path}: dims must be two positive integers, got {dims!r}")
-        w, h = dims
-        n_bytes = 2 * w * h * 4
-        payload = fh.read(n_bytes + 1)
-        if len(payload) != n_bytes:
-            raise TruncatedPayloadError(
-                f"{path}: expected {n_bytes} payload bytes for dims {dims}, found "
-                f"{'more' if len(payload) > n_bytes else str(len(payload))}"
-            )
-    plane = w * h * 4
-    u = np.frombuffer(payload[:plane], dtype="<f4").reshape(h, w)
-    v = np.frombuffer(payload[plane:], dtype="<f4").reshape(h, w)
+    header, payload = _read_container(path, FLOW_MAGIC, _flow_payload_size)
+    w, h = header["dims"]
+    u, v = np.frombuffer(payload, dtype="<f4").reshape(2, h, w)
     return FlowField(u, v)

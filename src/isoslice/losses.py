@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -49,11 +50,13 @@ class LossWeights:
         unknown = set(overrides) - set(cls.__dataclass_fields__)
         if unknown:
             raise ParameterError(f"unknown weight keys: {sorted(unknown)}")
+        bad = [k for k, v in overrides.items() if isinstance(v, bool) or not isinstance(v, Real)]
+        if bad:
+            raise ParameterError(f"weights must be real numbers, got others for {sorted(bad)}")
         try:
-            values = {k: float(v) for k, v in overrides.items()}
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"weights must be numbers: {exc}") from exc
-        return cls(**values)
+            return cls(**{k: float(v) for k, v in overrides.items()})
+        except OverflowError as exc:
+            raise ParameterError(f"weights must be finite: {exc}") from exc
 
     def for_term(self, term: str) -> float:
         return {

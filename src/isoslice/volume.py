@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import enum
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -197,6 +198,63 @@ def _dtype_tag(v: AnyVolume) -> str:
     return "u8" if v.data.dtype.itemsize == 1 else "u16"
 
 
+def _is_count(value) -> bool:
+    """A header integer in 1..2**31-1; JSON ``true``/``false`` are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool) and 1 <= value < 1 << 31
+
+
+def _header_dims(header: dict, n: int) -> list[int]:
+    """The header's ``dims``: ``n`` counts, or FileFormatError."""
+    dims = header["dims"]
+    if not isinstance(dims, list) or len(dims) != n or not all(_is_count(d) for d in dims):
+        raise FileFormatError(f"dims must be {n} integers in 1..2**31-1, got {dims!r}")
+    return dims
+
+
+def _write_container(path: str | Path, magic: bytes, header: dict, *payload: bytes) -> None:
+    """Write ``magic``, ``header`` as one compact JSON line, then the payload parts."""
+    with open(path, "wb") as f:
+        f.write(magic)
+        f.write(json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n")
+        f.writelines(payload)
+
+
+def _read_container(
+    path: str | Path, magic: bytes, payload_size: Callable[[dict], int]
+) -> tuple[dict, bytes]:
+    """Read a container written by ``_write_container``; return (header, payload).
+
+    ``payload_size`` checks the decoded header object and returns the payload
+    size it promises, raising FileFormatError otherwise.  That size is checked
+    against the file's size before anything is read, so memory follows the
+    file, never the header.
+    """
+    with open(path, "rb") as f:
+        found = f.read(len(magic))
+        if found != magic:
+            raise FileFormatError(f"{path}: not a {magic[:-1].decode()} file (magic {found!r})")
+        raw = f.readline(_MAX_HEADER_BYTES)
+        if not raw.endswith(b"\n"):
+            raise FileFormatError(f"{path}: header line missing terminator")
+        try:
+            header = json.loads(raw.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:
+            raise FileFormatError(f"{path}: header is not a valid JSON line: {exc}") from exc
+        if not isinstance(header, dict):
+            raise FileFormatError(f"{path}: header must be a JSON object")
+        try:
+            n_bytes = payload_size(header)
+        except FileFormatError as exc:
+            raise FileFormatError(f"{path}: {exc}") from exc
+        held = os.fstat(f.fileno()).st_size - f.tell()
+        payload = f.read(n_bytes) if held == n_bytes else b""
+    if len(payload) != n_bytes:
+        raise TruncatedPayloadError(
+            f"{path}: header promises {n_bytes} payload bytes, file holds {held}"
+        )
+    return header, payload
+
+
 def save_volume(v: AnyVolume, path: str | Path) -> None:
     """Write ``v`` to ``path`` in the VVOL container, bit-reproducibly.
 
@@ -212,26 +270,29 @@ def save_volume(v: AnyVolume, path: str | Path) -> None:
     if isinstance(v, LabelVolume):
         header["classes"] = v.classes
     payload = np.ascontiguousarray(v.data, dtype=_DTYPE_TAGS[header["dtype"]]).tobytes()
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(json.dumps(header, separators=(",", ":")).encode("utf-8"))
-        f.write(b"\n")
-        f.write(payload)
+    _write_container(path, MAGIC, header, payload)
 
 
-def _parse_header(raw: bytes) -> dict:
+def _volume_payload_size(header: dict) -> int:
+    tag = header.get("dtype")
+    if not (isinstance(tag, str) and tag in _DTYPE_TAGS):
+        raise FileFormatError(f"unknown dtype tag {tag!r}")
+    expected_keys = {"dims", "spacing", "dtype"} | ({"classes"} if tag != "f32" else set())
+    if set(header) != expected_keys:
+        raise FileFormatError(f"header keys {sorted(header)} differ from {sorted(expected_keys)}")
+    x, y, z = _header_dims(header, 3)
+    spacing = header["spacing"]
+    if not (isinstance(spacing, list) and len(spacing) == 3) or any(
+        type(s) not in (int, float) for s in spacing
+    ):
+        raise FileFormatError(f"spacing must be three JSON numbers, got {spacing!r}")
     try:
-        header = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FileFormatError(f"header is not a valid JSON line: {exc}") from exc
-    if not isinstance(header, dict):
-        raise FileFormatError("header must be a JSON object")
-    return header
-
-
-def _is_count(value) -> bool:
-    """A header integer >= 1; JSON ``true``/``false`` are not integers here."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+        Spacing(*spacing)
+    except (OverflowError, ParameterError) as exc:
+        raise FileFormatError(f"bad spacing: {exc}") from exc
+    if tag != "f32" and not _is_count(header["classes"]):
+        raise FileFormatError(f"classes must be a positive integer, got {header['classes']!r}")
+    return x * y * z * _DTYPE_TAGS[tag].itemsize
 
 
 def load_volume(path: str | Path) -> AnyVolume:
@@ -242,60 +303,15 @@ def load_volume(path: str | Path) -> AnyVolume:
         TruncatedPayloadError: payload size disagrees with the header dims.
         DataValidationError: non-finite intensities or out-of-range class ids.
     """
-    with open(path, "rb") as f:
-        magic = f.read(len(MAGIC))
-        if magic != MAGIC:
-            raise FileFormatError(f"{path}: not a VVOL file (magic {magic!r})")
-        raw = f.readline(_MAX_HEADER_BYTES)
-        if not raw.endswith(b"\n"):
-            raise FileFormatError(f"{path}: header line missing terminator")
-        header = _parse_header(raw[:-1])
-
-        dtype_tag = header.get("dtype")
-        if dtype_tag not in _DTYPE_TAGS:
-            raise FileFormatError(f"{path}: unknown dtype tag {dtype_tag!r}")
-        expected_keys = {"dims", "spacing", "dtype"}
-        if dtype_tag != "f32":
-            expected_keys.add("classes")
-        if set(header) != expected_keys:
-            raise FileFormatError(
-                f"{path}: header keys {sorted(header)} differ from {sorted(expected_keys)}"
-            )
-
-        dims = header["dims"]
-        if (
-            not isinstance(dims, list)
-            or len(dims) != 3
-            or not all(_is_count(d) for d in dims)
-        ):
-            raise FileFormatError(f"{path}: dims must be three positive integers, got {dims!r}")
-        spacing_raw = header["spacing"]
-        if not isinstance(spacing_raw, list) or len(spacing_raw) != 3:
-            raise FileFormatError(f"{path}: spacing must be three numbers, got {spacing_raw!r}")
-        try:
-            spacing = Spacing(*(float(s) for s in spacing_raw))
-        except (TypeError, ValueError, ParameterError) as exc:
-            raise FileFormatError(f"{path}: bad spacing: {exc}") from exc
-
-        x, y, z = dims
-        dtype = _DTYPE_TAGS[dtype_tag]
-        n_bytes = x * y * z * dtype.itemsize
-        payload = f.read(n_bytes + 1)
-        if len(payload) != n_bytes:
-            raise TruncatedPayloadError(
-                f"{path}: expected {n_bytes} payload bytes for dims {dims}, found "
-                f"{'more' if len(payload) > n_bytes else str(len(payload))}"
-            )
-
-    arr = np.frombuffer(payload, dtype=dtype).reshape(z, y, x)
-    if dtype_tag == "f32":
+    header, payload = _read_container(path, MAGIC, _volume_payload_size)
+    x, y, z = header["dims"]
+    spacing = Spacing(*header["spacing"])
+    arr = np.frombuffer(payload, dtype=_DTYPE_TAGS[header["dtype"]]).reshape(z, y, x)
+    if header["dtype"] == "f32":
         if not np.all(np.isfinite(arr)):
             raise DataValidationError(f"{path}: payload contains non-finite values")
         return Volume(arr, spacing)
-    classes = header["classes"]
-    if not _is_count(classes):
-        raise FileFormatError(f"{path}: classes must be a positive integer, got {classes!r}")
-    return LabelVolume(arr, spacing, classes)
+    return LabelVolume(arr, spacing, header["classes"])
 
 
 _SLICE_AXIS = {Axis.AXIAL: 0, Axis.SAGITTAL: 2, Axis.CORONAL: 1}

@@ -294,6 +294,27 @@ class TestLoss:
         weights.write_text(json.dumps({"lambda_rec": "abc"}))
         assert_single_error(run_cli("loss", "--series-json", series, "--weights-json", weights))
 
+    @pytest.mark.parametrize("value", [True, "2"], ids=["boolean", "string"])
+    def test_weight_must_be_a_json_number(self, tmp_path, value):
+        series = tmp_path / "series.json"
+        series.write_text(json.dumps({"ld_fake": [0.5], "gd_fake": [0.5]}))
+        weights = tmp_path / "weights.json"
+        weights.write_text(json.dumps({"lambda_adv": value}))
+        assert_single_error(run_cli("loss", "--series-json", series, "--weights-json", weights))
+
+    @pytest.mark.parametrize("flag", ["--weights-json", "--series-json"])
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"lambda_adv": "\xff"}', b"[" * 50_000 + b"]" * 50_000],
+        ids=["non-utf8", "deep-nesting"],
+    )
+    def test_undecodable_json_input(self, tmp_path, flag, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        result = run_cli("loss", flag, bad)
+        assert_single_error(result)
+        assert "bad.json" in result.stderr
+
     def test_non_numeric_series_entry(self, tmp_path):
         series = tmp_path / "series.json"
         series.write_text(json.dumps({"ld_fake": ["x"], "gd_fake": [0.5]}))

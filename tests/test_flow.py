@@ -216,6 +216,22 @@ class TestFlowFile:
         with pytest.raises(FileFormatError, match="dims"):
             load_flow(path)
 
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"[" * 50_000 + b"]" * 50_000,
+            b'{"dims":[1' + b"0" * 400 + b",1]}",
+            b'{"dims":[1,"1"]}',
+            b'{"dims":[1,1],"\xff":0}',
+        ],
+        ids=["deep-nesting", "huge-dims", "string-dims", "non-utf8"],
+    )
+    def test_hostile_header_is_file_format_error(self, tmp_path, header):
+        path = tmp_path / "bad.vflo"
+        path.write_bytes(b"VFLO\n" + header + b"\n" + b"\x00" * 8)
+        with pytest.raises(FileFormatError, match="bad.vflo"):
+            load_flow(path)
+
     def test_truncated(self, tmp_path):
         path = tmp_path / "f.vflo"
         path.write_bytes(b'VFLO\n{"dims":[2,1]}\n' + b"\x00" * 15)

@@ -323,6 +323,17 @@ class TestTotalLoss:
         with pytest.raises(ParameterError):
             LossWeights.from_dict({"lambda_nope": 1.0})
 
+    def test_weights_accept_numpy_scalars(self):
+        weights = LossWeights.from_dict({"lambda_rec": np.float32(2.0), "lambda_adv": np.int64(1)})
+        assert (weights.lambda_rec, weights.lambda_adv) == (2.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "value", [True, "2", None, [1.0], 10**400], ids=["bool", "str", "null", "list", "huge-int"]
+    )
+    def test_weights_reject_non_numbers(self, value):
+        with pytest.raises(ParameterError):
+            LossWeights.from_dict({"lambda_rec": value})
+
     def test_weights_reject_negative(self):
         with pytest.raises(ParameterError):
             LossWeights(lambda_rec=-1.0)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,37 @@ class TestFileFormat:
         path.write_bytes(header + b"\x00")
         with pytest.raises(FileFormatError, match="classes"):
             load_volume(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b'{"dims":[1,1,1],"spacing":[1.0,1.0,1.0],"dtype":["f32"]}',
+            b"[" * 50_000 + b"]" * 50_000,
+            b'{"dims":[1,1,1],"spacing":[1' + b"0" * 400 + b',1.0,1.0],"dtype":"f32"}',
+            b'{"dims":[1' + b"0" * 400 + b',1,1],"spacing":[1.0,1.0,1.0],"dtype":"f32"}',
+            b'{"dims":[1,1,1],"spacing":["1",true,"4"],"dtype":"f32"}',
+            b'{"dims":[1,1,1],"spacing":[1.0,1.0,1.0],"dtype":"f\xff"}',
+        ],
+        ids=["list-dtype", "deep-nesting", "huge-spacing", "huge-dims", "non-number-spacing", "non-utf8"],
+    )
+    def test_hostile_header_is_file_format_error(self, tmp_path, header):
+        path = tmp_path / "bad.vvol"
+        path.write_bytes(b"VVOL\n" + header + b"\n" + b"\x00" * 4)
+        with pytest.raises(FileFormatError, match="bad.vvol"):
+            load_volume(path)
+
+    def test_payload_promise_checked_against_file_before_reading(self, tmp_path):
+        path = tmp_path / "promise.vvol"
+        head = b'VVOL\n{"dims":[1024,1024,64],"spacing":[1.0,1.0,1.0],"dtype":"f32"}\n'
+        path.write_bytes(head + b"\x00" * (90 - len(head)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedPayloadError):
+                load_volume(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the header promises 256 MiB
 
     def test_class_id_outside_declared_range(self, tmp_path):
         path = tmp_path / "cls.vvol"
