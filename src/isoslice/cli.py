@@ -25,9 +25,9 @@ from .losses import (
     LossWeights,
     adv_loss,
     global_disc_loss,
+    loss_report,
     multitask_loss,
     rec_loss,
-    total_loss,
     tp_smooth_loss,
 )
 from .metrics import evaluate
@@ -240,10 +240,7 @@ def cmd_loss(args: argparse.Namespace, written: list[Path]) -> dict:
     if not parts and not extras:
         raise ParameterError("no loss inputs given; pass --volume, --rec, or --series-json")
 
-    report = dict(parts)
-    report.update(extras)
-    report["total"] = total_loss(parts, weights)
-    return report
+    return {**loss_report(parts, weights), **extras}
 
 
 def cmd_phantom(args: argparse.Namespace, written: list[Path]) -> dict:

@@ -27,6 +27,10 @@ from .volume import Slice2D, Volume
 LOSS_TERMS = ("l_rec", "l_per", "l_warp", "l_smooth", "l_adv", "l_tp_smooth")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class LossWeights:
     """Coefficients of the combined objective; all finite and non-negative."""
@@ -50,7 +54,7 @@ class LossWeights:
         unknown = set(overrides) - set(cls.__dataclass_fields__)
         if unknown:
             raise ParameterError(f"unknown weight keys: {sorted(unknown)}")
-        bad = [k for k, v in overrides.items() if isinstance(v, bool) or not isinstance(v, Real)]
+        bad = [k for k, v in overrides.items() if not _is_number(v)]
         if bad:
             raise ParameterError(f"weights must be real numbers, got others for {sorted(bad)}")
         try:
@@ -151,11 +155,14 @@ def tp_smooth_loss(v: Volume) -> float:
 
 def _float_series(name: str, values: Sequence[float]) -> np.ndarray:
     try:
-        arr = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+        items = list(values)
+        if not all(_is_number(v) for v in items):
+            raise TypeError("entries must be real numbers, not booleans, strings or containers")
+        arr = np.array(items, dtype=np.float64)
+    except (TypeError, OverflowError) as exc:
         raise ParameterError(f"{name} must be a series of numbers: {exc}") from exc
-    if arr.ndim != 1 or arr.size == 0:
-        raise ParameterError(f"{name} must be a non-empty 1D series")
+    if arr.size == 0:
+        raise ParameterError(f"{name} must be a non-empty series")
     return arr
 
 
@@ -234,6 +241,8 @@ def total_loss(parts: Mapping[str, float], weights: LossWeights | None = None) -
         if not math.isfinite(value):
             raise ParameterError(f"{term}={value!r} must be finite")
         total += weights.for_term(term) * float(value)
+    if not math.isfinite(total):
+        raise ParameterError(f"the weighted total overflows: {total!r}")
     return total
 
 

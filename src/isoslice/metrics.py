@@ -9,7 +9,7 @@ computation lives in the test suite as the correctness oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -29,13 +29,7 @@ class ClassScores:
     mssd_mm: float | None
 
     def as_dict(self) -> dict[str, float | None]:
-        return {
-            "dice": self.dice,
-            "ravd": self.ravd,
-            "ravd_abs": self.ravd_abs,
-            "assd_mm": self.assd_mm,
-            "mssd_mm": self.mssd_mm,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -104,29 +98,26 @@ def surface_voxels(l: LabelVolume, class_id: int) -> np.ndarray:
     return np.column_stack([xx, yy, zz]).astype(np.int64)
 
 
-def _surface_points_mm(l: LabelVolume, class_id: int, spacing: Spacing) -> np.ndarray:
-    coords = surface_voxels(l, class_id)
-    scale = np.array(spacing.as_tuple(), dtype=np.float64)
-    return coords.astype(np.float64) * scale
-
-
-def _directed_distances(
+def _surface_distances(
     gt: LabelVolume, pred: LabelVolume, class_id: int, spacing: Spacing | None
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[float, float]:
+    """(assd, mssd) in mm from one surface extraction and one k-d tree per side."""
     _check_dims(gt, pred)
     if spacing is None:
         if gt.spacing != pred.spacing:
             raise ShapeError("label spacings differ; pass an explicit spacing to override")
         spacing = gt.spacing
-    pts_gt = _surface_points_mm(gt, class_id, spacing)
-    pts_pred = _surface_points_mm(pred, class_id, spacing)
+    scale = np.array(spacing.as_tuple(), dtype=np.float64)
+    pts_gt = surface_voxels(gt, class_id) * scale
+    pts_pred = surface_voxels(pred, class_id) * scale
     if len(pts_gt) == 0 or len(pts_pred) == 0:
         raise UndefinedMetricError(
             f"surface distances are undefined: class {class_id} has an empty surface"
         )
     d_gt = cKDTree(pts_pred).query(pts_gt)[0]
     d_pred = cKDTree(pts_gt).query(pts_pred)[0]
-    return d_gt, d_pred
+    assd_mm = (d_gt.sum() + d_pred.sum()) / (len(d_gt) + len(d_pred))
+    return float(assd_mm), float(max(d_gt.max(), d_pred.max()))
 
 
 def assd(
@@ -138,16 +129,14 @@ def assd(
     other surface; the two directed sums are divided by the total number of
     surface voxels on both sides.
     """
-    d_gt, d_pred = _directed_distances(gt, pred, class_id, spacing)
-    return float((d_gt.sum() + d_pred.sum()) / (len(d_gt) + len(d_pred)))
+    return _surface_distances(gt, pred, class_id, spacing)[0]
 
 
 def mssd(
     gt: LabelVolume, pred: LabelVolume, class_id: int, spacing: Spacing | None = None
 ) -> float:
     """Maximum symmetric surface distance in mm (symmetric Hausdorff)."""
-    d_gt, d_pred = _directed_distances(gt, pred, class_id, spacing)
-    return float(max(d_gt.max(), d_pred.max()))
+    return _surface_distances(gt, pred, class_id, spacing)[1]
 
 
 def _mean_or_none(values: list[float | None]) -> float | None:
@@ -169,18 +158,18 @@ def evaluate(gt: LabelVolume, pred: LabelVolume) -> MetricReport:
     if gt.classes != pred.classes:
         raise ShapeError(f"class counts {gt.classes} and {pred.classes} differ")
 
+    # One counting pass per volume tells which classes are present, so a class
+    # absent from both costs no full-volume pass: it scores like two empty masks.
+    n_gt = np.bincount(gt.data.ravel(), minlength=gt.classes)
+    n_pred = np.bincount(pred.data.ravel(), minlength=gt.classes)
     per_class: dict[int, ClassScores] = {}
     for cid in range(1, gt.classes):
-        dice_val = dice(gt, pred, cid)
-        try:
+        dice_val = dice(gt, pred, cid) if n_gt[cid] or n_pred[cid] else 100.0
+        ravd_signed = ravd_abs = assd_val = mssd_val = None
+        if n_gt[cid]:
             ravd_signed, ravd_abs = ravd(gt, pred, cid)
-        except UndefinedMetricError:
-            ravd_signed, ravd_abs = None, None
-        try:
-            assd_val = assd(gt, pred, cid)
-            mssd_val = mssd(gt, pred, cid)
-        except UndefinedMetricError:
-            assd_val, mssd_val = None, None
+        if n_gt[cid] and n_pred[cid]:
+            assd_val, mssd_val = _surface_distances(gt, pred, cid, gt.spacing)
         per_class[cid] = ClassScores(dice_val, ravd_signed, ravd_abs, assd_val, mssd_val)
 
     scores = list(per_class.values())

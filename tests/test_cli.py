@@ -322,6 +322,19 @@ class TestLoss:
         assert_single_error(result)
         assert "ld_fake" in result.stderr
 
+    @pytest.mark.parametrize(
+        "entries",
+        [{"ld_fake": ["0.5"]}, {"y_fake": [True]}, {"ld_fake": [10**400]}],
+        ids=["string", "boolean", "huge-int"],
+    )
+    def test_series_entries_must_be_json_numbers(self, tmp_path, entries):
+        good = {k: [0.5] for k in ("ld_fake", "ld_real", "gd_fake", "oc_fake", "oc_real")}
+        series = tmp_path / "series.json"
+        series.write_text(json.dumps({**good, "y_fake": [1], "y_real": [1], **entries}))
+        result = run_cli("loss", "--series-json", series)
+        assert_single_error(result)
+        assert next(iter(entries)) in result.stderr
+
     def test_out_of_domain_probability_names_the_index(self, tmp_path):
         series = tmp_path / "series.json"
         series.write_text(json.dumps({"ld_fake": [0.5, 1.5], "gd_fake": [0.5, 0.5]}))

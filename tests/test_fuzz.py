@@ -1,9 +1,12 @@
-"""Files one mutation away from a valid VVOL/VFLO file, fed to the readers and the CLI.
+"""Malformed inputs fed to the readers and the CLI.
 
-Each case starts from a golden file and changes one thing: a header value
-(arbitrary JSON), the whole header line, the payload length, or a magic byte.
-A reader must return a valid object or raise an ``IsosliceError``; the CLI
-must fail such a file with exit 1, one ``error:`` line and no output file.
+Each file case starts from a golden VVOL/VFLO file and changes one thing: a
+header value (arbitrary JSON), the whole header line, the payload length, or
+a magic byte.  A reader must return a valid object or raise an
+``IsosliceError``; the CLI must fail such a file with exit 1, one ``error:``
+line and no output file.  The ``loss`` command is given series and weights
+files one change away from a valid pair (or any JSON value) and must either
+print one JSON object or fail that way.
 """
 
 import contextlib
@@ -11,7 +14,7 @@ import io
 import json
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from isoslice import (
@@ -127,3 +130,48 @@ def test_cli_fails_cleanly_on_a_broken_input(tmp_path_factory, command, data):
     lines = stderr.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert not out.exists()
+
+
+GOLDEN_SERIES = {
+    **{k: [0.25, 0.75] for k in ("ld_fake", "ld_real", "gd_fake", "gd_real", "oc_fake", "oc_real")},
+    "y_fake": [1, 0],
+    "y_real": [0, 1],
+}
+GOLDEN_WEIGHTS = {"lambda_adv": 1.0, "lambda_tp_smooth": 0.5}
+
+
+@st.composite
+def changed(draw, golden: dict, values) -> object:
+    """The golden JSON object with one key set to a drawn value or removed, or any JSON value."""
+    change = draw(st.sampled_from(["value", "drop", "whole"]))
+    if change == "whole":
+        return draw(JSON_VALUES)
+    key = draw(st.sampled_from(sorted(golden)) | st.text(max_size=8))
+    if change == "drop":
+        return {k: v for k, v in golden.items() if k != key}
+    return {**golden, key: draw(values)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    series=changed(GOLDEN_SERIES, JSON_VALUES | st.lists(st.floats() | JSON_VALUES, max_size=3)),
+    weights=changed(GOLDEN_WEIGHTS, JSON_VALUES | st.floats()),
+)
+@example(series={"ld_fake": [10**400], "gd_fake": [0.5]}, weights={})
+@example(series={"ld_fake": [0.01], "gd_fake": [0.01]}, weights={"lambda_adv": 1e308})
+def test_loss_reports_or_fails_cleanly_on_any_json(tmp_path_factory, series, weights):
+    tmp = tmp_path_factory.mktemp("loss")
+    series_path, weights_path = tmp / "series.json", tmp / "weights.json"
+    series_path.write_text(json.dumps(series))
+    weights_path.write_text(json.dumps(weights))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["loss", "--series-json", str(series_path), "--weights-json", str(weights_path)])
+    if code == 0:
+        lines = stdout.getvalue().splitlines()
+        assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict), lines
+    else:
+        assert code == 1
+        assert stdout.getvalue() == ""
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines

@@ -215,6 +215,21 @@ class TestProbabilisticLosses:
         with pytest.raises(ParameterError):
             adv_loss([], [])
 
+    @pytest.mark.parametrize(
+        "entry", ["0.5", True, None, [0.5], 10**400], ids=["str", "bool", "null", "list", "huge-int"]
+    )
+    def test_series_reject_non_numbers(self, entry):
+        with pytest.raises(ParameterError, match="ld_fake"):
+            adv_loss([entry], [0.5])
+
+    def test_series_accept_numpy_arrays_and_scalars(self):
+        expected = multitask_loss([0.5], [0.5], [0.5], [0.5], [1], [0])
+        got = multitask_loss(
+            np.array([0.5]), np.array([0.5], np.float32), [np.float64(0.5)], [np.float32(0.5)],
+            np.array([1], np.uint8), [np.int64(0)],
+        )
+        assert got == expected
+
     def test_global_worked_half(self):
         assert global_disc_loss([0.5], [0.5]) == pytest.approx(2 * LN2, abs=1e-9)
 
@@ -313,6 +328,10 @@ class TestTotalLoss:
     def test_unknown_term_rejected(self):
         with pytest.raises(ParameterError):
             total_loss({"l_typo": 1.0})
+
+    def test_overflowing_total_rejected(self):
+        with pytest.raises(ParameterError, match="overflows"):
+            total_loss({"l_adv": 2.0}, LossWeights(lambda_adv=1e308))
 
     def test_weight_override(self):
         weights = LossWeights.from_dict({"lambda_adv": 0.5})

@@ -1,8 +1,12 @@
+import time
+
 import numpy as np
 import pytest
 
+import isoslice.metrics
 import oracles
 from isoslice import (
+    ClassScores,
     LabelVolume,
     ShapeError,
     Spacing,
@@ -33,6 +37,19 @@ def random_pair(rng, classes=3, shape=(8, 8, 8), spacing=UNIT):
     gt = rng.integers(0, classes, shape).astype(np.uint8)
     pred = rng.integers(0, classes, shape).astype(np.uint8)
     return lv(gt, spacing, classes), lv(pred, spacing, classes)
+
+
+def composed_scores(gt, pred, cid):
+    """One class's scores from the per-metric functions, None where they raise."""
+
+    def or_none(metric):
+        try:
+            return metric(gt, pred, cid)
+        except UndefinedMetricError:
+            return None
+
+    r = or_none(ravd)
+    return ClassScores(dice(gt, pred, cid), *(r or (None, None)), or_none(assd), or_none(mssd))
 
 
 class TestDice:
@@ -238,14 +255,53 @@ class TestEvaluate:
 
     def test_matches_per_metric_composition(self):
         rng = np.random.default_rng(89)
-        gt, pred = random_pair(rng)
+        pairs = [random_pair(rng)]
+        spacing = Spacing(0.8, 1.3, 3.0)
+        a, b = (l.data.copy() for l in random_pair(rng, spacing=spacing))
+        a[0, 0, :3] = 3  # only in gt
+        b[7, 7, 5:] = 4  # only in pred; class 5 is declared but absent from both
+        pairs.append((lv(a, spacing, 6), lv(b, spacing, 6)))
+        for gt, pred in pairs:
+            report = evaluate(gt, pred)
+            assert sorted(report.classes) == list(range(1, gt.classes))
+            for cid, scores in report.classes.items():
+                assert scores == composed_scores(gt, pred, cid), cid
+
+    def test_extracts_each_surface_once_and_only_for_classes_in_both(self, monkeypatch):
+        gt = np.zeros((6, 6, 6), np.uint8)
+        pred = np.zeros((6, 6, 6), np.uint8)
+        gt[0, 0, :2] = pred[0, 0, 1:3] = 1
+        gt[2, 2, 2] = 2
+        pred[4, 4, 4] = 3  # class 4 is declared but absent from both
+        surfaces, trees = [], []
+        real_surface, real_tree = isoslice.metrics.surface_voxels, isoslice.metrics.cKDTree
+
+        def surface(l, cid):
+            surfaces.append(cid)
+            return real_surface(l, cid)
+
+        def tree(points):
+            trees.append(len(points))
+            return real_tree(points)
+
+        monkeypatch.setattr(isoslice.metrics, "surface_voxels", surface)
+        monkeypatch.setattr(isoslice.metrics, "cKDTree", tree)
+        evaluate(lv(gt, classes=5), lv(pred, classes=5))
+        assert surfaces == [1, 1]
+        assert trees == [2, 2]
+
+    def test_cost_does_not_grow_with_declared_classes(self):
+        rng = np.random.default_rng(91)
+        gt, pred = (
+            LabelVolume(rng.integers(0, 4, (16, 64, 64)).astype(np.uint16), UNIT, 5000)
+            for _ in range(2)
+        )
+        start = time.perf_counter()
         report = evaluate(gt, pred)
-        for cid in (1, 2):
-            assert report.classes[cid].dice == dice(gt, pred, cid)
-            assert report.classes[cid].ravd == ravd(gt, pred, cid)[0]
-            assert report.classes[cid].ravd_abs == ravd(gt, pred, cid)[1]
-            assert report.classes[cid].assd_mm == assd(gt, pred, cid)
-            assert report.classes[cid].mssd_mm == mssd(gt, pred, cid)
+        assert time.perf_counter() - start < 1.0
+        assert sorted(report.classes) == list(range(1, 5000))
+        for cid in (1, 2, 3, 4, 2500, 4999):
+            assert report.classes[cid] == composed_scores(gt, pred, cid), cid
 
     def test_undefined_entries_become_none(self):
         gt = np.zeros((4, 4, 4), np.uint8)
