@@ -135,10 +135,13 @@ def _hs_from_args(args: argparse.Namespace) -> HsParams:
 
 
 def _add_hs_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=float, default=15.0, help="smoothness weight")
-    parser.add_argument("--iterations", type=_int_at_least(1), default=100, help="solver sweeps per warp")
-    parser.add_argument("--pyramid-levels", type=_int_at_least(1), default=3)
-    parser.add_argument("--warps-per-level", type=_int_at_least(1), default=3)
+    hs = HsParams()
+    parser.add_argument("--alpha", type=float, default=hs.alpha, help="smoothness weight")
+    parser.add_argument(
+        "--iterations", type=_int_at_least(1), default=hs.iterations, help="solver sweeps per warp"
+    )
+    parser.add_argument("--pyramid-levels", type=_int_at_least(1), default=hs.pyramid_levels)
+    parser.add_argument("--warps-per-level", type=_int_at_least(1), default=hs.warps_per_level)
 
 
 def cmd_decimate(args: argparse.Namespace, written: list[Path]) -> dict:
@@ -350,8 +353,8 @@ def _cleanup(written: list[Path]) -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "impute" and args.labels and not args.out_labels:
-        parser.error("--labels requires --out-labels")
+    if args.command == "impute" and bool(args.labels) != bool(args.out_labels):
+        parser.error("--labels and --out-labels go together")
     written: list[Path] = []
     try:
         payload = args.handler(args, written)

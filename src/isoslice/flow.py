@@ -25,8 +25,8 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from .errors import DataValidationError, FileFormatError, ParameterError, ShapeError
-from .volume import Slice2D, _header_dims, _read_container, _write_container
+from .errors import FileFormatError, ParameterError, ShapeError
+from .volume import Slice2D, _ArrayValue, _frozen, _header_dims, _is_int, _read_container, _write_container
 
 FLOW_MAGIC = b"VFLO\n"
 
@@ -43,7 +43,7 @@ _BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
 
 @dataclass(frozen=True, eq=False)
-class FlowField:
+class FlowField(_ArrayValue):
     """Per-pixel displacement between two same-sized slices.
 
     ``u`` moves along the slice's first axis (columns, x) and ``v`` along
@@ -55,16 +55,10 @@ class FlowField:
     v: np.ndarray
 
     def __post_init__(self) -> None:
-        u = np.array(self.u, dtype=np.float64, copy=True, order="C")
-        v = np.array(self.v, dtype=np.float64, copy=True, order="C")
-        if u.ndim != 2 or u.size == 0:
-            raise ParameterError(f"flow components must be non-empty 2D arrays, got {u.shape}")
+        u = _frozen(self.u, np.float64, 2, "flow u")
+        v = _frozen(self.v, np.float64, 2, "flow v")
         if u.shape != v.shape:
             raise ShapeError(f"u shape {u.shape} differs from v shape {v.shape}")
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-            raise DataValidationError("flow field contains non-finite values")
-        u.setflags(write=False)
-        v.setflags(write=False)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
 
@@ -72,15 +66,6 @@ class FlowField:
     def dims(self) -> tuple[int, int]:
         """(W, H) = (columns, rows)."""
         return (self.u.shape[1], self.u.shape[0])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FlowField):
-            return NotImplemented
-        return (
-            self.u.shape == other.u.shape
-            and bool(np.array_equal(self.u, other.u))
-            and bool(np.array_equal(self.v, other.v))
-        )
 
     @classmethod
     def zeros(cls, dims: tuple[int, int]) -> "FlowField":
@@ -93,7 +78,11 @@ class HsParams:
     """Knobs of the variational estimator.
 
     The defaults suit smooth slices regardless of intensity units, since the
-    estimator range-normalizes its inputs before differentiating.
+    estimator range-normalizes its inputs to 0..255 before differentiating.
+    ``alpha`` must be at least 1e-100: where the image gradient vanishes each
+    Jacobi sweep divides an intensity difference of up to 255 by
+    ``alpha ** 2``, which stays near 1e202 at that floor but overflows
+    float64 below about 1e-153 and turns the flow into NaN.
     """
 
     alpha: float = 15.0
@@ -102,11 +91,11 @@ class HsParams:
     warps_per_level: int = 3
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.alpha) and self.alpha > 0):
-            raise ParameterError(f"alpha={self.alpha!r} must be positive and finite")
+        if not (np.isfinite(self.alpha) and self.alpha >= 1e-100):
+            raise ParameterError(f"alpha={self.alpha!r} must be finite and at least 1e-100")
         for name in ("iterations", "pyramid_levels", "warps_per_level"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if not _is_int(value) or value < 1:
                 raise ParameterError(f"{name}={value!r} must be a positive integer")
 
 
@@ -197,7 +186,7 @@ def estimate_flow(i0: Slice2D, i1: Slice2D, params: HsParams | None = None) -> F
     if i0.dims != i1.dims:
         raise ShapeError(f"slice dims {i0.dims} and {i1.dims} differ")
     w, h = i0.dims
-    if min(w, h) < 2**params.pyramid_levels:
+    if min(w, h).bit_length() <= params.pyramid_levels:  # i.e. min(w, h) < 2**levels
         raise ParameterError(
             f"dims {i0.dims} too small for {params.pyramid_levels} pyramid levels"
         )

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DataValidationError, InsufficientSlicesError, ParameterError, ShapeError
 from .flow import FlowField, HsParams, compose_intermediate_flow, estimate_flow, sample_bilinear
-from .volume import LabelVolume, Slice2D, Spacing, Volume
+from .volume import LabelVolume, Slice2D, Spacing, Volume, _is_int
 
 METHOD_FLOW = "flow"
 METHOD_LINEAR = "linear"
@@ -49,7 +49,7 @@ class ImputeConfig:
 
     def __post_init__(self) -> None:
         if self.n_slices != "auto":
-            if not isinstance(self.n_slices, (int, np.integer)) or self.n_slices < 0:
+            if not _is_int(self.n_slices) or self.n_slices < 0:
                 raise ParameterError(f'n_slices must be "auto" or an integer >= 0, got {self.n_slices!r}')
         if self.method not in (METHOD_FLOW, METHOD_LINEAR):
             raise ParameterError(f"method must be {METHOD_FLOW!r} or {METHOD_LINEAR!r}, got {self.method!r}")
@@ -130,8 +130,8 @@ def one_hot_stack(labels: np.ndarray, classes: int) -> np.ndarray:
     arr = np.asarray(labels)
     if arr.ndim != 2:
         raise ParameterError(f"label slice must be 2D, got shape {arr.shape}")
-    if classes < 1:
-        raise ParameterError(f"classes={classes} must be at least 1")
+    if not _is_int(classes) or classes < 1:
+        raise ParameterError(f"classes={classes!r} must be an integer of at least 1")
     if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= classes):
         raise ParameterError(f"label ids must lie in 0..{classes - 1}")
     stack = np.zeros((classes, *arr.shape), dtype=np.float64)

@@ -7,7 +7,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError
-from .volume import LabelVolume, Spacing, Volume
+from .impute import MAX_OUTPUT_VOXELS
+from .volume import LabelVolume, Spacing, Volume, _is_int
 
 
 class MovingDiskPhantom(NamedTuple):
@@ -33,13 +34,18 @@ def moving_disk_phantom(
     radius and 0 outside; the label marks the analytic support ``d < r``.
     ``seed`` picks the start position inside a box that keeps the whole path
     (plus a 2 px margin) in bounds, so equal seeds give identical volumes.
+    A non-finite step or more than ``MAX_OUTPUT_VOXELS`` voxels is refused.
     """
     x, y, z = dims
     if min(x, y, z) < 16:
         raise ParameterError(f"phantom dims {dims} must all be at least 16")
+    if x * y * z > MAX_OUTPUT_VOXELS:
+        raise ParameterError(f"phantom dims {dims} exceed the limit of {MAX_OUTPUT_VOXELS} voxels")
     if not (np.isfinite(radius) and radius >= 2.0):
         raise ParameterError(f"radius={radius!r} must be at least 2 px")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not np.all(np.isfinite(step)):
+        raise ParameterError(f"step={step!r} must be finite")
+    if not _is_int(seed) or seed < 0:
         raise ParameterError(f"seed={seed!r} must be a non-negative integer")
     spacing = spacing or Spacing(1.0, 1.0, 1.0)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Union
 
@@ -71,47 +71,69 @@ class Axis(enum.Enum):
     CORONAL = "coronal"
 
 
+def _is_int(value) -> bool:
+    """A Python or numpy integer; ``True`` and ``False`` are not integers here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _frozen(data, dtype, ndim: int, what: str) -> np.ndarray:
+    """A read-only, C-ordered ``dtype`` copy of ``data``.
+
+    Raises ParameterError unless the copy is a non-empty ``ndim``-D array,
+    and DataValidationError if a float copy holds non-finite values (values
+    too large for ``dtype`` become infinite in the copy and are refused too).
+    """
+    with np.errstate(over="ignore"):
+        arr = np.array(data, dtype=dtype, copy=True, order="C")
+    if arr.ndim != ndim or arr.size == 0:
+        raise ParameterError(f"{what} must be a non-empty {ndim}D array, got shape {arr.shape}")
+    if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
+        raise DataValidationError(f"{what} contains non-finite values")
+    arr.setflags(write=False)
+    return arr
+
+
+class _ArrayValue:
+    """Base of the frozen dataclasses holding validated arrays; unhashable.
+
+    Equal values have one type, array fields of equal dtype, shape and
+    values, and other fields that compare equal.
+    """
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = [(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)]
+        return all(
+            a.dtype == b.dtype and np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in pairs
+        )
+
+
 @dataclass(frozen=True, eq=False)
-class Slice2D:
+class Slice2D(_ArrayValue):
     """One 2D slice; ``data`` is float64 indexed ``[row, col]``."""
 
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.data, dtype=np.float64, copy=True, order="C")
-        if arr.ndim != 2 or arr.size == 0:
-            raise ParameterError(f"slice data must be a non-empty 2D array, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise DataValidationError("slice contains non-finite values")
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", _frozen(self.data, np.float64, 2, "slice data"))
 
     @property
     def dims(self) -> tuple[int, int]:
         """(W, H) = (columns, rows)."""
         return (self.data.shape[1], self.data.shape[0])
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Slice2D):
-            return NotImplemented
-        return self.data.shape == other.data.shape and bool(np.array_equal(self.data, other.data))
-
 
 @dataclass(frozen=True, eq=False)
-class Volume:
+class Volume(_ArrayValue):
     """Scalar volume; ``data`` is float32 indexed ``[z, y, x]``."""
 
     data: np.ndarray
     spacing: Spacing
 
     def __post_init__(self) -> None:
-        arr = np.array(self.data, dtype=np.float32, copy=True, order="C")
-        if arr.ndim != 3 or arr.size == 0:
-            raise ParameterError(f"volume data must be a non-empty 3D array, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise DataValidationError("volume contains non-finite values")
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", _frozen(self.data, np.float32, 3, "volume data"))
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -119,18 +141,9 @@ class Volume:
         z, y, x = self.data.shape
         return (x, y, z)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Volume):
-            return NotImplemented
-        return (
-            self.spacing == other.spacing
-            and self.data.shape == other.data.shape
-            and bool(np.array_equal(self.data, other.data))
-        )
-
 
 @dataclass(frozen=True, eq=False)
-class LabelVolume:
+class LabelVolume(_ArrayValue):
     """Integer class-id volume sharing the scalar volume's geometry.
 
     Class ids are drawn from the contiguous set ``{0 .. classes-1}`` with 0
@@ -148,45 +161,28 @@ class LabelVolume:
             raise ParameterError(f"label data must be a non-empty 3D array, got shape {src.shape}")
         if not np.issubdtype(src.dtype, np.integer):
             raise DataValidationError(f"label data must be integer, got dtype {src.dtype}")
-        if src.size and int(src.min()) < 0:
+        if int(src.min()) < 0:
             raise DataValidationError("label data contains negative class ids")
         top = int(src.max())
         classes = self.classes if self.classes is not None else top + 1
-        if classes < 1:
-            raise ParameterError(f"classes={classes} must be at least 1")
+        if not _is_int(classes) or classes < 1:
+            raise ParameterError(f"classes={classes!r} must be an integer of at least 1")
         if top >= classes:
             raise DataValidationError(f"class id {top} outside declared range 0..{classes - 1}")
-        if src.dtype in (np.dtype("u1"), np.dtype("u2"), np.dtype("<u2")):
-            dtype = np.dtype("u1") if src.dtype.itemsize == 1 else np.dtype("<u2")
-        elif classes <= 256:
-            dtype = np.dtype("u1")
-        elif classes <= 65536:
-            dtype = np.dtype("<u2")
+        if src.dtype in (np.dtype("u1"), np.dtype("<u2")):
+            dtype = src.dtype
         else:
-            raise ParameterError(f"classes={classes} exceeds the 16-bit encodable range")
-        if classes > (1 << (8 * dtype.itemsize)):
-            raise ParameterError(f"classes={classes} does not fit the {dtype} payload")
-        arr = np.array(src, dtype=dtype, copy=True, order="C")
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "classes", classes)
+            dtype = np.dtype("u1") if classes <= 256 else np.dtype("<u2")
+        if classes > 1 << 8 * dtype.itemsize:
+            raise ParameterError(f"classes={classes} does not fit a {8 * dtype.itemsize}-bit payload")
+        object.__setattr__(self, "data", _frozen(src, dtype, 3, "label data"))
+        object.__setattr__(self, "classes", int(classes))
 
     @property
     def dims(self) -> tuple[int, int, int]:
         """(X, Y, Z)."""
         z, y, x = self.data.shape
         return (x, y, z)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LabelVolume):
-            return NotImplemented
-        return (
-            self.spacing == other.spacing
-            and self.classes == other.classes
-            and self.data.shape == other.data.shape
-            and self.data.dtype == other.data.dtype
-            and bool(np.array_equal(self.data, other.data))
-        )
 
 
 AnyVolume = Union[Volume, LabelVolume]
@@ -198,15 +194,11 @@ def _dtype_tag(v: AnyVolume) -> str:
     return "u8" if v.data.dtype.itemsize == 1 else "u16"
 
 
-def _is_count(value) -> bool:
-    """A header integer in 1..2**31-1; JSON ``true``/``false`` are not integers here."""
-    return isinstance(value, int) and not isinstance(value, bool) and 1 <= value < 1 << 31
-
-
 def _header_dims(header: dict, n: int) -> list[int]:
-    """The header's ``dims``: ``n`` counts, or FileFormatError."""
+    """The header's ``dims``: ``n`` integers in 1..2**31-1, or FileFormatError."""
     dims = header["dims"]
-    if not isinstance(dims, list) or len(dims) != n or not all(_is_count(d) for d in dims):
+    listed = isinstance(dims, list) and len(dims) == n
+    if not (listed and all(_is_int(d) and 1 <= d < 1 << 31 for d in dims)):
         raise FileFormatError(f"dims must be {n} integers in 1..2**31-1, got {dims!r}")
     return dims
 
@@ -290,9 +282,12 @@ def _volume_payload_size(header: dict) -> int:
         Spacing(*spacing)
     except (OverflowError, ParameterError) as exc:
         raise FileFormatError(f"bad spacing: {exc}") from exc
-    if tag != "f32" and not _is_count(header["classes"]):
-        raise FileFormatError(f"classes must be a positive integer, got {header['classes']!r}")
-    return x * y * z * _DTYPE_TAGS[tag].itemsize
+    itemsize = _DTYPE_TAGS[tag].itemsize
+    if tag != "f32":
+        classes, top = header["classes"], 1 << 8 * itemsize
+        if not (_is_int(classes) and 1 <= classes <= top):
+            raise FileFormatError(f"classes must be an integer in 1..{top} for {tag}, got {classes!r}")
+    return x * y * z * itemsize
 
 
 def load_volume(path: str | Path) -> AnyVolume:
@@ -301,17 +296,19 @@ def load_volume(path: str | Path) -> AnyVolume:
     Raises:
         FileFormatError: bad magic, malformed header, or unexpected keys.
         TruncatedPayloadError: payload size disagrees with the header dims.
-        DataValidationError: non-finite intensities or out-of-range class ids.
+        DataValidationError: non-finite intensities or out-of-range class ids;
+            the message names the path.
     """
     header, payload = _read_container(path, MAGIC, _volume_payload_size)
     x, y, z = header["dims"]
     spacing = Spacing(*header["spacing"])
     arr = np.frombuffer(payload, dtype=_DTYPE_TAGS[header["dtype"]]).reshape(z, y, x)
-    if header["dtype"] == "f32":
-        if not np.all(np.isfinite(arr)):
-            raise DataValidationError(f"{path}: payload contains non-finite values")
-        return Volume(arr, spacing)
-    return LabelVolume(arr, spacing, header["classes"])
+    try:
+        if header["dtype"] == "f32":
+            return Volume(arr, spacing)
+        return LabelVolume(arr, spacing, header["classes"])
+    except DataValidationError as exc:
+        raise DataValidationError(f"{path}: {exc}") from exc
 
 
 _SLICE_AXIS = {Axis.AXIAL: 0, Axis.SAGITTAL: 2, Axis.CORONAL: 1}
@@ -342,7 +339,7 @@ def decimate(v: AnyVolume, stride: int = 4) -> AnyVolume:
     The through-plane spacing grows by the same factor, which is how a dense
     volume is made anisotropic for round-trip experiments.
     """
-    if not isinstance(stride, (int, np.integer)) or stride < 2:
+    if not _is_int(stride) or stride < 2:
         raise ParameterError(f"stride must be an integer >= 2, got {stride!r}")
     kept = v.data[::stride]
     spacing = Spacing(v.spacing.sx, v.spacing.sy, v.spacing.sz * stride)
@@ -365,7 +362,7 @@ def export_pgm(s: Slice2D, path: str | Path, lo: float | None = None, hi: float 
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ParameterError(f"window lo={lo!r} must be strictly below hi={hi!r}")
     w, h = s.dims
-    norm = np.clip((s.data - lo) / (hi - lo), 0.0, 1.0)
+    norm = (np.clip(s.data, lo, hi) - lo) / (hi - lo)  # clip first: a tiny window cannot overflow
     pixels = np.floor(norm * 255.0 + 0.5).astype(np.uint8)
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))

@@ -149,6 +149,14 @@ class TestImpute:
         )
         assert result.returncode == 2
 
+    def test_out_labels_without_labels_is_usage_error(self, tmp_path, ramp_volume):
+        in_path, _ = ramp_volume
+        result = run_cli(
+            "impute", "--in", in_path, "--out", tmp_path / "o.vvol", "--out-labels", tmp_path / "x.vvol"
+        )
+        assert result.returncode == 2
+        assert not (tmp_path / "o.vvol").exists() and not (tmp_path / "x.vvol").exists()
+
     def test_single_slice_input_fails(self, tmp_path):
         path = tmp_path / "one.vvol"
         save_volume(Volume(np.zeros((1, 4, 4), np.float32), Spacing(1, 1, 4)), path)

@@ -95,6 +95,18 @@ class TestEstimate:
         with pytest.raises(ParameterError):
             estimate_flow(tiny, tiny, HsParams(pyramid_levels=3))
 
+    @pytest.mark.parametrize("alpha", [1e-160, 1e-154])
+    def test_alpha_whose_square_overflows_the_sweep_is_refused(self, alpha):
+        with pytest.raises(ParameterError, match="alpha"):
+            HsParams(alpha=alpha)
+
+    def test_smallest_accepted_alpha_stays_finite(self):
+        # Warnings are errors in this suite, so an overflow in a sweep fails here.
+        flat = Slice2D(np.zeros((32, 32)))
+        noise = Slice2D(np.random.default_rng(31).random((32, 32)))
+        field = estimate_flow(flat, noise, HsParams(alpha=1e-100))
+        assert np.all(np.isfinite(field.u)) and np.all(np.isfinite(field.v))
+
     def test_params_validation(self):
         with pytest.raises(ParameterError):
             HsParams(alpha=0.0)

@@ -6,7 +6,9 @@ a magic byte.  A reader must return a valid object or raise an
 ``IsosliceError``; the CLI must fail such a file with exit 1, one ``error:``
 line and no output file.  The ``loss`` command is given series and weights
 files one change away from a valid pair (or any JSON value) and must either
-print one JSON object or fail that way.
+print one JSON object or fail that way.  Numeric flags of ``phantom``,
+``impute`` and ``export`` are drawn from any integer or float text; each run
+must print one JSON object or exit 1 or 2 with one ``error:`` line.
 """
 
 import contextlib
@@ -175,3 +177,64 @@ def test_loss_reports_or_fails_cleanly_on_any_json(tmp_path_factory, series, wei
         assert stdout.getvalue() == ""
         lines = stderr.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+# Flag values as a user might type them: any integer or float, including nan,
+# inf and values that underflow or overflow inside the library, with small
+# values drawn often enough that many runs succeed.
+NUMBER_TEXT = (st.integers() | st.integers(-3, 40) | st.floats() | st.floats(-64, 64)).map(str)
+GOLDEN_PAIR = (  # a flat slice, then a deterministic pseudo-noise slice
+    b'VVOL\n{"dims":[8,8,2],"spacing":[1.0,1.0,2.0],"dtype":"f32"}\n'
+    + np.zeros(64, "<f4").tobytes()
+    + (np.arange(64) * 37 % 64 / 64.0).astype("<f4").tobytes()
+)
+FIXED_ARGS = {
+    "phantom": ["--out", "{tmp}/p.vvol", "--out-labels", "{tmp}/l.vvol"],
+    "impute": ["--in", "{tmp}/in.vvol", "--out", "{tmp}/o.vvol", "--n", "1", "--method", "flow"],
+    "export": ["--in", "{tmp}/in.vvol", "--axis", "axial", "--index", "1", "--out", "{tmp}/o.pgm"],
+}
+
+
+@st.composite
+def cli_flags(draw) -> list[str]:
+    """A command and some of its numeric flags, each written as ``--flag=TEXT``."""
+    command = draw(st.sampled_from(sorted(FIXED_ARGS)))
+    if command == "phantom":
+        extents = st.lists(st.integers(12, 64), min_size=3, max_size=3)
+        flags = {"size": extents.map(lambda e: ",".join(map(str, e)))}
+        flags |= dict.fromkeys(["radius", "step", "seed"], NUMBER_TEXT)
+    elif command == "impute":
+        # Sweep and warp counts multiply the run time, so they stay small.
+        flags = dict.fromkeys(["iterations", "warps-per-level"], st.integers(0, 3).map(str))
+        flags |= dict.fromkeys(["alpha", "pyramid-levels"], NUMBER_TEXT)
+    else:
+        flags = {"window": st.tuples(NUMBER_TEXT, NUMBER_TEXT).map(",".join)}
+    drawn = {name: draw(st.none() | values) for name, values in flags.items()}
+    return [command, *(f"--{name}={text}" for name, text in drawn.items() if text is not None)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=cli_flags())
+@example(argv=["phantom", "--step=nan"])
+@example(argv=["impute", "--alpha=1e-160"])
+def test_cli_argv_reports_or_fails_cleanly(tmp_path_factory, argv):
+    tmp = tmp_path_factory.mktemp("argv")
+    (tmp / "in.vvol").write_bytes(GOLDEN_PAIR)
+    command, *flags = argv
+    fixed = [arg.format(tmp=tmp) for arg in FIXED_ARGS[command]]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main([command, *fixed, *flags])
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    lines = stderr.getvalue().splitlines()
+    if code == 0:
+        out = stdout.getvalue().splitlines()
+        assert len(out) == 1 and isinstance(json.loads(out[0]), dict), out
+    else:
+        assert code in (1, 2), (code, lines)
+        assert stdout.getvalue() == ""
+        assert [line for line in lines if "error:" in line] == lines[-1:], lines
+        assert code == 2 or (len(lines) == 1 and lines[0].startswith("error: ")), lines
+        assert sorted(p.name for p in tmp.iterdir()) == ["in.vvol"]

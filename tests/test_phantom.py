@@ -49,6 +49,15 @@ class TestMovingDisk:
         with pytest.raises(ParameterError):
             moving_disk_phantom(dims=(8, 64, 64))
 
+    @pytest.mark.parametrize("step", [(float("nan"), 0.0), (0.75, float("inf"))])
+    def test_non_finite_step_rejected(self, step):
+        with pytest.raises(ParameterError, match="step"):
+            moving_disk_phantom(step=step)
+
+    def test_size_over_the_voxel_limit_rejected(self):
+        with pytest.raises(ParameterError, match="exceed the limit"):
+            moving_disk_phantom(dims=(1 << 20, 1 << 20, 1 << 20))
+
     def test_path_must_fit(self):
         with pytest.raises(ParameterError):
             moving_disk_phantom(dims=(16, 16, 33), radius=7.0, step=(2.0, 0.0))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -9,6 +10,9 @@ from isoslice import (
     BoundsError,
     DataValidationError,
     FileFormatError,
+    FlowField,
+    HsParams,
+    ImputeConfig,
     LabelVolume,
     ParameterError,
     Slice2D,
@@ -19,6 +23,8 @@ from isoslice import (
     export_pgm,
     extract_slice,
     load_volume,
+    moving_disk_phantom,
+    one_hot_stack,
     save_volume,
 )
 
@@ -197,8 +203,23 @@ class TestFileFormat:
         path = tmp_path / "cls.vvol"
         header = b'VVOL\n{"dims":[1,1,1],"spacing":[1.0,1.0,1.0],"dtype":"u8","classes":2}\n'
         path.write_bytes(header + b"\x05")
-        with pytest.raises(DataValidationError):
+        with pytest.raises(DataValidationError, match="cls.vvol"):
             load_volume(path)
+
+    @pytest.mark.parametrize("tag, classes, item", [("u8", 300, b"\x00"), ("u16", 70000, b"\x00\x00")])
+    def test_classes_beyond_the_payload_dtype(self, tmp_path, tag, classes, item):
+        path = tmp_path / "wide.vvol"
+        header = {"dims": [1, 1, 1], "spacing": [1.0, 1.0, 1.0], "dtype": tag, "classes": classes}
+        path.write_bytes(b"VVOL\n" + json.dumps(header).encode() + b"\n" + item)
+        with pytest.raises(FileFormatError, match="wide.vvol"):
+            load_volume(path)
+
+    def test_numpy_integer_classes_roundtrip(self, tmp_path):
+        data = np.array([[[0, 4]]], np.uint8)
+        lv = LabelVolume(data, UNIT, classes=data.max().astype(np.int64) + 1)
+        assert type(lv.classes) is int
+        save_volume(lv, tmp_path / "np.vvol")
+        assert load_volume(tmp_path / "np.vvol") == lv
 
 
 class TestTypes:
@@ -213,6 +234,8 @@ class TestTypes:
     def test_volume_rejects_nonfinite(self):
         with pytest.raises(DataValidationError):
             Volume(np.full((1, 1, 1), np.nan, np.float32), UNIT)
+        with pytest.raises(DataValidationError):
+            Volume(np.full((1, 1, 1), 1e39), UNIT)  # beyond float32
 
     def test_volume_rejects_wrong_rank(self):
         with pytest.raises(ParameterError):
@@ -234,6 +257,78 @@ class TestTypes:
         v = enumerated_volume()
         with pytest.raises(ValueError):
             v.data[0, 0, 0] = 9.0
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: LabelVolume(np.zeros((1, 1, 1), np.uint8), UNIT, classes=True),
+            lambda: LabelVolume(np.zeros((1, 1, 1), np.uint8), UNIT, classes=2.5),
+            lambda: HsParams(iterations=True),
+            lambda: ImputeConfig(n_slices=True),
+            lambda: moving_disk_phantom(seed=True),
+            lambda: decimate(enumerated_volume(), True),
+            lambda: one_hot_stack(np.zeros((2, 2), np.uint8), True),
+        ],
+        ids=["classes-bool", "classes-float", "iterations", "n_slices", "seed", "stride", "one-hot-classes"],
+    )
+    def test_counts_must_be_integers_not_booleans(self, make):
+        with pytest.raises(ParameterError):
+            make()
+
+
+GRID = np.arange(6.0).reshape(2, 3)
+# For each value type: a reference value, an equal copy, and values that
+# differ from the reference in exactly one field.
+VALUES = {
+    "Slice2D": (
+        lambda: Slice2D(GRID),
+        [lambda: Slice2D(GRID + 1.0), lambda: Slice2D(GRID.reshape(3, 2))],
+    ),
+    "Volume": (
+        lambda: Volume(GRID[None], UNIT),
+        [
+            lambda: Volume(GRID[None] + 1.0, UNIT),
+            lambda: Volume(GRID.reshape(1, 3, 2), UNIT),
+            lambda: Volume(GRID[None], Spacing(1.0, 1.0, 2.0)),
+        ],
+    ),
+    "LabelVolume": (
+        lambda: LabelVolume(GRID[None].astype(np.uint8), UNIT, 8),
+        [
+            lambda: LabelVolume(GRID[None].astype(np.uint16), UNIT, 8),
+            lambda: LabelVolume(GRID.reshape(1, 3, 2).astype(np.uint8), UNIT, 8),
+            lambda: LabelVolume(GRID[::-1][None].astype(np.uint8), UNIT, 8),
+            lambda: LabelVolume(GRID[None].astype(np.uint8), Spacing(1.0, 1.0, 2.0), 8),
+            lambda: LabelVolume(GRID[None].astype(np.uint8), UNIT, 9),
+        ],
+    ),
+    "FlowField": (
+        lambda: FlowField(GRID, -GRID),
+        [
+            lambda: FlowField(GRID, GRID),
+            lambda: FlowField(GRID - 1.0, -GRID),
+            lambda: FlowField(GRID.reshape(3, 2), -GRID.reshape(3, 2)),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_value_types_share_one_equality_and_freeze(name):
+    make, variants = VALUES[name]
+    value = make()
+    assert value == make() and not value != make()
+    for variant in variants:
+        assert value != variant() and variant() != value
+    other = next(VALUES[n][0]() for n in sorted(VALUES) if n != name)
+    assert value != other and other != value
+    with pytest.raises(TypeError):
+        hash(value)
+    for field in dataclasses.fields(value):
+        array = getattr(value, field.name)
+        if isinstance(array, np.ndarray):
+            with pytest.raises(ValueError):
+                array.flat[0] = 9.0
 
 
 class TestExtractSlice:
