@@ -1,10 +1,17 @@
 """Overlap and surface-distance scores between label volumes.
 
 Surfaces are foreground voxels with at least one non-foreground
-6-neighbour, the volume boundary counting as background.  Distances are
-Euclidean in millimetres over the anisotropic grid and come from a k-d tree
-over the mm-scaled surface points, which is exact; the naive all-pairs
+6-neighbour, the volume boundary counting as background.  Each surface is
+found inside the class's own bounding box, padded with background: voxels
+outside the box are not in the class, and where the box meets the volume
+edge the pad plays the volume boundary, so the crop gives exactly the
+full-volume surface while its cost follows the class's extent.  Distances
+are Euclidean in millimetres over the anisotropic grid and come from a k-d
+tree over the mm-scaled surface points, which is exact; the naive all-pairs
 computation lives in the test suite as the correctness oracle.
+
+The per-class functions refuse a class id that is not an integer in
+``0..classes-1`` with ``ParameterError``.
 """
 
 from __future__ import annotations
@@ -14,8 +21,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ShapeError, UndefinedMetricError
-from .volume import LabelVolume, Spacing
+from .errors import ParameterError, ShapeError, UndefinedMetricError
+from .volume import LabelVolume, Spacing, _is_int
 
 
 @dataclass(frozen=True)
@@ -51,30 +58,45 @@ def _check_dims(gt: LabelVolume, pred: LabelVolume) -> None:
         raise ShapeError(f"label dims {gt.dims} and {pred.dims} differ")
 
 
+def _check_class(class_id, *volumes: LabelVolume) -> None:
+    for l in volumes:
+        if not (_is_int(class_id) and 0 <= class_id < l.classes):
+            raise ParameterError(f"class_id={class_id!r} must be an integer in 0..{l.classes - 1}")
+
+
+def _dice(inter: int, n_gt: int, n_pred: int) -> float:
+    denom = n_gt + n_pred
+    if denom == 0:
+        return 100.0
+    return 200.0 * inter / denom
+
+
+def _ravd(n_gt: int, n_pred: int, class_id: int) -> tuple[float, float]:
+    if n_gt == 0:
+        raise UndefinedMetricError(f"ravd is undefined: class {class_id} is empty in the reference")
+    signed = 100.0 * (n_pred - n_gt) / n_gt
+    return signed, abs(signed)
+
+
 def dice(gt: LabelVolume, pred: LabelVolume, class_id: int) -> float:
     """Overlap of the two masks as a percentage: 2|A n B| / (|A| + |B|) * 100.
 
     Two empty masks agree vacuously (100); one empty mask overlaps nothing (0).
     """
     _check_dims(gt, pred)
+    _check_class(class_id, gt, pred)
     a = gt.data == class_id
     b = pred.data == class_id
-    denom = int(a.sum()) + int(b.sum())
-    if denom == 0:
-        return 100.0
-    inter = int(np.count_nonzero(a & b))
-    return 200.0 * inter / denom
+    return _dice(int(np.count_nonzero(a & b)), int(np.count_nonzero(a)), int(np.count_nonzero(b)))
 
 
 def ravd(gt: LabelVolume, pred: LabelVolume, class_id: int) -> tuple[float, float]:
     """Relative volume difference (|pred| - |gt|) / |gt| as (signed %, absolute %)."""
     _check_dims(gt, pred)
+    _check_class(class_id, gt, pred)
     n_gt = int(np.count_nonzero(gt.data == class_id))
     n_pred = int(np.count_nonzero(pred.data == class_id))
-    if n_gt == 0:
-        raise UndefinedMetricError(f"ravd is undefined: class {class_id} is empty in the reference")
-    signed = 100.0 * (n_pred - n_gt) / n_gt
-    return signed, abs(signed)
+    return _ravd(n_gt, n_pred, class_id)
 
 
 def surface_voxels(l: LabelVolume, class_id: int) -> np.ndarray:
@@ -83,8 +105,22 @@ def surface_voxels(l: LabelVolume, class_id: int) -> np.ndarray:
     A surface voxel is foreground with at least one of its six face
     neighbours outside the mask; faces on the volume boundary count as
     outside.  Rows are ordered by (z, y, x).
+
+    The test runs on the mask cropped to its bounding box (one ``any``
+    projection per axis) and padded there with background.  That is exact:
+    no voxel outside the box is in the class, and where the box meets the
+    volume edge the pad stands for the volume boundary.
     """
+    _check_class(class_id, l)
     mask = l.data == class_id
+    zs = np.flatnonzero(mask.any(axis=(1, 2)))
+    if len(zs) == 0:
+        return np.empty((0, 3), np.int64)
+    mask = mask[zs[0] : zs[-1] + 1]
+    ys = np.flatnonzero(mask.any(axis=(0, 2)))
+    mask = mask[:, ys[0] : ys[-1] + 1]
+    xs = np.flatnonzero(mask.any(axis=(0, 1)))
+    mask = mask[:, :, xs[0] : xs[-1] + 1]
     padded = np.pad(mask, 1, constant_values=False)
     interior = (
         padded[:-2, 1:-1, 1:-1]
@@ -95,7 +131,7 @@ def surface_voxels(l: LabelVolume, class_id: int) -> np.ndarray:
         & padded[1:-1, 1:-1, 2:]
     )
     zz, yy, xx = np.nonzero(mask & ~interior)
-    return np.column_stack([xx, yy, zz]).astype(np.int64)
+    return np.column_stack([xx + xs[0], yy + ys[0], zz + zs[0]]).astype(np.int64)
 
 
 def _surface_distances(
@@ -158,16 +194,18 @@ def evaluate(gt: LabelVolume, pred: LabelVolume) -> MetricReport:
     if gt.classes != pred.classes:
         raise ShapeError(f"class counts {gt.classes} and {pred.classes} differ")
 
-    # One counting pass per volume tells which classes are present, so a class
-    # absent from both costs no full-volume pass: it scores like two empty masks.
-    n_gt = np.bincount(gt.data.ravel(), minlength=gt.classes)
-    n_pred = np.bincount(pred.data.ravel(), minlength=gt.classes)
+    # Three counting passes give every class's size in each volume and its
+    # overlap; a class absent from both then costs nothing more, and only
+    # classes present in both need surfaces.
+    n_gt = np.bincount(gt.data.ravel(), minlength=gt.classes).tolist()
+    n_pred = np.bincount(pred.data.ravel(), minlength=gt.classes).tolist()
+    inter = np.bincount(gt.data[gt.data == pred.data], minlength=gt.classes).tolist()
     per_class: dict[int, ClassScores] = {}
     for cid in range(1, gt.classes):
-        dice_val = dice(gt, pred, cid) if n_gt[cid] or n_pred[cid] else 100.0
+        dice_val = _dice(inter[cid], n_gt[cid], n_pred[cid])
         ravd_signed = ravd_abs = assd_val = mssd_val = None
         if n_gt[cid]:
-            ravd_signed, ravd_abs = ravd(gt, pred, cid)
+            ravd_signed, ravd_abs = _ravd(n_gt[cid], n_pred[cid], cid)
         if n_gt[cid] and n_pred[cid]:
             assd_val, mssd_val = _surface_distances(gt, pred, cid, gt.spacing)
         per_class[cid] = ClassScores(dice_val, ravd_signed, ravd_abs, assd_val, mssd_val)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -256,6 +257,29 @@ class TestMetrics:
         expected = canonical_json(evaluate(gt, pred).as_dict()) + "\n"
         assert out_json.read_text() == expected
         assert result.stdout == expected
+
+    def test_report_bytes_match_recorded_hash(self, tmp_path):
+        """Any rewrite of the metrics must reproduce this report byte for byte."""
+        rng = np.random.default_rng(105)
+        shape = (9, 20, 24)
+        gt = np.zeros(shape, np.uint8)
+        for cid in range(1, 5):
+            z, y, x = (int(rng.integers(0, n - 2)) for n in shape)
+            dz, dy, dx = (int(rng.integers(2, 9)) for _ in shape)
+            gt[z : z + dz, y : y + dy, x : x + dx] = cid
+        pred = gt.copy()
+        flips = rng.random(shape) < 0.1
+        pred[flips] = rng.integers(0, 5, int(flips.sum()))
+        gt[0, :3, -4:] = 5  # only in gt
+        pred[-2:, -3:, :2] = 6  # only in pred; class 7 is declared but absent from both
+        spacing = Spacing(0.8, 1.1, 3.0)
+        pg, pp = tmp_path / "gt.vvol", tmp_path / "pred.vvol"
+        save_volume(LabelVolume(gt, spacing, 8), pg)
+        save_volume(LabelVolume(pred, spacing, 8), pp)
+        out_json = tmp_path / "report.json"
+        payload(run_cli("metrics", "--gt", pg, "--pred", pp, "--out-json", out_json))
+        digest = hashlib.sha256(out_json.read_bytes()).hexdigest()
+        assert digest == "33619ddc0e3c923bd19b5b25b3c84093e4346ea44dbabc756ab1e93f77528c95"
 
     def test_geometry_mismatch(self, tmp_path):
         a = LabelVolume(np.zeros((2, 2, 2), np.uint8), Spacing(1, 1, 1), 2)

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import oracles
 from isoslice import (
     ClassScores,
     LabelVolume,
+    ParameterError,
     ShapeError,
     Spacing,
     UndefinedMetricError,
@@ -136,10 +138,33 @@ class TestSurfaceVoxels:
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(82)
-        for _ in range(20):
-            gt, _ = random_pair(rng)
-            got = sorted(map(tuple, surface_voxels(gt, 1).tolist()))
-            assert got == oracles.surface(gt.data, 1)
+        cases = [(random_pair(rng)[0], 1) for _ in range(20)]
+        shape = (6, 7, 8)
+        inner = tuple(slice(1, n - 1) for n in shape)
+        for axis in range(3):
+            # a random blob whose bounding box reaches one volume face
+            for side in (0, shape[axis] - 1):
+                data = np.zeros(shape, np.uint8)
+                data[inner] = rng.integers(0, 2, data[inner].shape)
+                face = list(inner)
+                face[axis] = side
+                data[tuple(face)] = 1
+                cases.append((lv(data, classes=2), 1))
+            # a one-voxel-thick sheet across this axis
+            data = np.zeros(shape, np.uint8)
+            sheet = list(inner)
+            sheet[axis] = 2
+            data[tuple(sheet)] = 1
+            cases.append((lv(data, classes=2), 1))
+        corner = np.zeros(shape, np.uint8)
+        corner[-1, -1, -1] = 1
+        cases.append((lv(corner, classes=2), 1))
+        high = rng.integers(0, 2, shape).astype(np.uint16) * 999
+        high[0, 0, :] = 500
+        cases.append((LabelVolume(high, UNIT, 1000), 999))
+        for l, cid in cases:
+            got = sorted(map(tuple, surface_voxels(l, cid).tolist()))
+            assert got == oracles.surface(l.data, cid)
 
 
 class TestSurfaceDistances:
@@ -299,6 +324,14 @@ class TestEvaluate:
         start = time.perf_counter()
         report = evaluate(gt, pred)
         assert time.perf_counter() - start < 1.0
+        # a classes x classes joint count would need about 190 MiB here
+        tracemalloc.start()
+        try:
+            evaluate(gt, pred)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
         assert sorted(report.classes) == list(range(1, 5000))
         for cid in (1, 2, 3, 4, 2500, 4999):
             assert report.classes[cid] == composed_scores(gt, pred, cid), cid
@@ -340,3 +373,18 @@ class TestEvaluate:
             evaluate(a, lv(np.zeros((2, 2, 2), np.uint8), Spacing(2, 2, 2), 2))
         with pytest.raises(ShapeError):
             evaluate(a, lv(np.zeros((2, 2, 2), np.uint8), classes=3))
+
+
+@pytest.mark.parametrize(
+    "class_id", [3, 7, -1, 2.5, True, "1"], ids=["classes", "7", "negative", "float", "bool", "str"]
+)
+@pytest.mark.parametrize(
+    "metric",
+    [dice, ravd, assd, mssd, lambda gt, pred, cid: surface_voxels(pred, cid)],
+    ids=["dice", "ravd", "assd", "mssd", "surface_voxels"],
+)
+def test_class_id_must_be_a_declared_class(metric, class_id):
+    gt, pred = random_pair(np.random.default_rng(92))
+    metric(gt, pred, np.uint8(2))
+    with pytest.raises(ParameterError, match="class_id"):
+        metric(gt, pred, class_id)
