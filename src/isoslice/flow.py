@@ -2,7 +2,10 @@
 
 ``estimate_flow`` is a classical Horn-Schunck estimator run coarse-to-fine
 over an image pyramid with incremental warping.  Every sweep has a fixed
-order, so repeated runs on the same inputs are bit-identical.
+order, so repeated runs on the same inputs are bit-identical.  The solver
+works on (B, H, W) stacks of independent pairs, so ``impute`` solves a gap's
+forward and backward flows in one pass; each pair's result is bit-identical
+to solving it alone, and ``estimate_flow`` is the one-pair case.
 
 Flow semantics are forward for estimation: the field returned by
 ``estimate_flow(i0, i1)`` maps a pixel ``(x, y)`` of ``i0`` to
@@ -30,14 +33,15 @@ from .volume import Slice2D, _ArrayValue, _frozen, _header_dims, _is_int, _read_
 
 FLOW_MAGIC = b"VFLO\n"
 
-# Weighted 8-neighbour average used by the Jacobi sweeps.
+# Weighted 8-neighbour average used by the Jacobi sweeps, shaped (1, 3, 3)
+# so it averages within each slice of a (B, H, W) stack.
 _AVG_KERNEL = np.array(
     [
         [1.0 / 12.0, 1.0 / 6.0, 1.0 / 12.0],
         [1.0 / 6.0, 0.0, 1.0 / 6.0],
         [1.0 / 12.0, 1.0 / 6.0, 1.0 / 12.0],
     ]
-)
+)[None]
 
 _BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
@@ -100,8 +104,13 @@ class HsParams:
 
 
 def sample_bilinear(arr: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Bilinear lookup of ``arr`` at float positions, clamped to the edge."""
-    h, w = arr.shape
+    """Bilinear lookup of ``arr`` at float positions, clamped to the edge.
+
+    ``arr`` is one (H, W) slice or a (B, H, W) stack.  For a stack the
+    positions broadcast against (B, ...) and slice ``b`` is sampled at
+    ``xs[b], ys[b]``; each slice's samples equal a 2-D call on that slice.
+    """
+    h, w = arr.shape[-2:]
     xs = np.clip(xs, 0.0, w - 1.0)
     ys = np.clip(ys, 0.0, h - 1.0)
     x0 = np.floor(xs).astype(np.intp)
@@ -110,13 +119,19 @@ def sample_bilinear(arr: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarr
     y1 = np.minimum(y0 + 1, h - 1)
     wx = xs - x0
     wy = ys - y0
-    top = arr[y0, x0] * (1.0 - wx) + arr[y0, x1] * wx
-    bottom = arr[y1, x0] * (1.0 - wx) + arr[y1, x1] * wx
+    lead = (np.arange(arr.shape[0])[:, None, None],) if arr.ndim == 3 else ()
+    top = arr[(*lead, y0, x0)] * (1.0 - wx) + arr[(*lead, y0, x1)] * wx
+    bottom = arr[(*lead, y1, x0)] * (1.0 - wx) + arr[(*lead, y1, x1)] * wx
     return top * (1.0 - wy) + bottom * wy
 
 
+# The solver's helpers below work on (B, H, W) stacks of independent
+# problems: every operation acts on each slice alone, in the same order as
+# on a single slice, so a slice's result does not depend on its stack.
+
+
 def _warp_by(arr: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    h, w = arr.shape
+    h, w = arr.shape[1:]
     xs = np.arange(w, dtype=np.float64)[None, :] + u
     ys = np.arange(h, dtype=np.float64)[:, None] + v
     return sample_bilinear(arr, xs, ys)
@@ -124,53 +139,110 @@ def _warp_by(arr: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _central_gradients(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Central differences with replicate boundary.
-    px = np.pad(arr, ((0, 0), (1, 1)), mode="edge")
-    py = np.pad(arr, ((1, 1), (0, 0)), mode="edge")
-    gx = (px[:, 2:] - px[:, :-2]) * 0.5
-    gy = (py[2:, :] - py[:-2, :]) * 0.5
+    px = np.pad(arr, ((0, 0), (0, 0), (1, 1)), mode="edge")
+    py = np.pad(arr, ((0, 0), (1, 1), (0, 0)), mode="edge")
+    gx = (px[:, :, 2:] - px[:, :, :-2]) * 0.5
+    gy = (py[:, 2:, :] - py[:, :-2, :]) * 0.5
     return gx, gy
 
 
-def _blur_binomial(arr: np.ndarray) -> np.ndarray:
-    out = ndimage.correlate1d(arr, _BINOMIAL5, axis=0, mode="nearest")
-    return ndimage.correlate1d(out, _BINOMIAL5, axis=1, mode="nearest")
-
-
 def _downsample(arr: np.ndarray) -> np.ndarray:
-    return _blur_binomial(arr)[::2, ::2]
+    out = ndimage.correlate1d(arr, _BINOMIAL5, axis=1, mode="nearest")
+    out = ndimage.correlate1d(out, _BINOMIAL5, axis=2, mode="nearest")
+    return out[:, ::2, ::2]
 
 
 def _resize_bilinear(arr: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     h2, w2 = shape
-    h1, w1 = arr.shape
+    h1, w1 = arr.shape[1:]
     xs = np.zeros(w2) if w2 == 1 else np.arange(w2) * ((w1 - 1) / (w2 - 1))
     ys = np.zeros(h2) if h2 == 1 else np.arange(h2) * ((h1 - 1) / (h2 - 1))
-    return sample_bilinear(arr, xs[None, :], ys[:, None])
+    return sample_bilinear(arr, xs[None, None, :], ys[None, :, None])
 
 
-def _neighbor_mean(arr: np.ndarray) -> np.ndarray:
-    return ndimage.correlate(arr, _AVG_KERNEL, mode="nearest")
+def _normalized(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Copies of the stacks with each pair's joint range mapped onto 0..255.
+
+    The data/smoothness balance assumes that scale; the flow itself is scale
+    free.  A constant pair is left as it is.
+    """
+    a, b = a.copy(), b.copy()
+    for k in range(len(a)):
+        lo = min(a[k].min(), b[k].min())
+        hi = max(a[k].max(), b[k].max())
+        if hi > lo:
+            gain = 255.0 / (hi - lo)
+            a[k] = (a[k] - lo) * gain
+            b[k] = (b[k] - lo) * gain
+    return a, b
 
 
 def _hs_sweeps(
     a: np.ndarray,
     b: np.ndarray,
-    u: np.ndarray,
-    v: np.ndarray,
+    u0: np.ndarray,
+    v0: np.ndarray,
     params: HsParams,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One warp iteration: linearize around (u, v), then fixed Jacobi sweeps."""
-    warped = _warp_by(b, u, v)
+    """One warp iteration: linearize around (u0, v0), then fixed Jacobi sweeps.
+
+    Each sweep is ``u = ub - gx * shared`` with ``ub`` the neighbour mean and
+    ``shared = (gx * (ub - u0) + gy * (vb - v0) + it) / denom``, evaluated
+    into preallocated buffers.
+    """
+    warped = _warp_by(b, u0, v0)
     it = warped - a
     gx, gy = _central_gradients(0.5 * (a + warped))
     denom = params.alpha * params.alpha + gx * gx + gy * gy
-    u0, v0 = u, v
+    u, v = u0.copy(), v0.copy()
+    ub, vb = np.empty_like(u), np.empty_like(v)
+    shared, tmp = np.empty_like(u), np.empty_like(u)
     for _ in range(params.iterations):
-        ub = _neighbor_mean(u)
-        vb = _neighbor_mean(v)
-        shared = (gx * (ub - u0) + gy * (vb - v0) + it) / denom
-        u = ub - gx * shared
-        v = vb - gy * shared
+        ndimage.correlate(u, _AVG_KERNEL, output=ub, mode="nearest")
+        ndimage.correlate(v, _AVG_KERNEL, output=vb, mode="nearest")
+        np.subtract(ub, u0, out=shared)
+        shared *= gx
+        np.subtract(vb, v0, out=tmp)
+        tmp *= gy
+        shared += tmp
+        shared += it
+        shared /= denom
+        np.multiply(gx, shared, out=tmp)
+        np.subtract(ub, tmp, out=u)
+        np.multiply(gy, shared, out=tmp)
+        np.subtract(vb, tmp, out=v)
+    return u, v
+
+
+def _check_pyramid(dims: tuple[int, int], levels: int) -> None:
+    w, h = dims
+    if min(w, h).bit_length() <= levels:  # i.e. min(w, h) < 2**levels
+        raise ParameterError(f"dims {dims} too small for {levels} pyramid levels")
+
+
+def _solve_stack(a: np.ndarray, b: np.ndarray, params: HsParams) -> tuple[np.ndarray, np.ndarray]:
+    """Forward flows ``(u, v)`` from each slice of stack ``a`` toward the same slice of ``b``.
+
+    ``a`` and ``b`` are (B, H, W) float64 stacks of already-checked pairs;
+    slice ``k`` of the result is bit-identical to solving pair ``k`` alone.
+    """
+    a, b = _normalized(a, b)
+    a_levels = [a]
+    b_levels = [b]
+    for _ in range(params.pyramid_levels - 1):
+        a_levels.append(_downsample(a_levels[-1]))
+        b_levels.append(_downsample(b_levels[-1]))
+
+    u = np.zeros_like(a_levels[-1])
+    v = np.zeros_like(a_levels[-1])
+    for a, b in zip(reversed(a_levels), reversed(b_levels)):
+        if u.shape != a.shape:
+            scale_x = a.shape[2] / u.shape[2]
+            scale_y = a.shape[1] / u.shape[1]
+            u = _resize_bilinear(u, a.shape[1:]) * scale_x
+            v = _resize_bilinear(v, a.shape[1:]) * scale_y
+        for _ in range(params.warps_per_level):
+            u, v = _hs_sweeps(a, b, u, v, params)
     return u, v
 
 
@@ -185,39 +257,9 @@ def estimate_flow(i0: Slice2D, i1: Slice2D, params: HsParams | None = None) -> F
     params = params or HsParams()
     if i0.dims != i1.dims:
         raise ShapeError(f"slice dims {i0.dims} and {i1.dims} differ")
-    w, h = i0.dims
-    if min(w, h).bit_length() <= params.pyramid_levels:  # i.e. min(w, h) < 2**levels
-        raise ParameterError(
-            f"dims {i0.dims} too small for {params.pyramid_levels} pyramid levels"
-        )
-
-    # The data/smoothness balance assumes a 0..255 intensity scale, so map the
-    # pair's joint range onto it; the flow itself is scale free.
-    a, b = i0.data, i1.data
-    lo = min(a.min(), b.min())
-    hi = max(a.max(), b.max())
-    if hi > lo:
-        gain = 255.0 / (hi - lo)
-        a = (a - lo) * gain
-        b = (b - lo) * gain
-
-    a_levels = [a]
-    b_levels = [b]
-    for _ in range(params.pyramid_levels - 1):
-        a_levels.append(_downsample(a_levels[-1]))
-        b_levels.append(_downsample(b_levels[-1]))
-
-    u = np.zeros_like(a_levels[-1])
-    v = np.zeros_like(a_levels[-1])
-    for a, b in zip(reversed(a_levels), reversed(b_levels)):
-        if u.shape != a.shape:
-            scale_x = a.shape[1] / u.shape[1]
-            scale_y = a.shape[0] / u.shape[0]
-            u = _resize_bilinear(u, a.shape) * scale_x
-            v = _resize_bilinear(v, a.shape) * scale_y
-        for _ in range(params.warps_per_level):
-            u, v = _hs_sweeps(a, b, u, v, params)
-    return FlowField(u, v)
+    _check_pyramid(i0.dims, params.pyramid_levels)
+    u, v = _solve_stack(i0.data[None], i1.data[None], params)
+    return FlowField(u[0], v[0])
 
 
 def compose_intermediate_flow(

@@ -143,6 +143,38 @@ class TestImpute:
         assert "exceeds the limit" in result.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["l.vvol", "v.vvol"]
 
+    def test_too_small_for_pyramid_is_refused_before_writing(self, tmp_path):
+        spacing = Spacing(1.0, 1.0, 4.0)
+        save_volume(Volume(np.zeros((3, 4, 6), np.float32), spacing), tmp_path / "v.vvol")
+        save_volume(LabelVolume(np.zeros((3, 4, 6), np.uint8), spacing, 2), tmp_path / "l.vvol")
+        result = run_cli(
+            "impute", "--in", tmp_path / "v.vvol", "--labels", tmp_path / "l.vvol",
+            "--out", tmp_path / "out.vvol", "--out-labels", tmp_path / "out_l.vvol",
+            "--n", 1, "--method", "flow",
+        )
+        assert_single_error(result)
+        assert "too small for 3 pyramid levels" in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["l.vvol", "v.vvol"]
+
+    def test_flow_output_bytes_match_recorded_hash(self, tmp_path):
+        """Any rewrite of the flow solver or of gap scheduling must reproduce these files byte for byte."""
+        dense, dense_labels = tmp_path / "p.vvol", tmp_path / "l.vvol"
+        payload(run_cli("phantom", "--out", dense, "--out-labels", dense_labels, "--seed", 7))
+        thin, thin_labels = tmp_path / "pd.vvol", tmp_path / "ld.vvol"
+        payload(run_cli("decimate", "--in", dense, "--out", thin, "--stride", 4))
+        payload(run_cli("decimate", "--in", dense_labels, "--out", thin_labels, "--stride", 4))
+        out, out_labels = tmp_path / "o.vvol", tmp_path / "ol.vvol"
+        payload(run_cli(
+            "impute", "--in", thin, "--labels", thin_labels, "--out", out, "--out-labels", out_labels,
+            "--method", "flow", "--n", 3,
+        ))
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "890fac56fb050179002ff95cd8f0d08e769b5f8b2a1d21d8ce509c67b3829022"
+        )
+        assert hashlib.sha256(out_labels.read_bytes()).hexdigest() == (
+            "aa87ea0676cb208c4f5110b76ca573f2cdd819b564c29cd63729246795663c06"
+        )
+
     def test_labels_without_out_labels_is_usage_error(self, tmp_path, ramp_volume):
         in_path, _ = ramp_volume
         result = run_cli(

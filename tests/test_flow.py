@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from isoslice import (
     DataValidationError,
     FileFormatError,
@@ -18,6 +21,7 @@ from isoslice import (
     load_flow,
     save_flow,
 )
+from isoslice.flow import _solve_stack, sample_bilinear
 
 
 def gaussian_blob(cx, cy, size=64, sigma=8.0):
@@ -92,7 +96,7 @@ class TestEstimate:
 
     def test_too_small_for_pyramid(self):
         tiny = Slice2D(np.zeros((4, 4)))
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"^dims \(4, 4\) too small for 3 pyramid levels$"):
             estimate_flow(tiny, tiny, HsParams(pyramid_levels=3))
 
     @pytest.mark.parametrize("alpha", [1e-160, 1e-154])
@@ -112,6 +116,50 @@ class TestEstimate:
             HsParams(alpha=0.0)
         with pytest.raises(ParameterError):
             HsParams(iterations=0)
+
+
+@st.composite
+def stacked_pairs(draw):
+    """A (B, H, W) pair of stacks, HS params whose pyramid fits, and the index of a constant pair."""
+    levels = draw(st.integers(1, 3))
+    h = draw(st.integers(2**levels, 19))
+    w = draw(st.integers(2**levels, 19))
+    depth = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(depth, h, w)) * draw(st.sampled_from([1e-3, 1.0, 300.0]))
+    b = np.roll(a, draw(st.integers(-2, 2)), axis=2) + rng.normal(scale=0.1, size=a.shape)
+    constant = draw(st.none() | st.integers(0, depth - 1))
+    if constant is not None:
+        a[constant] = b[constant] = 7.25  # hi == lo, so this pair is not normalized
+    hs = HsParams(
+        alpha=draw(st.sampled_from([0.5, 15.0])),
+        iterations=draw(st.integers(1, 4)),
+        pyramid_levels=levels,
+        warps_per_level=draw(st.integers(1, 3)),
+    )
+    return a, b, hs
+
+
+class TestStackedSolver:
+    @settings(max_examples=60, deadline=None)
+    @given(stacked_pairs())
+    def test_stack_equals_separate_solves_bit_for_bit(self, case):
+        a, b, hs = case
+        u, v = _solve_stack(a, b, hs)
+        for k in range(len(a)):
+            alone = estimate_flow(Slice2D(a[k]), Slice2D(b[k]), hs)
+            assert u[k].tobytes() == alone.u.tobytes()
+            assert v[k].tobytes() == alone.v.tobytes()
+        # Stacked bilinear sampling agrees with the per-pixel oracle slice by slice.
+        h, w = a.shape[1:]
+        du = np.roll(u, 1, axis=0) * 3.0 + 0.5
+        dv = np.roll(v, 1, axis=0) * 3.0 - 0.5
+        xs = np.arange(w, dtype=np.float64)[None, :] + du
+        ys = np.arange(h, dtype=np.float64)[:, None] + dv
+        stacked = sample_bilinear(a, xs, ys)
+        for k in range(len(a)):
+            assert stacked[k].tobytes() == oracles.warp_bilinear(a[k], du[k], dv[k]).tobytes()
+            assert stacked[k].tobytes() == sample_bilinear(a[k], xs[k], ys[k]).tobytes()
 
 
 class TestCompose:

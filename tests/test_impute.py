@@ -1,3 +1,5 @@
+import os
+import sys
 import time
 import tracemalloc
 
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import isoslice.impute as impute_module
 import oracles
 from isoslice import (
     FlowField,
@@ -24,6 +27,7 @@ from isoslice import (
     compose_intermediate_flow,
     estimate_flow,
     impute_volume,
+    moving_disk_phantom,
     one_hot_stack,
     synth_intermediate_label,
     synth_intermediate_slice,
@@ -307,6 +311,67 @@ class TestImputeVolume:
         v = Volume(np.zeros((2, 64, 64), np.float32), UNIT)
         with pytest.raises(ParameterError, match="exceeds the limit"):
             impute_volume(v, cfg=ImputeConfig(n_slices=10**9, method="linear"))
+
+    def test_too_small_for_pyramid_is_refused_before_any_gap(self, monkeypatch):
+        def solve(*args):
+            raise AssertionError("a gap was solved before the size check")
+
+        monkeypatch.setattr(impute_module, "_solve_stack", solve)
+        v = Volume(np.zeros((3, 4, 6), np.float32), UNIT)
+        hs = HsParams(pyramid_levels=3)
+        with pytest.raises(ParameterError) as from_volume:
+            impute_volume(v, cfg=ImputeConfig(n_slices=1, method="flow", hs=hs))
+        with pytest.raises(ParameterError) as from_pair:
+            estimate_flow(Slice2D(v.data[0]), Slice2D(v.data[1]), hs)
+        assert str(from_volume.value) == str(from_pair.value) == "dims (6, 4) too small for 3 pyramid levels"
+        # The linear blend builds no pyramid, so the rule does not apply to it.
+        out, _ = impute_volume(v, cfg=ImputeConfig(n_slices=1, method="linear", hs=hs))
+        assert out.dims == (6, 4, 5)
+
+
+class TestGapWorkers:
+    @pytest.fixture()
+    def pools(self, monkeypatch):
+        """Worker counts of the pools ``impute_volume`` starts."""
+        started = []
+        pool = impute_module.ThreadPoolExecutor
+
+        def recording_pool(workers):
+            started.append(workers)
+            return pool(workers)
+
+        monkeypatch.setattr(impute_module, "ThreadPoolExecutor", recording_pool)
+        return started
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_flow_output_bytes_do_not_depend_on_cpu_count(self, monkeypatch, pools, n):
+        ph = moving_disk_phantom(dims=(32, 24, 16), radius=5.0, step=(0.75, 0.25), seed=4)
+        cfg = ImputeConfig(n_slices=n, method="flow", hs=HsParams(iterations=10))
+        outputs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the workers as finely as the interpreter allows
+        try:
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(impute_module, "_usable_cpus", lambda cpus=cpus: cpus)
+                image, labels = impute_volume(ph.volume, ph.labels, cfg)
+                outputs.append((image.data.tobytes(), labels.data.tobytes()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert pools == [2, 3]  # one CPU starts no pool
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_linear_gaps_stay_serial(self, monkeypatch, pools):
+        ph = moving_disk_phantom(dims=(32, 24, 16), radius=5.0, seed=4)
+        monkeypatch.setattr(impute_module, "_usable_cpus", lambda: 3)
+        impute_volume(ph.volume, ph.labels, ImputeConfig(n_slices=2, method="linear"))
+        assert pools == []
+
+    def test_usable_cpus_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert impute_module._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert impute_module._usable_cpus() == 1
 
 
 @st.composite
