@@ -65,16 +65,13 @@ def _int_at_least(minimum: int):
     return parse
 
 
-def _n_slices(text: str) -> int | str:
-    if text == "auto":
-        return "auto"
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{text!r} is neither 'auto' nor an integer") from exc
-    if value < 0:
-        raise argparse.ArgumentTypeError("slice count must not be negative")
-    return value
+def _auto_or(parse_int):
+    """An argparse type for the word "auto" or an integer that ``parse_int`` accepts."""
+
+    def parse(text: str) -> int | str:
+        return "auto" if text == "auto" else parse_int(text)
+
+    return parse
 
 
 def _size(text: str) -> tuple[int, int, int]:
@@ -138,9 +135,17 @@ def _add_hs_flags(parser: argparse.ArgumentParser) -> None:
     hs = HsParams()
     parser.add_argument("--alpha", type=float, default=hs.alpha, help="smoothness weight")
     parser.add_argument(
-        "--iterations", type=_int_at_least(1), default=hs.iterations, help="solver sweeps per warp"
+        "--iterations",
+        type=_int_at_least(1),
+        default=hs.iterations,
+        help="Jacobi sweeps per warp, each warp followed by a 5x5 median filter (default: %(default)s)",
     )
-    parser.add_argument("--pyramid-levels", type=_int_at_least(1), default=hs.pyramid_levels)
+    parser.add_argument(
+        "--pyramid-levels",
+        type=_auto_or(_int_at_least(1)),
+        default=hs.pyramid_levels,
+        help="pyramid depth, or 'auto' for max(1, bit_length(min(W, H)) - 3) (default: %(default)s)",
+    )
     parser.add_argument("--warps-per-level", type=_int_at_least(1), default=hs.warps_per_level)
 
 
@@ -297,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels")
     p.add_argument("--out", required=True)
     p.add_argument("--out-labels")
-    p.add_argument("--n", type=_n_slices, default="auto")
+    p.add_argument("--n", type=_auto_or(_int_at_least(0)), default="auto")
     p.add_argument("--method", choices=("flow", "linear"), default="flow")
     _add_hs_flags(p)
     p.set_defaults(handler=cmd_impute)

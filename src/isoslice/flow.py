@@ -1,8 +1,15 @@
 """Dense 2D displacement fields between slice pairs.
 
 ``estimate_flow`` is a classical Horn-Schunck estimator run coarse-to-fine
-over an image pyramid with incremental warping.  Every sweep has a fixed
-order, so repeated runs on the same inputs are bit-identical.  The solver
+over an image pyramid with incremental warping.  After every warp's Jacobi
+sweeps a 5x5 median filter is applied to both flow components, the step Sun,
+Roth and Black ("Secrets of Optical Flow Estimation and Their Principles",
+CVPR 2010) found essential: without it the estimate diverges across warps on
+deeper pyramids.  With it 25 sweeps per warp suffice, and the default pyramid
+depth follows the slice size, ``max(1, min(W, H).bit_length() - 3)`` levels,
+so the coarsest level's short side is about 8-16 px (4 levels at 64x64, 6 at
+256x256, 1 below 16 px).  Every sweep and filter has a fixed order, so
+repeated runs on the same inputs are bit-identical.  The solver
 works on (B, H, W) stacks of independent pairs, so ``impute`` solves a gap's
 forward and backward flows in one pass; each pair's result is bit-identical
 to solving it alone, and ``estimate_flow`` is the one-pair case.
@@ -22,6 +29,7 @@ The on-disk container ("VFLO") is the volume container with its own magic::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,7 +37,16 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import FileFormatError, ParameterError, ShapeError
-from .volume import Slice2D, _ArrayValue, _frozen, _header_dims, _is_int, _read_container, _write_container
+from .volume import (
+    Slice2D,
+    _ArrayValue,
+    _frozen,
+    _header_dims,
+    _is_int,
+    _is_number,
+    _read_container,
+    _write_container,
+)
 
 FLOW_MAGIC = b"VFLO\n"
 
@@ -44,6 +61,9 @@ _AVG_KERNEL = np.array(
 )[None]
 
 _BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
+
+# Side of the square median window applied to u and v after every warp.
+_MEDIAN_SIZE = 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,24 +103,38 @@ class HsParams:
 
     The defaults suit smooth slices regardless of intensity units, since the
     estimator range-normalizes its inputs to 0..255 before differentiating.
-    ``alpha`` must be at least 1e-100: where the image gradient vanishes each
-    Jacobi sweep divides an intensity difference of up to 255 by
-    ``alpha ** 2``, which stays near 1e202 at that floor but overflows
-    float64 below about 1e-153 and turns the flow into NaN.
+    ``alpha`` must be a real number of at least 1e-100 (it is stored as a
+    float): where the image gradient vanishes each Jacobi sweep divides an
+    intensity difference of up to 255 by ``alpha ** 2``, which stays near
+    1e202 at that floor but overflows float64 below about 1e-153 and turns
+    the flow into NaN.
+
+    ``iterations`` is the number of Jacobi sweeps per warp; each warp ends
+    with a 5x5 median filter of the flow.  ``pyramid_levels`` may be "auto",
+    which gives ``max(1, min(W, H).bit_length() - 3)`` levels for (W, H)
+    slices; an explicit depth needs ``min(W, H) >= 2 ** pyramid_levels``.
     """
 
     alpha: float = 15.0
-    iterations: int = 100
-    pyramid_levels: int = 3
+    iterations: int = 25
+    pyramid_levels: int | str = "auto"
     warps_per_level: int = 3
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.alpha) and self.alpha >= 1e-100):
-            raise ParameterError(f"alpha={self.alpha!r} must be finite and at least 1e-100")
-        for name in ("iterations", "pyramid_levels", "warps_per_level"):
+        try:
+            alpha = float(self.alpha) if _is_number(self.alpha) else math.nan
+        except OverflowError:  # an integer beyond the float64 range
+            alpha = math.inf
+        if not (math.isfinite(alpha) and alpha >= 1e-100):
+            raise ParameterError(f"alpha={self.alpha!r} must be a finite number of at least 1e-100")
+        object.__setattr__(self, "alpha", alpha)
+        for name in ("iterations", "warps_per_level"):
             value = getattr(self, name)
             if not _is_int(value) or value < 1:
                 raise ParameterError(f"{name}={value!r} must be a positive integer")
+        levels = self.pyramid_levels
+        if not (isinstance(levels, str) and levels == "auto") and not (_is_int(levels) and levels >= 1):
+            raise ParameterError(f'pyramid_levels must be "auto" or a positive integer, got {levels!r}')
 
 
 def sample_bilinear(arr: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -214,22 +248,34 @@ def _hs_sweeps(
     return u, v
 
 
-def _check_pyramid(dims: tuple[int, int], levels: int) -> None:
+def _pyramid_depth(dims: tuple[int, int], levels: int | str) -> int:
+    """Pyramid levels for (W, H) slices: ``levels`` resolved ("auto") and checked."""
     w, h = dims
-    if min(w, h).bit_length() <= levels:  # i.e. min(w, h) < 2**levels
+    short = min(w, h).bit_length()
+    if levels == "auto":
+        levels = max(1, short - 3)
+    if short <= levels:  # i.e. min(w, h) < 2**levels
         raise ParameterError(f"dims {dims} too small for {levels} pyramid levels")
+    return levels
 
 
-def _solve_stack(a: np.ndarray, b: np.ndarray, params: HsParams) -> tuple[np.ndarray, np.ndarray]:
+def _median(arr: np.ndarray) -> np.ndarray:
+    return ndimage.median_filter(arr, size=(1, _MEDIAN_SIZE, _MEDIAN_SIZE), mode="nearest")
+
+
+def _solve_stack(
+    a: np.ndarray, b: np.ndarray, params: HsParams, levels: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Forward flows ``(u, v)`` from each slice of stack ``a`` toward the same slice of ``b``.
 
-    ``a`` and ``b`` are (B, H, W) float64 stacks of already-checked pairs;
+    ``a`` and ``b`` are (B, H, W) float64 stacks of pairs already checked
+    against the resolved pyramid depth ``levels`` (see ``_pyramid_depth``);
     slice ``k`` of the result is bit-identical to solving pair ``k`` alone.
     """
     a, b = _normalized(a, b)
     a_levels = [a]
     b_levels = [b]
-    for _ in range(params.pyramid_levels - 1):
+    for _ in range(levels - 1):
         a_levels.append(_downsample(a_levels[-1]))
         b_levels.append(_downsample(b_levels[-1]))
 
@@ -243,6 +289,7 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, params: HsParams) -> tuple[np.nda
             v = _resize_bilinear(v, a.shape[1:]) * scale_y
         for _ in range(params.warps_per_level):
             u, v = _hs_sweeps(a, b, u, v, params)
+            u, v = _median(u), _median(v)
     return u, v
 
 
@@ -251,14 +298,14 @@ def estimate_flow(i0: Slice2D, i1: Slice2D, params: HsParams | None = None) -> F
 
     Coarse-to-fine: the images are repeatedly binomial-blurred and halved,
     the coarsest level starts from zero motion, and each finer level warps
-    ``i1`` by the upsampled estimate before re-solving.  Deterministic for
-    fixed inputs and params.
+    ``i1`` by the upsampled estimate before re-solving; every warp ends with
+    a median filter of the flow.  Deterministic for fixed inputs and params.
     """
     params = params or HsParams()
     if i0.dims != i1.dims:
         raise ShapeError(f"slice dims {i0.dims} and {i1.dims} differ")
-    _check_pyramid(i0.dims, params.pyramid_levels)
-    u, v = _solve_stack(i0.data[None], i1.data[None], params)
+    levels = _pyramid_depth(i0.dims, params.pyramid_levels)
+    u, v = _solve_stack(i0.data[None], i1.data[None], params, levels)
     return FlowField(u[0], v[0])
 
 

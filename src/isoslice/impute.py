@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataValidationError, InsufficientSlicesError, ParameterError, ShapeError
-from .flow import FlowField, HsParams, _check_pyramid, _solve_stack, compose_intermediate_flow, sample_bilinear
+from .flow import FlowField, HsParams, _pyramid_depth, _solve_stack, compose_intermediate_flow, sample_bilinear
 
 # Not called here since gaps solve both directions as one stack, but
 # bench/tracing.py still wraps this name (see ROADMAP item 2).
@@ -188,9 +188,9 @@ def auto_slice_count(inter_mm: float, intra_mm: float) -> int:
     return max(math.floor(inter_mm / intra_mm) - 1, 0)
 
 
-def _pair_flows(a: np.ndarray, b: np.ndarray, hs: HsParams) -> tuple[FlowField, FlowField]:
-    """``(a -> b, b -> a)``, solved as one 2-stack."""
-    u, v = _solve_stack(np.stack((a, b)), np.stack((b, a)), hs)
+def _pair_flows(a: np.ndarray, b: np.ndarray, hs: HsParams, levels: int) -> tuple[FlowField, FlowField]:
+    """``(a -> b, b -> a)``, solved as one 2-stack on a ``levels``-deep pyramid."""
+    u, v = _solve_stack(np.stack((a, b)), np.stack((b, a)), hs, levels)
     return FlowField(u[0], v[0]), FlowField(u[1], v[1])
 
 
@@ -247,7 +247,7 @@ def impute_volume(
         )
     use_flow = cfg.method == METHOD_FLOW
     if use_flow:
-        _check_pyramid((x, y), cfg.hs.pyramid_levels)
+        levels = _pyramid_depth((x, y), cfg.hs.pyramid_levels)
     out = np.empty((z_out, y, x), dtype=np.float32)
     out_labels = None
     if labels is not None:
@@ -263,7 +263,7 @@ def impute_volume(
         a = v.data[k].astype(np.float64)
         b = v.data[k + 1].astype(np.float64)
         if use_flow:
-            f01, f10 = _pair_flows(a, b, cfg.hs)
+            f01, f10 = _pair_flows(a, b, cfg.hs, levels)
         if out_labels is not None:
             maps = _class_maps(labels.data[k], labels.data[k + 1])
         for i in range(1, n + 1):

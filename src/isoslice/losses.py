@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -22,13 +21,9 @@ import numpy as np
 from .errors import DomainError, ParameterError, ShapeError
 from .flow import FlowField
 from .impute import backward_warp
-from .volume import Slice2D, Volume
+from .volume import Slice2D, Volume, _is_number
 
 LOSS_TERMS = ("l_rec", "l_per", "l_warp", "l_smooth", "l_adv", "l_tp_smooth")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ import enum
 import json
 import os
 from dataclasses import dataclass, fields
+from numbers import Real
 from pathlib import Path
 from typing import Callable, Union
 
@@ -74,6 +75,11 @@ class Axis(enum.Enum):
 def _is_int(value) -> bool:
     """A Python or numpy integer; ``True`` and ``False`` are not integers here."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A real number (Python or numpy); ``True`` and ``False`` are not numbers here."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 def _frozen(data, dtype, ndim: int, what: str) -> np.ndarray:

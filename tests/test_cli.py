@@ -150,11 +150,23 @@ class TestImpute:
         result = run_cli(
             "impute", "--in", tmp_path / "v.vvol", "--labels", tmp_path / "l.vvol",
             "--out", tmp_path / "out.vvol", "--out-labels", tmp_path / "out_l.vvol",
-            "--n", 1, "--method", "flow",
+            "--n", 1, "--method", "flow", "--pyramid-levels", 3,
         )
         assert_single_error(result)
         assert "too small for 3 pyramid levels" in result.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["l.vvol", "v.vvol"]
+
+    @pytest.mark.parametrize("levels", [None, "auto"])
+    def test_auto_pyramid_depth_fits_small_slices(self, tmp_path, levels):
+        spacing = Spacing(1.0, 1.0, 4.0)
+        save_volume(Volume(np.zeros((3, 4, 6), np.float32), spacing), tmp_path / "v.vvol")
+        flags = [] if levels is None else ["--pyramid-levels", levels]
+        result = run_cli(
+            "impute", "--in", tmp_path / "v.vvol", "--out", tmp_path / "out.vvol",
+            "--n", 1, "--method", "flow", *flags,
+        )
+        assert payload(result)["z_out"] == 5
+        assert load_volume(tmp_path / "out.vvol").dims == (6, 4, 5)
 
     def test_flow_output_bytes_match_recorded_hash(self, tmp_path):
         """Any rewrite of the flow solver or of gap scheduling must reproduce these files byte for byte."""
@@ -169,10 +181,10 @@ class TestImpute:
             "--method", "flow", "--n", 3,
         ))
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "890fac56fb050179002ff95cd8f0d08e769b5f8b2a1d21d8ce509c67b3829022"
+            "d747b72b2ad8a17e0259fefe6789a58f71e8466a03557f81170035db8f172b90"
         )
         assert hashlib.sha256(out_labels.read_bytes()).hexdigest() == (
-            "aa87ea0676cb208c4f5110b76ca573f2cdd819b564c29cd63729246795663c06"
+            "5e400b787c0821eb5c0bc85a394b54e48c51517ce6e65babba44126042dfa288"
         )
 
     def test_labels_without_out_labels_is_usage_error(self, tmp_path, ramp_volume):
@@ -237,6 +249,21 @@ class TestFlow:
         stats = payload(result)
         assert abs(stats["median_u"] - 2.0) < 0.5
         assert abs(stats["median_v"]) < 0.5
+
+    def test_auto_pyramid_levels_is_the_default_and_resolves_from_size(self, tmp_path):
+        a, b = tmp_path / "a.vvol", tmp_path / "b.vvol"
+        self.save_slice(a, self.blob(31, 32))
+        self.save_slice(b, self.blob(33, 32))
+        written = {}
+        for flags in ([], ["--pyramid-levels", "auto"], ["--pyramid-levels", "4"]):
+            out = tmp_path / f"f{len(written)}.vflo"
+            payload(run_cli("flow", "--a", a, "--b", b, "--out", out, *flags))
+            written[" ".join(flags)] = out.read_bytes()
+        assert len(set(written.values())) == 1, "64x64 slices resolve 'auto' to 4 levels"
+        for bad in ("0", "autos", "2.5"):
+            result = run_cli("flow", "--a", a, "--b", b, "--out", tmp_path / "x.vflo", "--pyramid-levels", bad)
+            assert result.returncode == 2
+        assert not (tmp_path / "x.vflo").exists()
 
     def test_missing_file(self, tmp_path):
         result = run_cli(

@@ -21,7 +21,7 @@ from isoslice import (
     load_flow,
     save_flow,
 )
-from isoslice.flow import _solve_stack, sample_bilinear
+from isoslice.flow import _pyramid_depth, _solve_stack, sample_bilinear
 
 
 def gaussian_blob(cx, cy, size=64, sigma=8.0):
@@ -99,6 +99,20 @@ class TestEstimate:
         with pytest.raises(ParameterError, match=r"^dims \(4, 4\) too small for 3 pyramid levels$"):
             estimate_flow(tiny, tiny, HsParams(pyramid_levels=3))
 
+    @pytest.mark.parametrize(
+        "dims, levels",
+        [((4, 4), 1), ((6, 4), 1), ((32, 32), 3), ((64, 64), 4), ((256, 96), 4), ((256, 256), 6)],
+    )
+    def test_auto_pyramid_depth_follows_the_short_side(self, dims, levels):
+        assert _pyramid_depth(dims, "auto") == levels
+        assert _pyramid_depth(dims, levels) == levels
+
+    def test_defaults_fit_tiny_slices(self):
+        rng = np.random.default_rng(8)
+        field = estimate_flow(Slice2D(rng.random((4, 4))), Slice2D(rng.random((4, 4))))
+        assert field.dims == (4, 4)
+        assert np.all(np.isfinite(field.u)) and np.all(np.isfinite(field.v))
+
     @pytest.mark.parametrize("alpha", [1e-160, 1e-154])
     def test_alpha_whose_square_overflows_the_sweep_is_refused(self, alpha):
         with pytest.raises(ParameterError, match="alpha"):
@@ -112,18 +126,39 @@ class TestEstimate:
         assert np.all(np.isfinite(field.u)) and np.all(np.isfinite(field.v))
 
     def test_params_validation(self):
-        with pytest.raises(ParameterError):
-            HsParams(alpha=0.0)
-        with pytest.raises(ParameterError):
-            HsParams(iterations=0)
+        bad = [
+            {"alpha": 0.0},
+            {"alpha": "1"},
+            {"alpha": None},
+            {"alpha": [1.0]},
+            {"alpha": True},
+            {"alpha": 10**400},
+            {"iterations": 0},
+            {"pyramid_levels": 0},
+            {"pyramid_levels": "AUTO"},
+            {"pyramid_levels": 2.0},
+            {"pyramid_levels": True},
+            {"pyramid_levels": None},
+            {"pyramid_levels": np.array([2])},
+        ]
+        for kwargs in bad:
+            with pytest.raises(ParameterError):
+                HsParams(**kwargs)
+
+    @pytest.mark.parametrize("alpha", [15, np.float32(15.0), np.int64(15)])
+    def test_any_real_alpha_is_stored_as_a_float(self, alpha):
+        params = HsParams(alpha=alpha)
+        assert type(params.alpha) is float and params.alpha == 15.0
+        assert params == HsParams()
 
 
 @st.composite
 def stacked_pairs(draw):
     """A (B, H, W) pair of stacks, HS params whose pyramid fits, and the index of a constant pair."""
-    levels = draw(st.integers(1, 3))
-    h = draw(st.integers(2**levels, 19))
-    w = draw(st.integers(2**levels, 19))
+    levels = draw(st.integers(1, 3) | st.just("auto"))
+    smallest = 2 if levels == "auto" else 2**levels
+    h = draw(st.integers(smallest, 19))
+    w = draw(st.integers(smallest, 19))
     depth = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     a = rng.normal(size=(depth, h, w)) * draw(st.sampled_from([1e-3, 1.0, 300.0]))
@@ -145,13 +180,13 @@ class TestStackedSolver:
     @given(stacked_pairs())
     def test_stack_equals_separate_solves_bit_for_bit(self, case):
         a, b, hs = case
-        u, v = _solve_stack(a, b, hs)
+        h, w = a.shape[1:]
+        u, v = _solve_stack(a, b, hs, _pyramid_depth((w, h), hs.pyramid_levels))
         for k in range(len(a)):
             alone = estimate_flow(Slice2D(a[k]), Slice2D(b[k]), hs)
             assert u[k].tobytes() == alone.u.tobytes()
             assert v[k].tobytes() == alone.v.tobytes()
         # Stacked bilinear sampling agrees with the per-pixel oracle slice by slice.
-        h, w = a.shape[1:]
         du = np.roll(u, 1, axis=0) * 3.0 + 0.5
         dv = np.roll(v, 1, axis=0) * 3.0 - 0.5
         xs = np.arange(w, dtype=np.float64)[None, :] + du

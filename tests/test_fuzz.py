@@ -206,7 +206,7 @@ def cli_flags(draw) -> list[str]:
     elif command == "impute":
         # Sweep and warp counts multiply the run time, so they stay small.
         flags = dict.fromkeys(["iterations", "warps-per-level"], st.integers(0, 3).map(str))
-        flags |= dict.fromkeys(["alpha", "pyramid-levels"], NUMBER_TEXT)
+        flags |= {"alpha": NUMBER_TEXT, "pyramid-levels": NUMBER_TEXT | st.just("auto")}
     else:
         flags = {"window": st.tuples(NUMBER_TEXT, NUMBER_TEXT).map(",".join)}
     drawn = {name: draw(st.none() | values) for name, values in flags.items()}
