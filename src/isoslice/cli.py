@@ -230,9 +230,8 @@ def cmd_loss(args: argparse.Namespace, written: list[Path]) -> dict:
         synth, real = (_load_scalar(p) for p in args.rec)
         if synth.dims != real.dims:
             raise ParameterError("the two --rec volumes must share dims")
-        pairs = [
-            (Slice2D(synth.data[k]), Slice2D(real.data[k])) for k in range(synth.dims[2])
-        ]
+        # One pair at a time: a list would hold 2 x Z float64 copies at once.
+        pairs = ((Slice2D(synth.data[k]), Slice2D(real.data[k])) for k in range(synth.dims[2]))
         parts["l_rec"] = rec_loss(pairs)
     if args.series_json:
         series = _load_json_file(args.series_json)

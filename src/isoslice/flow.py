@@ -10,9 +10,11 @@ depth follows the slice size, ``max(1, min(W, H).bit_length() - 3)`` levels,
 so the coarsest level's short side is about 8-16 px (4 levels at 64x64, 6 at
 256x256, 1 below 16 px).  Every sweep and filter has a fixed order, so
 repeated runs on the same inputs are bit-identical.  The solver
-works on (B, H, W) stacks of independent pairs, so ``impute`` solves a gap's
-forward and backward flows in one pass; each pair's result is bit-identical
-to solving it alone, and ``estimate_flow`` is the one-pair case.
+works on (B, H, W) stacks of independent pairs, so ``impute`` solves the
+forward and backward flows of a whole run of gaps in one pass; each pair's
+result is bit-identical to solving it alone, and ``estimate_flow`` is the
+one-pair case.  Inside the solver ``u`` and ``v`` are one (2B, H, W) array,
+so each Jacobi sweep and each median filter is one ndimage call for both.
 
 Flow semantics are forward for estimation: the field returned by
 ``estimate_flow(i0, i1)`` maps a pixel ``(x, y)`` of ``i0`` to
@@ -211,41 +213,36 @@ def _normalized(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _hs_sweeps(
-    a: np.ndarray,
-    b: np.ndarray,
-    u0: np.ndarray,
-    v0: np.ndarray,
-    params: HsParams,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One warp iteration: linearize around (u0, v0), then fixed Jacobi sweeps.
+def _hs_sweeps(a: np.ndarray, b: np.ndarray, uv0: np.ndarray, params: HsParams) -> np.ndarray:
+    """One warp iteration: linearize around ``uv0``, then fixed Jacobi sweeps.
 
-    Each sweep is ``u = ub - gx * shared`` with ``ub`` the neighbour mean and
-    ``shared = (gx * (ub - u0) + gy * (vb - v0) + it) / denom``, evaluated
-    into preallocated buffers.
+    ``uv0`` stacks the B ``u`` slices over the B ``v`` slices as one (2B, H,
+    W) array, so each sweep averages both components with one ``correlate``
+    call.  Per pixel a sweep is ``u = ub - gx * shared`` and ``v = vb - gy *
+    shared`` with ``ub``, ``vb`` the neighbour means and ``shared = (gx * (ub
+    - u0) + gy * (vb - v0) + it) / denom``, evaluated into preallocated
+    buffers.
     """
-    warped = _warp_by(b, u0, v0)
+    n = len(a)
+    warped = _warp_by(b, uv0[:n], uv0[n:])
     it = warped - a
-    gx, gy = _central_gradients(0.5 * (a + warped))
+    grad = np.concatenate(_central_gradients(0.5 * (a + warped)))
+    gx, gy = grad[:n], grad[n:]
     denom = params.alpha * params.alpha + gx * gx + gy * gy
-    u, v = u0.copy(), v0.copy()
-    ub, vb = np.empty_like(u), np.empty_like(v)
-    shared, tmp = np.empty_like(u), np.empty_like(u)
+    uv = uv0.copy()
+    avg, step = np.empty_like(uv), np.empty_like(uv)
+    shared = np.empty_like(a)
+    halves = (2, *a.shape)
     for _ in range(params.iterations):
-        ndimage.correlate(u, _AVG_KERNEL, output=ub, mode="nearest")
-        ndimage.correlate(v, _AVG_KERNEL, output=vb, mode="nearest")
-        np.subtract(ub, u0, out=shared)
-        shared *= gx
-        np.subtract(vb, v0, out=tmp)
-        tmp *= gy
-        shared += tmp
+        ndimage.correlate(uv, _AVG_KERNEL, output=avg, mode="nearest")
+        np.subtract(avg, uv0, out=step)
+        step *= grad
+        np.add(step[:n], step[n:], out=shared)
         shared += it
         shared /= denom
-        np.multiply(gx, shared, out=tmp)
-        np.subtract(ub, tmp, out=u)
-        np.multiply(gy, shared, out=tmp)
-        np.subtract(vb, tmp, out=v)
-    return u, v
+        np.multiply(grad.reshape(halves), shared, out=step.reshape(halves))
+        np.subtract(avg, step, out=uv)
+    return uv
 
 
 def _pyramid_depth(dims: tuple[int, int], levels: int | str) -> int:
@@ -279,18 +276,18 @@ def _solve_stack(
         a_levels.append(_downsample(a_levels[-1]))
         b_levels.append(_downsample(b_levels[-1]))
 
-    u = np.zeros_like(a_levels[-1])
-    v = np.zeros_like(a_levels[-1])
+    n = len(a)
+    uv = np.zeros((2 * n, *a_levels[-1].shape[1:]))
     for a, b in zip(reversed(a_levels), reversed(b_levels)):
-        if u.shape != a.shape:
-            scale_x = a.shape[2] / u.shape[2]
-            scale_y = a.shape[1] / u.shape[1]
-            u = _resize_bilinear(u, a.shape[1:]) * scale_x
-            v = _resize_bilinear(v, a.shape[1:]) * scale_y
+        if uv.shape[1:] != a.shape[1:]:
+            scale_x = a.shape[2] / uv.shape[2]
+            scale_y = a.shape[1] / uv.shape[1]
+            uv = _resize_bilinear(uv, a.shape[1:])
+            uv[:n] *= scale_x
+            uv[n:] *= scale_y
         for _ in range(params.warps_per_level):
-            u, v = _hs_sweeps(a, b, u, v, params)
-            u, v = _median(u), _median(v)
-    return u, v
+            uv = _median(_hs_sweeps(a, b, uv, params))
+    return uv[:n], uv[n:]
 
 
 def estimate_flow(i0: Slice2D, i1: Slice2D, params: HsParams | None = None) -> FlowField:

@@ -13,13 +13,15 @@ the classes present there, not with the declared class count.  This is
 exact: every blended map is a convex combination of indicators, so an
 absent class is 0.0 everywhere and can never beat a present one.
 
-With ``method="flow"`` each gap is one task: it solves the flow pair
-``(a -> b, b -> a)`` as one 2-stack, then writes its synthetic image and
-label slices into its own output rows.  The tasks run on a thread pool with
-one worker per usable CPU (the flow solver spends most of its time in
-ndimage calls that release the GIL).  Output bytes do not depend on the CPU
-count.  Linear gaps run serially, because threading them raised peak memory
-on a 117-class label volume by about a fifth.
+With ``method="flow"`` the gaps are split into contiguous runs, one per
+usable CPU, of at most ``_STACK_PIXELS // (2 * W * H)`` gaps (at least
+one).  A run solves every flow pair ``(a -> b, b -> a)`` of its gaps as one
+(2g, H, W) stack, then writes its synthetic image and label slices into its
+own output rows.  The runs go to a thread pool (the flow solver spends most
+of its time in ndimage calls that release the GIL), and fewer, larger solves
+cut the per-call work that holds it.  Output bytes do not depend on the run
+split or the CPU count.  Linear gaps run serially, because threading them
+raised peak memory on a 117-class label volume by about a fifth.
 """
 
 from __future__ import annotations
@@ -47,6 +49,14 @@ METHOD_LINEAR = "linear"
 # Largest output volume ``impute_volume`` will allocate, in voxels, so a
 # hostile header spacing or slice count fails before any allocation.
 MAX_OUTPUT_VOXELS = 1 << 30
+
+# Most pixels in one flow solve's (2g, H, W) stack.  Measured on 2 CPUs with
+# the default HsParams: at 64x64, 16 gaps on two threads took 25.5 ms per gap
+# as 1-gap stacks, 22.0 as 2-gap and 20.8 as 4- or 8-gap stacks (2^15-2^16
+# px); at 128x128 and 256x256 the stack size made no difference.  One
+# thread's cost per pixel is lowest from 2^14 to 2^16 px and rises beyond
+# (4.8 to 5.3 us/px at 2^20), while a larger stack only holds more memory.
+_STACK_PIXELS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -188,12 +198,6 @@ def auto_slice_count(inter_mm: float, intra_mm: float) -> int:
     return max(math.floor(inter_mm / intra_mm) - 1, 0)
 
 
-def _pair_flows(a: np.ndarray, b: np.ndarray, hs: HsParams, levels: int) -> tuple[FlowField, FlowField]:
-    """``(a -> b, b -> a)``, solved as one 2-stack on a ``levels``-deep pyramid."""
-    u, v = _solve_stack(np.stack((a, b)), np.stack((b, a)), hs, levels)
-    return FlowField(u[0], v[0]), FlowField(u[1], v[1])
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on (all of them where affinity is unknown)."""
     if hasattr(os, "sched_getaffinity"):
@@ -258,33 +262,46 @@ def impute_volume(
         if out_labels is not None:
             out_labels[k * (n + 1)] = labels.data[k]
 
-    def fill_gap(k: int) -> None:
-        """Write the n synthetic slices of gap (k, k+1) into their own output rows."""
-        a = v.data[k].astype(np.float64)
-        b = v.data[k + 1].astype(np.float64)
+    def fill_run(gaps: range) -> None:
+        """Write the n synthetic slices of each gap (k, k+1) in ``gaps`` into their own output rows."""
+        ends = v.data[gaps.start : gaps.stop + 1].astype(np.float64)
         if use_flow:
-            f01, f10 = _pair_flows(a, b, cfg.hs, levels)
-        if out_labels is not None:
-            maps = _class_maps(labels.data[k], labels.data[k + 1])
-        for i in range(1, n + 1):
-            t = i / (n + 1)
-            flows = compose_intermediate_flow(f01, f10, t) if use_flow else None
-            out[k * (n + 1) + i] = _blend(a, b, flows, t)
+            # Every (a -> b) and (b -> a) pair of the run in one solve.
+            fore, aft = ends[:-1], ends[1:]
+            us, vs = _solve_stack(np.concatenate((fore, aft)), np.concatenate((aft, fore)), cfg.hs, levels)
+        for j, k in enumerate(gaps):
+            a, b = ends[j], ends[j + 1]
+            if use_flow:
+                back = len(gaps) + j
+                f01, f10 = FlowField(us[j], vs[j]), FlowField(us[back], vs[back])
             if out_labels is not None:
-                out_labels[k * (n + 1) + i] = _blend_argmax(maps, flows, t, out_labels.dtype)
+                maps = _class_maps(labels.data[k], labels.data[k + 1])
+            for i in range(1, n + 1):
+                t = i / (n + 1)
+                flows = compose_intermediate_flow(f01, f10, t) if use_flow else None
+                out[k * (n + 1) + i] = _blend(a, b, flows, t)
+                if out_labels is not None:
+                    out_labels[k * (n + 1) + i] = _blend_argmax(maps, flows, t, out_labels.dtype)
 
-    # Gaps share no state and write disjoint rows, so neither their order nor
-    # the CPU count can change a byte of the output.  Linear gaps stay serial:
-    # overlapping their label synthesis raised peak RSS on a 117-class
+    # Runs share no state and write disjoint rows, and a pair's flow does
+    # not depend on its stack, so neither the run split nor the CPU count
+    # can change a byte of the output.  Linear gaps stay serial, one per
+    # run: overlapping their label synthesis raised peak RSS on a 117-class
     # 256x256 label volume from 110 to 131 MB.
-    workers = min(_usable_cpus(), z - 1) if use_flow else 1
+    gaps = z - 1
+    workers, per_run = 1, 1
+    if use_flow:
+        workers = min(_usable_cpus(), gaps)
+        per_run = max(1, min(math.ceil(gaps / workers), _STACK_PIXELS // (2 * x * y)))
+    runs = [range(s, min(s + per_run, gaps)) for s in range(0, gaps, per_run)]
+    workers = min(workers, len(runs))
     if workers > 1:
         with ThreadPoolExecutor(workers) as pool:
-            for _ in pool.map(fill_gap, range(z - 1)):
+            for _ in pool.map(fill_run, runs):
                 pass
     else:
-        for k in range(z - 1):
-            fill_gap(k)
+        for run in runs:
+            fill_run(run)
 
     spacing = Spacing(v.spacing.sx, v.spacing.sy, v.spacing.sz / (n + 1))
     result = Volume(out, spacing)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -74,11 +74,16 @@ def _mean_abs_diff(a: Slice2D, b: Slice2D) -> float:
     return float(np.mean(np.abs(a.data - b.data)))
 
 
-def rec_loss(pairs: Sequence[tuple[Slice2D, Slice2D]]) -> float:
-    """Mean over pairs of the mean absolute per-pixel difference."""
-    if len(pairs) == 0:
+def rec_loss(pairs: Iterable[tuple[Slice2D, Slice2D]]) -> float:
+    """Mean over pairs of the mean absolute per-pixel difference.
+
+    ``pairs`` may be any iterable, a generator included, so a caller need
+    not hold every slice at once.
+    """
+    values = [_mean_abs_diff(a, b) for a, b in pairs]
+    if not values:
         raise ParameterError("rec_loss needs at least one slice pair")
-    return float(np.mean([_mean_abs_diff(a, b) for a, b in pairs]))
+    return float(np.mean(values))
 
 
 def warp_loss(
@@ -132,7 +137,10 @@ def tp_smooth_slice(s: Slice2D) -> float:
     pixel below; terms that would index outside the slice are skipped while
     the 1/(rows*cols) normalization stays put.
     """
-    arr = s.data
+    return _tp_smooth(s.data)
+
+
+def _tp_smooth(arr: np.ndarray) -> float:
     horizontal = float(np.sum((arr[:, 1:] - arr[:, :-1]) ** 2))
     vertical = float(np.sum((arr[1:, :] - arr[:-1, :]) ** 2))
     return (horizontal + vertical) / arr.size
@@ -143,8 +151,10 @@ def tp_smooth_loss(v: Volume) -> float:
     x, y, z = v.dims
     if min(x, y, z) < 2:
         raise ParameterError(f"volume extents {v.dims} must all be at least 2")
-    values = [tp_smooth_slice(Slice2D(v.data[:, :, i])) for i in range(x)]
-    values += [tp_smooth_slice(Slice2D(v.data[:, j, :])) for j in range(y)]
+    # The volume is already validated: each slice only needs Slice2D's
+    # C-ordered float64 copy, not a re-checked Slice2D.
+    values = [_tp_smooth(np.ascontiguousarray(v.data[:, :, i], np.float64)) for i in range(x)]
+    values += [_tp_smooth(np.ascontiguousarray(v.data[:, j, :], np.float64)) for j in range(y)]
     return float(np.mean(values))
 
 

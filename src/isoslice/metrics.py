@@ -7,8 +7,9 @@ outside the box are not in the class, and where the box meets the volume
 edge the pad plays the volume boundary, so the crop gives exactly the
 full-volume surface while its cost follows the class's extent.  Distances
 are Euclidean in millimetres over the anisotropic grid and come from a k-d
-tree over the mm-scaled surface points, which is exact; the naive all-pairs
-computation lives in the test suite as the correctness oracle.
+tree over the mm-scaled surface points, which is exact (a point on both
+surfaces is at 0.0 without a query); the naive all-pairs computation lives
+in the test suite as the correctness oracle.
 
 The per-class functions refuse a class id that is not an integer in
 ``0..classes-1`` with ``ParameterError``.
@@ -144,14 +145,27 @@ def _surface_distances(
             raise ShapeError("label spacings differ; pass an explicit spacing to override")
         spacing = gt.spacing
     scale = np.array(spacing.as_tuple(), dtype=np.float64)
-    pts_gt = surface_voxels(gt, class_id) * scale
-    pts_pred = surface_voxels(pred, class_id) * scale
-    if len(pts_gt) == 0 or len(pts_pred) == 0:
+    vox_gt = surface_voxels(gt, class_id)
+    vox_pred = surface_voxels(pred, class_id)
+    if len(vox_gt) == 0 or len(vox_pred) == 0:
         raise UndefinedMetricError(
             f"surface distances are undefined: class {class_id} has an empty surface"
         )
-    d_gt = cKDTree(pts_pred).query(pts_gt)[0]
-    d_pred = cKDTree(pts_gt).query(pts_pred)[0]
+    pts_gt, pts_pred = vox_gt * scale, vox_pred * scale
+    # A point on both surfaces is at distance 0.0, so only the others are
+    # queried.  Rows are sorted by (z, y, x), so their flat keys are sorted
+    # and one searchsorted finds the shared rows.
+    x, y, _ = gt.dims
+    key_gt = (vox_gt[:, 2] * y + vox_gt[:, 1]) * x + vox_gt[:, 0]
+    key_pred = (vox_pred[:, 2] * y + vox_pred[:, 1]) * x + vox_pred[:, 0]
+    at = np.minimum(np.searchsorted(key_pred, key_gt), len(key_pred) - 1)
+    shared_gt = key_pred[at] == key_gt
+    shared_pred = np.zeros(len(key_pred), dtype=bool)
+    shared_pred[at[shared_gt]] = True
+    d_gt = np.zeros(len(pts_gt))
+    d_pred = np.zeros(len(pts_pred))
+    d_gt[~shared_gt] = cKDTree(pts_pred).query(pts_gt[~shared_gt])[0]
+    d_pred[~shared_pred] = cKDTree(pts_gt).query(pts_pred[~shared_pred])[0]
     assd_mm = (d_gt.sum() + d_pred.sum()) / (len(d_gt) + len(d_pred))
     return float(assd_mm), float(max(d_gt.max(), d_pred.max()))
 

@@ -369,22 +369,56 @@ class TestGapWorkers:
         monkeypatch.setattr(impute_module, "ThreadPoolExecutor", recording_pool)
         return started
 
+    @pytest.fixture()
+    def stacks(self, monkeypatch):
+        """(slices, H, W) of every stack ``impute_volume`` hands the flow solver."""
+        shapes = []
+        solve = impute_module._solve_stack
+
+        def recording_solve(a, b, params, levels):
+            shapes.append(a.shape)
+            return solve(a, b, params, levels)
+
+        monkeypatch.setattr(impute_module, "_solve_stack", recording_solve)
+        return shapes
+
     @pytest.mark.parametrize("n", [1, 3])
-    def test_flow_output_bytes_do_not_depend_on_cpu_count(self, monkeypatch, pools, n):
+    def test_flow_output_bytes_do_not_depend_on_cpu_count(self, monkeypatch, pools, stacks, n):
         ph = moving_disk_phantom(dims=(32, 24, 16), radius=5.0, step=(0.75, 0.25), seed=4)
         cfg = ImputeConfig(n_slices=n, method="flow", hs=HsParams(iterations=10))
-        outputs = []
+        outputs, runs = [], []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave the workers as finely as the interpreter allows
         try:
-            for cpus in (1, 2, 3):
+            for cpus in (1, 2, 3, 4, 7):
                 monkeypatch.setattr(impute_module, "_usable_cpus", lambda cpus=cpus: cpus)
                 image, labels = impute_volume(ph.volume, ph.labels, cfg)
                 outputs.append((image.data.tobytes(), labels.data.tobytes()))
+                runs.append(sorted(shape[0] // 2 for shape in stacks))
+                stacks.clear()
         finally:
             sys.setswitchinterval(interval)
-        assert pools == [2, 3]  # one CPU starts no pool
-        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert runs == [[15], [7, 8], [5, 5, 5], [3, 4, 4, 4], [3] * 5]  # gaps per run
+        assert pools == [2, 3, 4, 5]  # one CPU starts no pool; 7 CPUs get 5 runs
+        assert all(out == outputs[0] for out in outputs[1:])
+
+    @pytest.mark.parametrize(
+        ("size", "slices"),
+        [
+            (64, [8, 8]),  # 8 gaps on 2 CPUs: one run of 4 gaps per worker
+            (256, [2] * 8),  # one gap (2 * 256 * 256 px) already exceeds the cap
+        ],
+    )
+    def test_each_worker_solves_its_gaps_as_one_stack(self, monkeypatch, stacks, size, slices):
+        rng = np.random.default_rng(5)
+        vol = Volume(rng.random((9, size, size), dtype=np.float32), UNIT)
+        monkeypatch.setattr(impute_module, "_usable_cpus", lambda: 2)
+        cfg = ImputeConfig(n_slices=1, method="flow", hs=HsParams(iterations=1, warps_per_level=1))
+        impute_volume(vol, cfg=cfg)
+        assert sorted(shape[0] for shape in stacks) == slices
+        assert all(shape[1:] == (size, size) for shape in stacks)
+        # Only a one-gap stack may exceed the cap: a gap's pair is never split.
+        assert all(shape[0] == 2 or np.prod(shape) <= impute_module._STACK_PIXELS for shape in stacks)
 
     def test_linear_gaps_stay_serial(self, monkeypatch, pools):
         ph = moving_disk_phantom(dims=(32, 24, 16), radius=5.0, seed=4)

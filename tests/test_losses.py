@@ -57,6 +57,15 @@ class TestRecLoss:
         with pytest.raises(ParameterError):
             rec_loss([])
 
+    def test_empty_generator_rejected(self):
+        with pytest.raises(ParameterError):
+            rec_loss(pair for pair in ())
+
+    def test_generator_equals_list_bit_for_bit(self):
+        rng = np.random.default_rng(64)
+        pairs = [(rand_slice(rng), rand_slice(rng)) for _ in range(5)]
+        assert rec_loss(pair for pair in pairs) == rec_loss(pairs)
+
     def test_dims_mismatch(self):
         with pytest.raises(ShapeError):
             rec_loss([(Slice2D(np.zeros((1, 2))), Slice2D(np.zeros((2, 1))))])
@@ -180,6 +189,9 @@ class TestTpSmooth:
         coronal = [oracles.tp_smooth_slice(data[:, j, :].astype(np.float64)) for j in range(4)]
         expected = float(np.mean(sagittal + coronal))
         assert tp_smooth_loss(v) == pytest.approx(expected, rel=1e-6)
+        # Exactly the mean over Slice2D copies of the slices.
+        slices = [Slice2D(data[:, :, i]) for i in range(5)] + [Slice2D(data[:, j, :]) for j in range(4)]
+        assert tp_smooth_loss(v) == float(np.mean([tp_smooth_slice(s) for s in slices]))
 
     def test_degenerate_extent_rejected(self):
         v = Volume(np.zeros((1, 3, 3), np.float32), Spacing(1, 1, 1))

@@ -203,6 +203,30 @@ class TestSurfaceDistances:
             assert assd(gt, pred, 1) == pytest.approx(expected[0], abs=1e-9)
             assert mssd(gt, pred, 1) == pytest.approx(expected[1], abs=1e-9)
 
+    def test_queries_only_points_off_the_other_surface(self, monkeypatch):
+        gt = np.zeros((6, 7, 8), np.uint8)
+        pred = np.zeros((6, 7, 8), np.uint8)
+        gt[1:4, 1:5, 1:5] = 1
+        pred[1:4, 2:6, 1:6] = 1
+        queried = []
+        real_tree = isoslice.metrics.cKDTree
+
+        class Tree(real_tree):
+            def query(self, points):
+                queried.append(len(points))
+                return super().query(points)
+
+        monkeypatch.setattr(isoslice.metrics, "cKDTree", Tree)
+        spacing = (0.7, 1.1, 2.3)
+        a, b = lv(gt, Spacing(*spacing)), lv(pred, Spacing(*spacing))
+        surf_gt = {tuple(p) for p in surface_voxels(a, 1)}
+        surf_pred = {tuple(p) for p in surface_voxels(b, 1)}
+        shared = len(surf_gt & surf_pred)
+        assert shared > 0
+        expected = oracles.surface_distances(gt, pred, 1, spacing)
+        assert assd(a, b, 1) == pytest.approx(expected[0], abs=1e-9)
+        assert queried == [len(surf_gt) - shared, len(surf_pred) - shared]
+
     def test_mssd_dominates_assd(self):
         rng = np.random.default_rng(85)
         for _ in range(10):
