@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 from typing import Sequence
 
@@ -20,22 +21,14 @@ import numpy as np
 from . import __version__
 from .errors import IsosliceError, ParameterError
 from .flow import HsParams, estimate_flow, flow_magnitude_stats, save_flow
-from .impute import ImputeConfig, auto_slice_count, impute_volume
-from .losses import (
-    LossWeights,
-    adv_loss,
-    global_disc_loss,
-    loss_report,
-    multitask_loss,
-    rec_loss,
-    tp_smooth_loss,
-)
+from .impute import ImputeConfig, impute_volume
+from .losses import LossWeights, _l1, adv_loss, global_disc_loss, loss_report, multitask_loss, tp_smooth_loss
+from .losses import rec_loss  # noqa: F401  not called here, but bench/tracing.py wraps it
 from .metrics import evaluate
 from .phantom import moving_disk_phantom
 from .volume import (
     Axis,
     LabelVolume,
-    Slice2D,
     Volume,
     decimate,
     export_pgm,
@@ -161,25 +154,22 @@ def cmd_decimate(args: argparse.Namespace, written: list[Path]) -> dict:
 def cmd_impute(args: argparse.Namespace, written: list[Path]) -> dict:
     vol = _load_scalar(args.input)
     labels = _load_labels(args.labels) if args.labels else None
-    n = args.n
-    if n == "auto":
-        n = auto_slice_count(vol.spacing.sz, vol.spacing.sx)
-        if n == 0:
-            print(
-                "note: spacing is already isotropic; copying input unchanged",
-                file=sys.stderr,
-            )
-    cfg = ImputeConfig(n_slices=n, method=args.method, hs=_hs_from_args(args))
-    out_vol, out_labels = impute_volume(vol, labels, cfg)
+    cfg = ImputeConfig(n_slices=args.n, method=args.method, hs=_hs_from_args(args))
+    with warnings.catch_warnings(record=True) as notes:
+        warnings.simplefilter("always", UserWarning)
+        out_vol, out_labels = impute_volume(vol, labels, cfg)
     written.append(Path(args.out))
     save_volume(out_vol, args.out)
     if out_labels is not None:
         written.append(Path(args.out_labels))
         save_volume(out_labels, args.out_labels)
+    for note in notes:
+        print(f"note: {note.message}", file=sys.stderr)
+    z_in, z_out = vol.dims[2], out_vol.dims[2]
     return {
-        "n_per_gap": n,
-        "z_in": vol.dims[2],
-        "z_out": out_vol.dims[2],
+        "n_per_gap": (z_out - z_in) // (z_in - 1),
+        "z_in": z_in,
+        "z_out": z_out,
         "sz_out": out_vol.spacing.sz,
     }
 
@@ -230,9 +220,8 @@ def cmd_loss(args: argparse.Namespace, written: list[Path]) -> dict:
         synth, real = (_load_scalar(p) for p in args.rec)
         if synth.dims != real.dims:
             raise ParameterError("the two --rec volumes must share dims")
-        # One pair at a time: a list would hold 2 x Z float64 copies at once.
-        pairs = ((Slice2D(synth.data[k]), Slice2D(real.data[k])) for k in range(synth.dims[2]))
-        parts["l_rec"] = rec_loss(pairs)
+        # rec_loss's core on the validated volumes' slices, without Slice2D copies.
+        parts["l_rec"] = float(np.mean([_l1(a, b) for a, b in zip(synth.data, real.data)]))
     if args.series_json:
         series = _load_json_file(args.series_json)
         if not isinstance(series, dict):

@@ -19,8 +19,8 @@ so each Jacobi sweep and each median filter is one ndimage call for both.
 Flow semantics are forward for estimation: the field returned by
 ``estimate_flow(i0, i1)`` maps a pixel ``(x, y)`` of ``i0`` to
 ``(x + u, y + v)`` in ``i1``.  Sampling is backward with clamp-to-edge
-bilinear interpolation (see ``impute.backward_warp``): warping ``i1`` by
-that same field reconstructs ``i0``.
+bilinear interpolation by ``_warp_by``, the one backward warp for the solver
+and for ``impute``: warping ``i1`` by that same field reconstructs ``i0``.
 
 The on-disk container ("VFLO") is the volume container with its own magic::
 
@@ -42,6 +42,7 @@ from .errors import FileFormatError, ParameterError, ShapeError
 from .volume import (
     Slice2D,
     _ArrayValue,
+    _as_float,
     _frozen,
     _header_dims,
     _is_int,
@@ -123,10 +124,7 @@ class HsParams:
     warps_per_level: int = 3
 
     def __post_init__(self) -> None:
-        try:
-            alpha = float(self.alpha) if _is_number(self.alpha) else math.nan
-        except OverflowError:  # an integer beyond the float64 range
-            alpha = math.inf
+        alpha = _as_float(self.alpha)
         if not (math.isfinite(alpha) and alpha >= 1e-100):
             raise ParameterError(f"alpha={self.alpha!r} must be a finite number of at least 1e-100")
         object.__setattr__(self, "alpha", alpha)
@@ -167,7 +165,7 @@ def sample_bilinear(arr: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarr
 
 
 def _warp_by(arr: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    h, w = arr.shape[1:]
+    h, w = arr.shape[-2:]
     xs = np.arange(w, dtype=np.float64)[None, :] + u
     ys = np.arange(h, dtype=np.float64)[:, None] + v
     return sample_bilinear(arr, xs, ys)
@@ -321,12 +319,22 @@ def compose_intermediate_flow(
     """
     if f01.dims != f10.dims:
         raise ShapeError(f"flow dims {f01.dims} and {f10.dims} differ")
-    if not (np.isfinite(t) and 0.0 <= t <= 1.0):
-        raise ParameterError(f"t={t!r} must lie in [0, 1]")
+    _check_t(t)
+    return tuple(FlowField(*uv) for uv in _compose((f01.u, f01.v), (f10.u, f10.v), t))
+
+
+def _check_t(t: float) -> None:
+    """The position rule of every synthesis entry point: a real number in [0, 1]."""
+    if not (_is_number(t) and 0.0 <= t <= 1.0):
+        raise ParameterError(f"t={t!r} must be a real number in [0, 1]")
+
+
+def _compose(f01: tuple[np.ndarray, np.ndarray], f10: tuple[np.ndarray, np.ndarray], t: float):
+    """The quadratic weights of ``compose_intermediate_flow`` on ``(u, v)`` array pairs."""
     cross = -(1.0 - t) * t
-    ft0 = FlowField(cross * f01.u + t * t * f10.u, cross * f01.v + t * t * f10.v)
     sq = (1.0 - t) * (1.0 - t)
-    ft1 = FlowField(sq * f01.u + cross * f10.u, sq * f01.v + cross * f10.v)
+    ft0 = tuple(cross * a + t * t * b for a, b in zip(f01, f10))
+    ft1 = tuple(sq * a + cross * b for a, b in zip(f01, f10))
     return ft0, ft1
 
 

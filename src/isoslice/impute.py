@@ -5,7 +5,9 @@ position-weighted blend of the two backward-warped endpoints.  Labels travel
 the same way as per-class indicator maps and are decided per pixel by argmax
 (ties go to the lower class id, so background wins).  ``impute_volume``
 applies this between every pair of consecutive axial slices; the original
-slices are carried over untouched.
+slices are carried over untouched.  All synthesis warps with ``flow._warp_by``
+through ``_blend``: the public ``synth_intermediate_*`` check their inputs and
+call it, while ``impute_volume`` checks once and feeds it the solver's arrays.
 
 Label synthesis visits only the classes present in the two bracketing
 slices and keeps a running per-pixel best, so its cost and memory scale with
@@ -36,12 +38,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataValidationError, InsufficientSlicesError, ParameterError, ShapeError
-from .flow import FlowField, HsParams, _pyramid_depth, _solve_stack, compose_intermediate_flow, sample_bilinear
+from .flow import FlowField, HsParams, _check_t, _compose, _pyramid_depth, _solve_stack, _warp_by
 
-# Not called here since gaps solve both directions as one stack, but
-# bench/tracing.py still wraps this name (see ROADMAP item 2).
-from .flow import estimate_flow  # noqa: F401
-from .volume import LabelVolume, Slice2D, Spacing, Volume, _is_int
+# Not called here (gaps solve both directions as one stack and synthesis warps
+# through flow._warp_by), but bench/tracing.py still wraps these (ROADMAP item 2).
+from .flow import compose_intermediate_flow, estimate_flow, sample_bilinear  # noqa: F401
+from .volume import LabelVolume, Slice2D, Spacing, Volume, _as_float, _is_int
 
 METHOD_FLOW = "flow"
 METHOD_LINEAR = "linear"
@@ -88,14 +90,7 @@ def backward_warp(img: Slice2D, flow: FlowField) -> Slice2D:
     """
     if img.dims != flow.dims:
         raise ShapeError(f"image dims {img.dims} and flow dims {flow.dims} differ")
-    return Slice2D(_warp_arr(img.data, flow))
-
-
-def _warp_arr(arr: np.ndarray, flow: FlowField) -> np.ndarray:
-    h, w = arr.shape
-    xs = np.arange(w, dtype=np.float64)[None, :] + flow.u
-    ys = np.arange(h, dtype=np.float64)[:, None] + flow.v
-    return sample_bilinear(arr, xs, ys)
+    return Slice2D(_warp_by(img.data, flow.u, flow.v))
 
 
 def synth_intermediate_slice(
@@ -106,19 +101,16 @@ def synth_intermediate_slice(
         raise ShapeError(
             f"dims differ: slices {i0.dims}/{i1.dims}, flows {ft0.dims}/{ft1.dims}"
         )
-    if not (np.isfinite(t) and 0.0 <= t <= 1.0):
-        raise ParameterError(f"t={t!r} must lie in [0, 1]")
-    return Slice2D(_blend(i0.data, i1.data, (ft0, ft1), t))
+    _check_t(t)
+    return Slice2D(_blend(i0.data, i1.data, ((ft0.u, ft0.v), (ft1.u, ft1.v)), t))
 
 
-def _blend(
-    a: np.ndarray, b: np.ndarray, flows: tuple[FlowField, FlowField] | None, t: float
-) -> np.ndarray:
-    """``(1-t) * warp(a, ft0) + t * warp(b, ft1)``; without flows, the plain blend."""
+def _blend(a: np.ndarray, b: np.ndarray, flows: tuple | None, t: float) -> np.ndarray:
+    """``(1-t) * warp(a, u0, v0) + t * warp(b, u1, v1)``, ``flows`` being ``((u0, v0), (u1, v1))`` or None."""
     if flows is None:
         return (1.0 - t) * a + t * b
     ft0, ft1 = flows
-    return (1.0 - t) * _warp_arr(a, ft0) + t * _warp_arr(b, ft1)
+    return (1.0 - t) * _warp_by(a, *ft0) + t * _warp_by(b, *ft1)
 
 
 def _class_maps(l0: np.ndarray, l1: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
@@ -128,7 +120,7 @@ def _class_maps(l0: np.ndarray, l1: np.ndarray) -> list[tuple[int, np.ndarray, n
 
 def _blend_argmax(
     maps: Iterable[tuple[int, np.ndarray, np.ndarray]],
-    flows: tuple[FlowField, FlowField] | None,
+    flows: tuple | None,
     t: float,
     dtype: np.dtype,
 ) -> np.ndarray:
@@ -182,9 +174,8 @@ def synth_intermediate_label(
     h, w = l0.shape[1:]
     if ft0.dims != (w, h) or ft1.dims != (w, h):
         raise ShapeError(f"flow dims {ft0.dims}/{ft1.dims} do not match label dims {(w, h)}")
-    if not (np.isfinite(t) and 0.0 <= t <= 1.0):
-        raise ParameterError(f"t={t!r} must lie in [0, 1]")
-    return _blend_argmax(zip(range(l0.shape[0]), l0, l1), (ft0, ft1), t, np.intp)
+    _check_t(t)
+    return _blend_argmax(zip(range(l0.shape[0]), l0, l1), ((ft0.u, ft0.v), (ft1.u, ft1.v)), t, np.intp)
 
 
 def auto_slice_count(inter_mm: float, intra_mm: float) -> int:
@@ -193,9 +184,10 @@ def auto_slice_count(inter_mm: float, intra_mm: float) -> int:
     ``floor(inter / intra) - 1``, clamped at zero: already-isotropic (or
     super-resolved) inputs need nothing inserted.
     """
-    if not (np.isfinite(inter_mm) and inter_mm > 0 and np.isfinite(intra_mm) and intra_mm > 0):
-        raise ParameterError(f"spacings must be positive and finite, got {inter_mm!r}, {intra_mm!r}")
-    return max(math.floor(inter_mm / intra_mm) - 1, 0)
+    inter, intra = _as_float(inter_mm), _as_float(intra_mm)
+    if not (0.0 < inter < math.inf and 0.0 < intra < math.inf):
+        raise ParameterError(f"spacings must be positive finite numbers, got {inter_mm!r}, {intra_mm!r}")
+    return max(math.floor(inter / intra) - 1, 0)
 
 
 def _usable_cpus() -> int:
@@ -234,8 +226,8 @@ def impute_volume(
         n = auto_slice_count(v.spacing.sz, v.spacing.sx)
         if n == 0:
             warnings.warn(
-                f"spacing sz={v.spacing.sz} is already within one in-plane step of "
-                f"sx={v.spacing.sx}; nothing to impute",
+                f"spacing sz={v.spacing.sz} is already isotropic, within one in-plane step of "
+                f"sx={v.spacing.sx}; copying the input unchanged",
                 stacklevel=2,
             )
     else:
@@ -273,12 +265,12 @@ def impute_volume(
             a, b = ends[j], ends[j + 1]
             if use_flow:
                 back = len(gaps) + j
-                f01, f10 = FlowField(us[j], vs[j]), FlowField(us[back], vs[back])
+                f01, f10 = (us[j], vs[j]), (us[back], vs[back])
             if out_labels is not None:
                 maps = _class_maps(labels.data[k], labels.data[k + 1])
             for i in range(1, n + 1):
                 t = i / (n + 1)
-                flows = compose_intermediate_flow(f01, f10, t) if use_flow else None
+                flows = _compose(f01, f10, t) if use_flow else None
                 out[k * (n + 1) + i] = _blend(a, b, flows, t)
                 if out_labels is not None:
                     out_labels[k * (n + 1) + i] = _blend_argmax(maps, flows, t, out_labels.dtype)

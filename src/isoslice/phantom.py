@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .impute import MAX_OUTPUT_VOXELS
-from .volume import LabelVolume, Spacing, Volume, _is_int
+from .volume import LabelVolume, Spacing, Volume, _as_float, _is_int
 
 
 class MovingDiskPhantom(NamedTuple):
@@ -41,10 +41,11 @@ def moving_disk_phantom(
         raise ParameterError(f"phantom dims {dims} must all be at least 16")
     if x * y * z > MAX_OUTPUT_VOXELS:
         raise ParameterError(f"phantom dims {dims} exceed the limit of {MAX_OUTPUT_VOXELS} voxels")
-    if not (np.isfinite(radius) and radius >= 2.0):
-        raise ParameterError(f"radius={radius!r} must be at least 2 px")
-    if not np.all(np.isfinite(step)):
-        raise ParameterError(f"step={step!r} must be finite")
+    if not 2.0 <= _as_float(radius) < np.inf:
+        raise ParameterError(f"radius={radius!r} must be a finite number of at least 2 px")
+    pair = isinstance(step, (tuple, list)) and len(step) == 2
+    if not (pair and all(np.isfinite(_as_float(s)) for s in step)):
+        raise ParameterError(f"step={step!r} must be a pair of finite numbers")
     if not _is_int(seed) or seed < 0:
         raise ParameterError(f"seed={seed!r} must be a non-negative integer")
     spacing = spacing or Spacing(1.0, 1.0, 1.0)

@@ -55,9 +55,9 @@ class Spacing:
 
     def __post_init__(self) -> None:
         for name in ("sx", "sy", "sz"):
-            value = float(getattr(self, name))
+            value = _as_float(getattr(self, name))
             if not (np.isfinite(value) and value > 0.0):
-                raise ParameterError(f"spacing {name}={value!r} must be positive and finite")
+                raise ParameterError(f"spacing {name}={getattr(self, name)!r} must be positive and finite")
             object.__setattr__(self, name, value)
 
     def as_tuple(self) -> tuple[float, float, float]:
@@ -80,6 +80,16 @@ def _is_int(value) -> bool:
 def _is_number(value) -> bool:
     """A real number (Python or numpy); ``True`` and ``False`` are not numbers here."""
     return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _as_float(value) -> float:
+    """A real number (see ``_is_number``) as a float, infinite past the float64 range; anything else NaN."""
+    if not _is_number(value):
+        return np.nan
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float64 range
+        return np.inf if value > 0 else -np.inf
 
 
 def _frozen(data, dtype, ndim: int, what: str) -> np.ndarray:
@@ -280,13 +290,11 @@ def _volume_payload_size(header: dict) -> int:
         raise FileFormatError(f"header keys {sorted(header)} differ from {sorted(expected_keys)}")
     x, y, z = _header_dims(header, 3)
     spacing = header["spacing"]
-    if not (isinstance(spacing, list) and len(spacing) == 3) or any(
-        type(s) not in (int, float) for s in spacing
-    ):
+    if not (isinstance(spacing, list) and len(spacing) == 3):
         raise FileFormatError(f"spacing must be three JSON numbers, got {spacing!r}")
     try:
         Spacing(*spacing)
-    except (OverflowError, ParameterError) as exc:
+    except ParameterError as exc:
         raise FileFormatError(f"bad spacing: {exc}") from exc
     itemsize = _DTYPE_TAGS[tag].itemsize
     if tag != "f32":

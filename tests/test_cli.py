@@ -97,6 +97,13 @@ class TestImpute:
         result = run_cli("impute", "--in", in_path, "--out", out, "--n", 0)
         assert payload(result)["z_out"] == 8
         assert out.read_bytes() == in_path.read_bytes()
+        assert result.stderr == ""  # an explicit 0 is no note
+
+    def test_auto_n_reports_the_library_count_without_a_note(self, tmp_path, ramp_volume):
+        in_path, _ = ramp_volume  # sz=4, sx=1
+        result = run_cli("impute", "--in", in_path, "--out", tmp_path / "o.vvol", "--method", "linear")
+        assert payload(result) == {"n_per_gap": 3, "sz_out": 1.0, "z_in": 8, "z_out": 29}
+        assert result.stderr == ""
 
     def test_linear_matches_library(self, tmp_path, ramp_volume):
         in_path, v = ramp_volume
@@ -187,6 +194,32 @@ class TestImpute:
             "5e400b787c0821eb5c0bc85a394b54e48c51517ce6e65babba44126042dfa288"
         )
 
+    def test_linear_output_bytes_match_recorded_hash(self, tmp_path):
+        """Any rewrite of linear synthesis or label argmax must reproduce these files byte for byte."""
+        rng = np.random.default_rng(106)
+        shape = (5, 18, 22)
+        image = rng.random(shape).astype(np.float32)
+        labels = np.zeros(shape, np.uint8)
+        for cid in range(1, 7):
+            z, y, x = (int(rng.integers(0, n - 2)) for n in shape)
+            dz, dy, dx = (int(rng.integers(2, 9)) for _ in shape)
+            labels[z : z + dz, y : y + dy, x : x + dx] = cid
+        spacing = Spacing(0.7, 0.7, 2.5)
+        vol, lab = tmp_path / "v.vvol", tmp_path / "l.vvol"
+        save_volume(Volume(image, spacing), vol)
+        save_volume(LabelVolume(labels, spacing, 9), lab)  # class 7 and 8 declared but absent
+        out, out_labels = tmp_path / "o.vvol", tmp_path / "ol.vvol"
+        payload(run_cli(
+            "impute", "--in", vol, "--labels", lab, "--out", out, "--out-labels", out_labels,
+            "--method", "linear", "--n", 2,
+        ))
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "f6d18e34d828e09ab4ac2c6a244b9ebec5053d20a912d0c0949ddadbd5153823"
+        )
+        assert hashlib.sha256(out_labels.read_bytes()).hexdigest() == (
+            "164cd692639b4637b386b99b13ce543dd6739daa5e30b44fb8eb9f52a8999273"
+        )
+
     def test_labels_without_out_labels_is_usage_error(self, tmp_path, ramp_volume):
         in_path, _ = ramp_volume
         result = run_cli(
@@ -218,7 +251,9 @@ class TestImpute:
         result = run_cli("impute", "--in", path, "--out", out, "--n", "auto")
         data = payload(result)  # stdout stays pure JSON
         assert data["n_per_gap"] == 0
-        assert "isotropic" in result.stderr
+        assert len(result.stdout.splitlines()) == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("note: ") and "isotropic" in lines[0], result.stderr
         assert out.read_bytes() == path.read_bytes()
 
 
@@ -441,6 +476,21 @@ class TestLoss:
         save_volume(b, pb)
         report = payload(run_cli("loss", "--rec", pa, pb))
         assert report["l_rec"] == 1.0
+
+    def test_volume_and_rec_stdout_match_recorded_hash(self, tmp_path):
+        """Any rewrite of the smoothness or reconstruction terms must reproduce this stdout byte for byte."""
+        rng = np.random.default_rng(107)
+        spacing = Spacing(1.0, 1.0, 3.0)
+        synth = Volume(rng.random((6, 14, 17)).astype(np.float32), spacing)
+        real = Volume(rng.normal(0.5, 0.3, (6, 14, 17)).astype(np.float32), spacing)
+        ps, pr = tmp_path / "s.vvol", tmp_path / "r.vvol"
+        save_volume(synth, ps)
+        save_volume(real, pr)
+        result = run_cli("loss", "--volume", ps, "--rec", ps, pr)
+        payload(result)
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+            "a4bb3b14797d063f77e88ca4b66fbb8e57ca3de699688ba2cb47698210bc1611"
+        )
 
     def test_full_series_reports_global_and_multitask(self, tmp_path):
         series = tmp_path / "series.json"

@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 import isoslice.impute as impute_module
 import oracles
+from isoslice.flow import _warp_by
 from isoslice import (
     FlowField,
     HsParams,
@@ -64,6 +65,18 @@ class TestBackwardWarp:
     def test_dims_mismatch(self):
         with pytest.raises(ShapeError):
             backward_warp(Slice2D(np.zeros((2, 2))), FlowField.zeros((3, 2)))
+
+    def test_one_warp_for_slices_and_stacks(self):
+        """A slice warps bit for bit as it does inside a stack and through the public wrapper."""
+        rng = np.random.default_rng(32)
+        stack = rng.random((3, 9, 7))
+        u = rng.uniform(-4, 4, stack.shape)
+        v = rng.uniform(-4, 4, stack.shape)
+        stacked = _warp_by(stack, u, v)
+        for k in range(len(stack)):
+            alone = _warp_by(stack[k], u[k], v[k])
+            assert alone.tobytes() == stacked[k].tobytes()
+            assert alone.tobytes() == backward_warp(Slice2D(stack[k]), FlowField(u[k], v[k])).data.tobytes()
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(31)
@@ -190,6 +203,22 @@ class TestImputeVolume:
         expected = 0.5 * (v.data[0].astype(np.float64) + v.data[1].astype(np.float64))
         assert np.allclose(out.data[1], expected, atol=1e-6)
         assert out.spacing.sz == pytest.approx(1.0)
+
+    def test_flow_gaps_build_no_flow_field(self, monkeypatch):
+        """The gap loop hands the solver's arrays straight to synthesis, with no FlowField per t."""
+        built = []
+        post_init = FlowField.__post_init__
+
+        def spy(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(FlowField, "__post_init__", spy)
+        FlowField.zeros((2, 2))
+        assert len(built) == 1  # the spy sees every FlowField
+        ph = moving_disk_phantom(dims=(32, 24, 16), radius=5.0, step=(0.75, 0.25), seed=5)
+        impute_volume(decimate(ph.volume, 4), decimate(ph.labels, 4), ImputeConfig(n_slices=3, method="flow"))
+        assert len(built) == 1
 
     def test_counting_identity_z3_n2(self):
         rng = np.random.default_rng(41)

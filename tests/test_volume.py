@@ -14,11 +14,14 @@ from isoslice import (
     HsParams,
     ImputeConfig,
     LabelVolume,
+    LossWeights,
     ParameterError,
     Slice2D,
     Spacing,
     TruncatedPayloadError,
     Volume,
+    auto_slice_count,
+    compose_intermediate_flow,
     decimate,
     export_pgm,
     extract_slice,
@@ -26,6 +29,8 @@ from isoslice import (
     moving_disk_phantom,
     one_hot_stack,
     save_volume,
+    synth_intermediate_label,
+    synth_intermediate_slice,
 )
 
 GOLDEN_F32 = (
@@ -222,6 +227,23 @@ class TestFileFormat:
         assert load_volume(tmp_path / "np.vvol") == lv
 
 
+ZERO_FLOW = FlowField.zeros((3, 2))
+ONE_HOT = one_hot_stack(np.zeros((2, 3), np.uint8), 2)
+# Real-valued parameters at the public boundaries, each called with one value.
+REAL_PARAMETERS = {
+    "auto-slice-count": lambda x: auto_slice_count(x, 1.0),
+    "spacing": lambda x: Spacing(x, 1.0, 1.0),
+    "loss-weight": lambda x: LossWeights(lambda_rec=x),
+    "phantom-radius": lambda x: moving_disk_phantom(radius=x),
+    "phantom-step": lambda x: moving_disk_phantom(step=(x, 0.0)),
+    "compose-t": lambda x: compose_intermediate_flow(ZERO_FLOW, ZERO_FLOW, x),
+    "synth-slice-t": lambda x: synth_intermediate_slice(
+        Slice2D(np.zeros((2, 3))), Slice2D(np.zeros((2, 3))), ZERO_FLOW, ZERO_FLOW, x
+    ),
+    "synth-label-t": lambda x: synth_intermediate_label(ONE_HOT, ONE_HOT, ZERO_FLOW, ZERO_FLOW, x),
+}
+
+
 class TestTypes:
     def test_spacing_must_be_positive(self):
         with pytest.raises(ParameterError):
@@ -274,6 +296,12 @@ class TestTypes:
     def test_counts_must_be_integers_not_booleans(self, make):
         with pytest.raises(ParameterError):
             make()
+
+    @pytest.mark.parametrize("value", ["1", None, True], ids=["str", "none", "bool"])
+    @pytest.mark.parametrize("make", list(REAL_PARAMETERS.values()), ids=list(REAL_PARAMETERS))
+    def test_real_parameters_refuse_strings_none_and_booleans(self, make, value):
+        with pytest.raises(ParameterError):
+            make(value)
 
 
 GRID = np.arange(6.0).reshape(2, 3)
