@@ -21,6 +21,7 @@ Flow semantics are forward for estimation: the field returned by
 ``(x + u, y + v)`` in ``i1``.  Sampling is backward with clamp-to-edge
 bilinear interpolation by ``_warp_by``, the one backward warp for the solver
 and for ``impute``: warping ``i1`` by that same field reconstructs ``i0``.
+Its ``_corners`` and ``_bilerp`` steps also serve ``impute``'s label vote.
 
 The on-disk container ("VFLO") is the volume container with its own magic::
 
@@ -144,6 +145,11 @@ def sample_bilinear(arr: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarr
     positions broadcast against (B, ...) and slice ``b`` is sampled at
     ``xs[b], ys[b]``; each slice's samples equal a 2-D call on that slice.
     """
+    return _bilerp(*_corners(arr, xs, ys))
+
+
+def _corners(arr: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+    """``arr`` at the clamped corners (top-left, top-right, bottom-left, bottom-right), and ``wx``, ``wy``."""
     h, w = arr.shape[-2:]
     xs = np.clip(xs, 0.0, w - 1.0)
     ys = np.clip(ys, 0.0, h - 1.0)
@@ -151,12 +157,22 @@ def sample_bilinear(arr: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarr
     y0 = np.floor(ys).astype(np.intp)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
-    wx = xs - x0
-    wy = ys - y0
     lead = (np.arange(arr.shape[0])[:, None, None],) if arr.ndim == 3 else ()
-    top = arr[(*lead, y0, x0)] * (1.0 - wx) + arr[(*lead, y0, x1)] * wx
-    bottom = arr[(*lead, y1, x0)] * (1.0 - wx) + arr[(*lead, y1, x1)] * wx
+    return [arr[(*lead, y, x)] for y in (y0, y1) for x in (x0, x1)], xs - x0, ys - y0
+
+
+def _bilerp(corners: list, wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
+    """The bilinear sum over ``_corners``'s values and weights."""
+    c00, c01, c10, c11 = corners
+    top = c00 * (1.0 - wx) + c01 * wx
+    bottom = c10 * (1.0 - wx) + c11 * wx
     return top * (1.0 - wy) + bottom * wy
+
+
+def _displaced(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel positions ``(x + u, y + v)`` of a backward warp by ``(u, v)``."""
+    h, w = u.shape[-2:]
+    return np.arange(w, dtype=np.float64)[None, :] + u, np.arange(h, dtype=np.float64)[:, None] + v
 
 
 # The solver's helpers below work on (B, H, W) stacks of independent
@@ -165,10 +181,7 @@ def sample_bilinear(arr: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarr
 
 
 def _warp_by(arr: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    h, w = arr.shape[-2:]
-    xs = np.arange(w, dtype=np.float64)[None, :] + u
-    ys = np.arange(h, dtype=np.float64)[:, None] + v
-    return sample_bilinear(arr, xs, ys)
+    return sample_bilinear(arr, *_displaced(u, v))
 
 
 def _central_gradients(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

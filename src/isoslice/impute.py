@@ -1,19 +1,19 @@
 """Slice synthesis and through-plane imputation.
 
 A synthetic slice at position ``t`` between two bracketing slices is the
-position-weighted blend of the two backward-warped endpoints.  Labels travel
-the same way as per-class indicator maps and are decided per pixel by argmax
-(ties go to the lower class id, so background wins).  ``impute_volume``
-applies this between every pair of consecutive axial slices; the original
-slices are carried over untouched.  All synthesis warps with ``flow._warp_by``
-through ``_blend``: the public ``synth_intermediate_*`` check their inputs and
-call it, while ``impute_volume`` checks once and feeds it the solver's arrays.
+position-weighted blend of the two backward-warped endpoints (``_blend``,
+warping with ``flow._warp_by``).  Labels travel the same way: each pixel
+takes the class whose warped and blended indicator map is largest (ties go
+to the lower class id, so background wins).  ``impute_volume`` applies this
+between every pair of consecutive axial slices and carries the original
+slices over untouched.  The public ``synth_intermediate_*`` check their
+inputs; ``impute_volume`` checks once and passes on the solver's arrays.
 
-Label synthesis visits only the classes present in the two bracketing
-slices and keeps a running per-pixel best, so its cost and memory scale with
-the classes present there, not with the declared class count.  This is
-exact: every blended map is a convex combination of indicators, so an
-absent class is 0.0 everywhere and can never beat a present one.
+Label synthesis is a vote among the ids at each pixel's 8 bilinear corners
+(4 per endpoint), scored with the same operations as their warped and
+blended indicator maps, so its cost and memory follow the slice size, not
+the number of classes present or declared.  This is exact: an id at none of
+the corners scores 0.0 there and can never beat one that is at a corner.
 
 With ``method="flow"`` the gaps are split into contiguous runs, one per
 usable CPU, of at most ``_STACK_PIXELS // (2 * W * H)`` gaps (at least
@@ -22,8 +22,8 @@ one).  A run solves every flow pair ``(a -> b, b -> a)`` of its gaps as one
 own output rows.  The runs go to a thread pool (the flow solver spends most
 of its time in ndimage calls that release the GIL), and fewer, larger solves
 cut the per-call work that holds it.  Output bytes do not depend on the run
-split or the CPU count.  Linear gaps run serially, because threading them
-raised peak memory on a 117-class label volume by about a fifth.
+split or the CPU count.  Linear gaps run serially: on a 117-class label
+volume, threading them saved no time and raised peak memory by about 5%.
 """
 
 from __future__ import annotations
@@ -31,19 +31,36 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataValidationError, InsufficientSlicesError, ParameterError, ShapeError
+from .errors import InsufficientSlicesError, ParameterError, ShapeError
 from .flow import FlowField, HsParams, _check_t, _compose, _pyramid_depth, _solve_stack, _warp_by
-
-# Not called here (gaps solve both directions as one stack and synthesis warps
-# through flow._warp_by), but bench/tracing.py still wraps these (ROADMAP item 2).
-from .flow import compose_intermediate_flow, estimate_flow, sample_bilinear  # noqa: F401
+from .flow import _bilerp, _corners, _displaced
 from .volume import LabelVolume, Slice2D, Spacing, Volume, _as_float, _is_int
+
+# Not called here (gaps solve both directions as one stack, synthesis warps
+# through flow._warp_by and labels vote on id slices), but bench/tracing.py
+# still wraps these and one_hot_stack by name (ROADMAP item 4).
+from .flow import compose_intermediate_flow, estimate_flow, sample_bilinear  # noqa: F401
+
+
+def one_hot_stack(labels: np.ndarray, classes: int) -> np.ndarray:
+    """Expand a 2D integer label slice into a (classes, H, W) indicator stack."""
+    arr = np.asarray(labels)
+    if arr.ndim != 2:
+        raise ParameterError(f"label slice must be 2D, got shape {arr.shape}")
+    if not _is_int(classes) or classes < 1:
+        raise ParameterError(f"classes={classes!r} must be an integer of at least 1")
+    if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= classes):
+        raise ParameterError(f"label ids must lie in 0..{classes - 1}")
+    stack = np.zeros((classes, *arr.shape), dtype=np.float64)
+    for c in range(classes):
+        stack[c] = arr == c
+    return stack
+
 
 METHOD_FLOW = "flow"
 METHOD_LINEAR = "linear"
@@ -113,69 +130,50 @@ def _blend(a: np.ndarray, b: np.ndarray, flows: tuple | None, t: float) -> np.nd
     return (1.0 - t) * _warp_by(a, *ft0) + t * _warp_by(b, *ft1)
 
 
-def _class_maps(l0: np.ndarray, l1: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """``(id, l0 == id, l1 == id)`` for every class present in either id slice, ascending."""
-    return [(int(c), l0 == c, l1 == c) for c in np.union1d(l0, l1)]
+def _vote(l0: np.ndarray, l1: np.ndarray, flows: tuple | None, t: float) -> np.ndarray:
+    """Per-pixel id ``c`` with the largest ``_blend(l0 == c, l1 == c, flows, t)``, ties to the lower id.
 
-
-def _blend_argmax(
-    maps: Iterable[tuple[int, np.ndarray, np.ndarray]],
-    flows: tuple | None,
-    t: float,
-    dtype: np.dtype,
-) -> np.ndarray:
-    """Per-pixel id of the class whose blended map is largest.
-
-    ``maps`` holds ``(id, map0, map1)`` in ascending id order.  One running
-    best value and id are kept per pixel; a later class takes over only where
-    it is strictly greater, which is ``np.argmax``'s lower-id tie rule.
+    Only an id at one of the pixel's 8 bilinear corners (4 per endpoint) can
+    score above 0.0, and one always does, as ``1 - wx`` and ``1 - wy`` are
+    positive.  So where the 8 agree that id wins, and elsewhere each corner
+    id is scored with the very operations of its warped indicator maps.
     """
-    best = ids = None
-    for c, m0, m1 in maps:
-        value = _blend(m0, m1, flows, t)
-        if best is None:
-            best, ids = value, np.full(value.shape, c, dtype=dtype)
-        else:
-            ids[value > best] = c
-            np.maximum(best, value, out=best)
+    s0, s1 = 1.0 - t, t
+    if flows is None:
+        return l0 if s0 > s1 else l1 if s1 > s0 else np.minimum(l0, l1)
+    g0, wx0, wy0 = _corners(l0, *_displaced(*flows[0]))
+    g1, wx1, wy1 = _corners(l1, *_displaced(*flows[1]))
+    ids, corners = g0[0], np.array(g0 + g1)
+    mixed = (corners != ids).any(axis=0)
+    cands = corners[:, mixed]
+    wx0, wy0, wx1, wy1 = (w[mixed] for w in (wx0, wy0, wx1, wy1))
+    scores = np.array([
+        s0 * _bilerp(cands[:4] == c, wx0, wy0) + s1 * _bilerp(cands[4:] == c, wx1, wy1) for c in cands
+    ])
+    ids[mixed] = np.where(scores == scores.max(axis=0), cands, np.iinfo(ids.dtype).max).min(axis=0)
     return ids
-
-
-def one_hot_stack(labels: np.ndarray, classes: int) -> np.ndarray:
-    """Expand a 2D integer label slice into a (classes, H, W) indicator stack."""
-    arr = np.asarray(labels)
-    if arr.ndim != 2:
-        raise ParameterError(f"label slice must be 2D, got shape {arr.shape}")
-    if not _is_int(classes) or classes < 1:
-        raise ParameterError(f"classes={classes!r} must be an integer of at least 1")
-    if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= classes):
-        raise ParameterError(f"label ids must lie in 0..{classes - 1}")
-    stack = np.zeros((classes, *arr.shape), dtype=np.float64)
-    for c in range(classes):
-        stack[c] = arr == c
-    return stack
 
 
 def synth_intermediate_label(
     l0: np.ndarray, l1: np.ndarray, ft0: FlowField, ft1: FlowField, t: float
 ) -> np.ndarray:
-    """Warp and blend two one-hot stacks, then pick the winning class per pixel.
+    """Warp and blend two (H, W) integer id slices, then pick the winning class per pixel.
 
-    ``l0`` and ``l1`` are (classes, H, W) indicator stacks.  Each class map is
-    warped and blended exactly like an image; the result is the argmax over
-    the blended maps, with ties resolved toward the lower class id.
+    ``l0`` and ``l1`` hold class ids as ``LabelVolume`` slices do, not one-hot
+    stacks.  Each class's indicator map is warped and blended exactly like
+    an image; the result is the ``np.intp`` id slice of the largest blended
+    map, ties going to the lower id.  Only ids at a pixel's 8 bilinear
+    corners can win, so the cost does not depend on the class count.
     """
-    l0 = np.asarray(l0, dtype=np.float64)
-    l1 = np.asarray(l1, dtype=np.float64)
-    if l0.ndim != 3 or l1.ndim != 3 or l0.shape != l1.shape or l0.shape[0] == 0:
-        raise ShapeError(f"one-hot stacks must share a (C, H, W) shape, got {l0.shape} and {l1.shape}")
-    if not (np.all(np.isfinite(l0)) and np.all(np.isfinite(l1))):
-        raise DataValidationError("one-hot stacks contain non-finite values")
-    h, w = l0.shape[1:]
-    if ft0.dims != (w, h) or ft1.dims != (w, h):
-        raise ShapeError(f"flow dims {ft0.dims}/{ft1.dims} do not match label dims {(w, h)}")
+    l0, l1 = np.asarray(l0), np.asarray(l1)
+    if l0.ndim != 2 or l0.shape != l1.shape:
+        raise ShapeError(f"id slices must share an (H, W) shape, got {l0.shape} and {l1.shape}")
+    if not all(a.dtype.kind in "iu" and np.can_cast(a.dtype, np.intp) for a in (l0, l1)):
+        raise ParameterError(f"id slices must hold integers that fit np.intp, got {l0.dtype} and {l1.dtype}")
+    if ft0.dims != l0.shape[::-1] or ft1.dims != l0.shape[::-1]:
+        raise ShapeError(f"flow dims {ft0.dims}/{ft1.dims} do not match label dims {l0.shape[::-1]}")
     _check_t(t)
-    return _blend_argmax(zip(range(l0.shape[0]), l0, l1), ((ft0.u, ft0.v), (ft1.u, ft1.v)), t, np.intp)
+    return _vote(l0.astype(np.intp), l1.astype(np.intp), ((ft0.u, ft0.v), (ft1.u, ft1.v)), t)
 
 
 def auto_slice_count(inter_mm: float, intra_mm: float) -> int:
@@ -266,20 +264,19 @@ def impute_volume(
             if use_flow:
                 back = len(gaps) + j
                 f01, f10 = (us[j], vs[j]), (us[back], vs[back])
-            if out_labels is not None:
-                maps = _class_maps(labels.data[k], labels.data[k + 1])
             for i in range(1, n + 1):
                 t = i / (n + 1)
                 flows = _compose(f01, f10, t) if use_flow else None
                 out[k * (n + 1) + i] = _blend(a, b, flows, t)
                 if out_labels is not None:
-                    out_labels[k * (n + 1) + i] = _blend_argmax(maps, flows, t, out_labels.dtype)
+                    out_labels[k * (n + 1) + i] = _vote(labels.data[k], labels.data[k + 1], flows, t)
 
     # Runs share no state and write disjoint rows, and a pair's flow does
     # not depend on its stack, so neither the run split nor the CPU count
-    # can change a byte of the output.  Linear gaps stay serial, one per
-    # run: overlapping their label synthesis raised peak RSS on a 117-class
-    # 256x256 label volume from 110 to 131 MB.
+    # can change a byte of the output.  Linear gaps stay serial, one per run:
+    # on a 117-class 256x256 label volume (2 CPUs) threading them saved no
+    # time (0.018-0.020 s per job, serial 0.016-0.019) and raised peak RSS
+    # from 110 to 116 MB.
     gaps = z - 1
     workers, per_run = 1, 1
     if use_flow:

@@ -46,6 +46,23 @@ def assert_single_error(result):
     assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
 
 
+def box_label_inputs(tmp_path):
+    """A seeded 22x18x5 random image with six box-shaped label classes (nine declared), saved as VVOL."""
+    rng = np.random.default_rng(106)
+    shape = (5, 18, 22)
+    image = rng.random(shape).astype(np.float32)
+    labels = np.zeros(shape, np.uint8)
+    for cid in range(1, 7):
+        z, y, x = (int(rng.integers(0, n - 2)) for n in shape)
+        dz, dy, dx = (int(rng.integers(2, 9)) for _ in shape)
+        labels[z : z + dz, y : y + dy, x : x + dx] = cid
+    spacing = Spacing(0.7, 0.7, 2.5)
+    vol, lab = tmp_path / "v.vvol", tmp_path / "l.vvol"
+    save_volume(Volume(image, spacing), vol)
+    save_volume(LabelVolume(labels, spacing, 9), lab)  # class 7 and 8 declared but absent
+    return vol, lab
+
+
 @pytest.fixture()
 def ramp_volume(tmp_path):
     path = tmp_path / "ramp.vvol"
@@ -196,18 +213,7 @@ class TestImpute:
 
     def test_linear_output_bytes_match_recorded_hash(self, tmp_path):
         """Any rewrite of linear synthesis or label argmax must reproduce these files byte for byte."""
-        rng = np.random.default_rng(106)
-        shape = (5, 18, 22)
-        image = rng.random(shape).astype(np.float32)
-        labels = np.zeros(shape, np.uint8)
-        for cid in range(1, 7):
-            z, y, x = (int(rng.integers(0, n - 2)) for n in shape)
-            dz, dy, dx = (int(rng.integers(2, 9)) for _ in shape)
-            labels[z : z + dz, y : y + dy, x : x + dx] = cid
-        spacing = Spacing(0.7, 0.7, 2.5)
-        vol, lab = tmp_path / "v.vvol", tmp_path / "l.vvol"
-        save_volume(Volume(image, spacing), vol)
-        save_volume(LabelVolume(labels, spacing, 9), lab)  # class 7 and 8 declared but absent
+        vol, lab = box_label_inputs(tmp_path)
         out, out_labels = tmp_path / "o.vvol", tmp_path / "ol.vvol"
         payload(run_cli(
             "impute", "--in", vol, "--labels", lab, "--out", out, "--out-labels", out_labels,
@@ -218,6 +224,21 @@ class TestImpute:
         )
         assert hashlib.sha256(out_labels.read_bytes()).hexdigest() == (
             "164cd692639b4637b386b99b13ce543dd6739daa5e30b44fb8eb9f52a8999273"
+        )
+
+    def test_multiclass_flow_output_bytes_match_recorded_hash(self, tmp_path):
+        """Flow label synthesis over six classes, with a slice at t = 1/2 where votes tie, byte for byte."""
+        vol, lab = box_label_inputs(tmp_path)
+        out, out_labels = tmp_path / "o.vvol", tmp_path / "ol.vvol"
+        payload(run_cli(
+            "impute", "--in", vol, "--labels", lab, "--out", out, "--out-labels", out_labels,
+            "--method", "flow", "--n", 3, "--iterations", 5,
+        ))
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "85fe743d26e831fdd6b884f3a8ec558e9015d5d98c393412f7f23b0dfb33b6c7"
+        )
+        assert hashlib.sha256(out_labels.read_bytes()).hexdigest() == (
+            "e4943b31636322c3887281eb3e883b5d11f10918a136b93f4d04391413bd0546"
         )
 
     def test_labels_without_out_labels_is_usage_error(self, tmp_path, ramp_volume):

@@ -129,37 +129,34 @@ class TestSynthSlice:
 class TestSynthLabel:
     def test_identical_inputs_identity(self):
         labels = np.array([[0, 1], [2, 0]])
-        stack = one_hot_stack(labels, 3)
         zeros = FlowField.zeros((2, 2))
         for t in (0.0, 0.25, 0.5, 1.0):
-            out = synth_intermediate_label(stack, stack, zeros, zeros, t)
+            out = synth_intermediate_label(labels, labels, zeros, zeros, t)
             assert np.array_equal(out, labels)
 
     def test_blend_weight_dominates(self):
         # foreground only in the first input; weight (1 - 0.25) = 0.75 wins
-        l0 = one_hot_stack(np.array([[1]]), 2)
-        l1 = one_hot_stack(np.array([[0]]), 2)
         zeros = FlowField.zeros((1, 1))
-        out = synth_intermediate_label(l0, l1, zeros, zeros, 0.25)
+        out = synth_intermediate_label(np.array([[1]]), np.array([[0]]), zeros, zeros, 0.25)
         assert out[0, 0] == 1
 
     def test_even_tie_goes_to_background(self):
-        l0 = one_hot_stack(np.array([[1]]), 2)
-        l1 = one_hot_stack(np.array([[0]]), 2)
         zeros = FlowField.zeros((1, 1))
-        out = synth_intermediate_label(l0, l1, zeros, zeros, 0.5)
+        out = synth_intermediate_label(np.array([[1]]), np.array([[0]]), zeros, zeros, 0.5)
         assert out[0, 0] == 0
 
-    def test_class_count_mismatch(self):
+    def test_shape_mismatch(self):
         zeros = FlowField.zeros((1, 1))
         with pytest.raises(ShapeError):
-            synth_intermediate_label(
-                one_hot_stack(np.array([[1]]), 2),
-                one_hot_stack(np.array([[1]]), 3),
-                zeros,
-                zeros,
-                0.5,
-            )
+            synth_intermediate_label(np.zeros((1, 1), int), np.zeros((1, 2), int), zeros, zeros, 0.5)
+        with pytest.raises(ShapeError):
+            synth_intermediate_label(np.zeros((1, 1, 1), int), np.zeros((1, 1, 1), int), zeros, zeros, 0.5)
+
+    @pytest.mark.parametrize("dtype", [np.float64, bool])
+    def test_ids_must_be_integers(self, dtype):
+        zeros = FlowField.zeros((1, 1))
+        with pytest.raises(ParameterError):
+            synth_intermediate_label(np.ones((1, 1), dtype), np.zeros((1, 1), int), zeros, zeros, 0.5)
 
     def test_one_hot_roundtrip(self):
         rng = np.random.default_rng(34)
@@ -502,23 +499,30 @@ class TestLabelSynthesisExactness:
         expected = oracles.impute_labels(labels.data, labels.classes, n, flows)
         assert np.array_equal(out.data, expected)
 
-    def test_public_label_synthesis_is_argmax_of_any_stack(self):
-        rng = np.random.default_rng(41)
-        for _ in range(20):
-            c, h, w = rng.integers(1, 6), rng.integers(1, 5), rng.integers(1, 5)
-            # coarse values make exact ties common
-            l0 = rng.integers(0, 3, (c, h, w)) / 2.0
-            l1 = rng.integers(0, 3, (c, h, w)) / 2.0
-            ft0 = FlowField(rng.uniform(-2, 2, (h, w)), rng.uniform(-2, 2, (h, w)))
-            ft1 = FlowField(rng.uniform(-2, 2, (h, w)), rng.uniform(-2, 2, (h, w)))
-            t = float(rng.choice([0.0, 0.25, 0.5, 1.0]))
-            dense = np.stack([
-                (1.0 - t) * oracles.warp_bilinear(l0[k], ft0.u, ft0.v)
-                + t * oracles.warp_bilinear(l1[k], ft1.u, ft1.v)
-                for k in range(c)
-            ])
-            out = synth_intermediate_label(l0, l1, ft0, ft1, t)
-            assert np.array_equal(out, np.argmax(dense, axis=0))
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_public_label_synthesis_is_dense_argmax(self, data):
+        h, w = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        ids = data.draw(st.lists(st.integers(0, 11), min_size=1, max_size=8, unique=True))
+        elements = st.sampled_from(ids)
+        if data.draw(st.booleans()):  # noisy: any id at any pixel
+            l0, l1 = (data.draw(hnp.arrays(np.int64, (h, w), elements=elements)) for _ in "01")
+        else:  # blocky: 2x2 blocks, so neighbouring corners often agree
+            blocks = hnp.arrays(np.int64, (3, 3), elements=elements)
+            l0, l1 = (np.kron(data.draw(blocks), np.ones((2, 2), int))[:h, :w] for _ in "01")
+        # half-pixel flows make corner weights of exactly 1/2, so ties are common
+        halves = hnp.arrays(np.float64, (h, w), elements=st.integers(-6, 6).map(lambda k: k / 2.0))
+        ft0 = FlowField(data.draw(halves), data.draw(halves))
+        ft1 = FlowField(data.draw(halves), data.draw(halves))
+        t = data.draw(st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 1.0]))
+        dense = np.stack([
+            (1.0 - t) * oracles.warp_bilinear((l0 == c).astype(np.float64), ft0.u, ft0.v)
+            + t * oracles.warp_bilinear((l1 == c).astype(np.float64), ft1.u, ft1.v)
+            for c in range(max(ids) + 1)
+        ])
+        out = synth_intermediate_label(l0, l1, ft0, ft1, t)
+        assert out.dtype == np.intp
+        assert np.array_equal(out, np.argmax(dense, axis=0))
 
     def test_cost_follows_present_classes_not_declared(self):
         rng = np.random.default_rng(42)
@@ -542,3 +546,10 @@ class TestLabelSynthesisExactness:
             assert elapsed < 1.0
         assert peaks[4000] < 3 * out_bytes
         assert peaks[4000] < 1.1 * peaks[3]
+        # Flow gaps: about 2600 ids present per slice, nearly every pixel a mixed vote.
+        ids = rng.integers(0, 4096, (2, 64, 64)).astype(np.uint16)
+        v = Volume(rng.random((2, 64, 64)).astype(np.float32), UNIT)
+        hs = HsParams(iterations=1, pyramid_levels=1, warps_per_level=1)
+        started = time.perf_counter()
+        impute_volume(v, LabelVolume(ids, UNIT, 4096), ImputeConfig(n_slices=3, method="flow", hs=hs))
+        assert time.perf_counter() - started < 1.0

@@ -228,7 +228,7 @@ class TestFileFormat:
 
 
 ZERO_FLOW = FlowField.zeros((3, 2))
-ONE_HOT = one_hot_stack(np.zeros((2, 3), np.uint8), 2)
+ID_SLICE = np.zeros((2, 3), np.uint8)
 # Real-valued parameters at the public boundaries, each called with one value.
 REAL_PARAMETERS = {
     "auto-slice-count": lambda x: auto_slice_count(x, 1.0),
@@ -240,7 +240,7 @@ REAL_PARAMETERS = {
     "synth-slice-t": lambda x: synth_intermediate_slice(
         Slice2D(np.zeros((2, 3))), Slice2D(np.zeros((2, 3))), ZERO_FLOW, ZERO_FLOW, x
     ),
-    "synth-label-t": lambda x: synth_intermediate_label(ONE_HOT, ONE_HOT, ZERO_FLOW, ZERO_FLOW, x),
+    "synth-label-t": lambda x: synth_intermediate_label(ID_SLICE, ID_SLICE, ZERO_FLOW, ZERO_FLOW, x),
 }
 
 
