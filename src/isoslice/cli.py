@@ -10,9 +10,11 @@ partial files behind.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 from typing import Sequence
 
@@ -22,8 +24,7 @@ from . import __version__
 from .errors import IsosliceError, ParameterError
 from .flow import HsParams, estimate_flow, flow_magnitude_stats, save_flow
 from .impute import ImputeConfig, impute_volume
-from .losses import LossWeights, _l1, adv_loss, global_disc_loss, loss_report, multitask_loss, tp_smooth_loss
-from .losses import rec_loss  # noqa: F401  not called here, but bench/tracing.py wraps it
+from .losses import LossWeights, adv_loss, global_disc_loss, loss_report, multitask_loss, rec_loss, tp_smooth_loss
 from .metrics import evaluate
 from .phantom import moving_disk_phantom
 from .volume import (
@@ -88,8 +89,6 @@ def _window(text: str) -> tuple[float, float]:
         lo, hi = (float(p) for p in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"window must be two numbers, got {text!r}") from exc
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise argparse.ArgumentTypeError("window LO must be strictly below HI")
     return lo, hi
 
 
@@ -116,12 +115,7 @@ def _load_json_file(path: str):
 
 
 def _hs_from_args(args: argparse.Namespace) -> HsParams:
-    return HsParams(
-        alpha=args.alpha,
-        iterations=args.iterations,
-        pyramid_levels=args.pyramid_levels,
-        warps_per_level=args.warps_per_level,
-    )
+    return HsParams(**{f.name: getattr(args, f.name) for f in fields(HsParams)})
 
 
 def _add_hs_flags(parser: argparse.ArgumentParser) -> None:
@@ -220,8 +214,7 @@ def cmd_loss(args: argparse.Namespace, written: list[Path]) -> dict:
         synth, real = (_load_scalar(p) for p in args.rec)
         if synth.dims != real.dims:
             raise ParameterError("the two --rec volumes must share dims")
-        # rec_loss's core on the validated volumes' slices, without Slice2D copies.
-        parts["l_rec"] = float(np.mean([_l1(a, b) for a, b in zip(synth.data, real.data)]))
+        parts["l_rec"] = rec_loss(zip(synth.data, real.data))
     if args.series_json:
         series = _load_json_file(args.series_json)
         if not isinstance(series, dict):
@@ -259,19 +252,15 @@ def cmd_phantom(args: argparse.Namespace, written: list[Path]) -> dict:
 def cmd_export(args: argparse.Namespace, written: list[Path]) -> dict:
     vol = load_volume(args.input)
     plane = extract_slice(vol, Axis(args.axis), args.index)
-    if args.window is not None:
-        lo, hi = args.window
-    else:
-        lo, hi = float(plane.data.min()), float(plane.data.max())
-        if hi <= lo:
-            hi = lo + 1.0
     written.append(Path(args.out))
-    export_pgm(plane, args.out, lo, hi)
+    lo, hi = export_pgm(plane, args.out, *(args.window or ()))
     w, h = plane.dims
     return {"height": h, "hi": hi, "lo": lo, "width": w}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; ``main`` parses each argv with it."""
     parser = argparse.ArgumentParser(
         prog="isoslice",
         description="Slice imputation, flow estimation, and segmentation scoring over VVOL volumes.",
@@ -329,7 +318,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", choices=("axial", "sagittal", "coronal"), required=True)
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--window", type=_window, help="LO,HI intensity window (default: slice min,max)")
+    p.add_argument(
+        "--window", type=_window, help="LO,HI intensity window (default: slice min,max; min,min+1 if constant)"
+    )
     p.set_defaults(handler=cmd_export)
 
     return parser

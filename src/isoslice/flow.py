@@ -90,11 +90,6 @@ class FlowField(_ArrayValue):
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
 
-    @property
-    def dims(self) -> tuple[int, int]:
-        """(W, H) = (columns, rows)."""
-        return (self.u.shape[1], self.u.shape[0])
-
     @classmethod
     def zeros(cls, dims: tuple[int, int]) -> "FlowField":
         w, h = dims

@@ -22,8 +22,7 @@ one).  A run solves every flow pair ``(a -> b, b -> a)`` of its gaps as one
 own output rows.  The runs go to a thread pool (the flow solver spends most
 of its time in ndimage calls that release the GIL), and fewer, larger solves
 cut the per-call work that holds it.  Output bytes do not depend on the run
-split or the CPU count.  Linear gaps run serially: on a 117-class label
-volume, threading them saved no time and raised peak memory by about 5%.
+split or the CPU count.  Linear gaps run serially (see ``impute_volume``).
 """
 
 from __future__ import annotations
@@ -243,14 +242,11 @@ def impute_volume(
     if use_flow:
         levels = _pyramid_depth((x, y), cfg.hs.pyramid_levels)
     out = np.empty((z_out, y, x), dtype=np.float32)
+    out[:: n + 1] = v.data
     out_labels = None
     if labels is not None:
         out_labels = np.empty((z_out, y, x), dtype=labels.data.dtype)
-
-    for k in range(z):
-        out[k * (n + 1)] = v.data[k]
-        if out_labels is not None:
-            out_labels[k * (n + 1)] = labels.data[k]
+        out_labels[:: n + 1] = labels.data
 
     def fill_run(gaps: range) -> None:
         """Write the n synthetic slices of each gap (k, k+1) in ``gaps`` into their own output rows."""
@@ -276,7 +272,7 @@ def impute_volume(
     # can change a byte of the output.  Linear gaps stay serial, one per run:
     # on a 117-class 256x256 label volume (2 CPUs) threading them saved no
     # time (0.018-0.020 s per job, serial 0.016-0.019) and raised peak RSS
-    # from 110 to 116 MB.
+    # from 110 to 116 MB, over three 30 s `organs-linear` bench runs each.
     gaps = z - 1
     workers, per_run = 1, 1
     if use_flow:

@@ -53,32 +53,25 @@ class LossWeights:
         return cls(**overrides)
 
     def for_term(self, term: str) -> float:
-        return {
-            "l_rec": self.lambda_rec,
-            "l_per": self.lambda_per,
-            "l_warp": self.lambda_warp,
-            "l_smooth": self.lambda_smooth,
-            "l_adv": self.lambda_adv,
-            "l_tp_smooth": self.lambda_tp_smooth,
-        }[term]
+        """The weight of loss term ``l_<name>``, which is field ``lambda_<name>``."""
+        return getattr(self, "lambda_" + term.removeprefix("l_"))
 
 
-def _l1(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean absolute difference in float64, the array core of ``rec_loss`` and ``loss --rec``."""
+def _mean_abs_diff(a: Slice2D | np.ndarray, b: Slice2D | np.ndarray) -> float:
+    """Mean absolute per-pixel difference in float64 of two same-shape slices or 2-D arrays."""
+    a, b = (s.data if isinstance(s, Slice2D) else np.asarray(s) for s in (a, b))
+    if a.ndim != 2 or a.size == 0 or a.shape != b.shape:
+        raise ShapeError(f"slice shapes {a.shape} and {b.shape} must be one non-empty 2-D shape")
     return float(np.mean(np.abs(np.subtract(a, b, dtype=np.float64))))
 
 
-def _mean_abs_diff(a: Slice2D, b: Slice2D) -> float:
-    if a.dims != b.dims:
-        raise ShapeError(f"slice dims {a.dims} and {b.dims} differ")
-    return _l1(a.data, b.data)
-
-
-def rec_loss(pairs: Iterable[tuple[Slice2D, Slice2D]]) -> float:
+def rec_loss(pairs: Iterable[tuple[Slice2D | np.ndarray, Slice2D | np.ndarray]]) -> float:
     """Mean over pairs of the mean absolute per-pixel difference.
 
-    ``pairs`` may be any iterable, a generator included, so a caller need
-    not hold every slice at once.
+    A pair holds two ``Slice2D`` or two same-shape 2-D arrays, such as the
+    axial slices of two loaded volumes; arrays are used as given, without
+    ``Slice2D``'s copy and finiteness check.  ``pairs`` may be any iterable,
+    a generator included, so a caller need not hold every slice at once.
     """
     values = [_mean_abs_diff(a, b) for a, b in pairs]
     if not values:

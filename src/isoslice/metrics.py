@@ -1,11 +1,13 @@
 """Overlap and surface-distance scores between label volumes.
 
 Surfaces are foreground voxels with at least one non-foreground
-6-neighbour, the volume boundary counting as background.  Each surface is
-found inside the class's own bounding box, padded with background: voxels
-outside the box are not in the class, and where the box meets the volume
-edge the pad plays the volume boundary, so the crop gives exactly the
-full-volume surface while its cost follows the class's extent.  Distances
+6-neighbour, the volume boundary counting as background.  Each surface's
+neighbour test runs inside the class's own bounding box, padded with
+background: voxels outside the box are not in the class, and where the box
+meets the volume edge the pad plays the volume boundary, so the crop gives
+exactly the full-volume surface.  Finding the box still compares the whole
+volume with the class id and reduces that mask once, so every surface costs
+a full-volume pass plus work that follows the class's extent.  Distances
 are Euclidean in millimetres over the anisotropic grid and come from a k-d
 tree over the mm-scaled surface points, which is exact (a point on both
 surfaces is at 0.0 without a query); the naive all-pairs computation lives

@@ -23,7 +23,6 @@ class MovingDiskPhantom(NamedTuple):
 
 def moving_disk_phantom(
     dims: tuple[int, int, int] = (64, 64, 33),
-    spacing: Spacing | None = None,
     radius: float = 8.0,
     step: tuple[float, float] = (0.75, 0.0),
     seed: int = 0,
@@ -34,7 +33,8 @@ def moving_disk_phantom(
     radius and 0 outside; the label marks the analytic support ``d < r``.
     ``seed`` picks the start position inside a box that keeps the whole path
     (plus a 2 px margin) in bounds, so equal seeds give identical volumes.
-    A non-finite step or more than ``MAX_OUTPUT_VOXELS`` voxels is refused.
+    Voxels are unit-spaced.  A non-finite step or more than
+    ``MAX_OUTPUT_VOXELS`` voxels is refused.
     """
     x, y, z = dims
     if min(x, y, z) < 16:
@@ -48,8 +48,6 @@ def moving_disk_phantom(
         raise ParameterError(f"step={step!r} must be a pair of finite numbers")
     if not _is_int(seed) or seed < 0:
         raise ParameterError(f"seed={seed!r} must be a non-negative integer")
-    spacing = spacing or Spacing(1.0, 1.0, 1.0)
-
     margin = 2.0
     rng = np.random.default_rng(seed)
     start = []
@@ -75,6 +73,7 @@ def moving_disk_phantom(
         img[k] = (q * q).astype(np.float32)
         lab[k] = d2 < r2
 
+    spacing = Spacing(1.0, 1.0, 1.0)
     return MovingDiskPhantom(
         Volume(img, spacing),
         LabelVolume(lab, spacing, classes=2),

@@ -125,6 +125,11 @@ class _ArrayValue:
             for a, b in pairs
         )
 
+    @property
+    def dims(self) -> tuple[int, ...]:
+        """The first array's shape reversed: (W, H) for a slice or flow, (X, Y, Z) for a volume."""
+        return getattr(self, fields(self)[0].name).shape[::-1]
+
 
 @dataclass(frozen=True, eq=False)
 class Slice2D(_ArrayValue):
@@ -134,11 +139,6 @@ class Slice2D(_ArrayValue):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "data", _frozen(self.data, np.float64, 2, "slice data"))
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        """(W, H) = (columns, rows)."""
-        return (self.data.shape[1], self.data.shape[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,12 +150,6 @@ class Volume(_ArrayValue):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "data", _frozen(self.data, np.float32, 3, "volume data"))
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        """(X, Y, Z)."""
-        z, y, x = self.data.shape
-        return (x, y, z)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,12 +187,6 @@ class LabelVolume(_ArrayValue):
             raise ParameterError(f"classes={classes} does not fit a {8 * dtype.itemsize}-bit payload")
         object.__setattr__(self, "data", _frozen(src, dtype, 3, "label data"))
         object.__setattr__(self, "classes", int(classes))
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        """(X, Y, Z)."""
-        z, y, x = self.data.shape
-        return (x, y, z)
 
 
 AnyVolume = Union[Volume, LabelVolume]
@@ -338,13 +326,7 @@ def extract_slice(v: AnyVolume, axis: Axis, index: int) -> Slice2D:
     extent = v.data.shape[np_axis]
     if not 0 <= index < extent:
         raise BoundsError(f"{axis.value} index {index} outside 0..{extent - 1}")
-    if axis is Axis.AXIAL:
-        plane = v.data[index]
-    elif axis is Axis.SAGITTAL:
-        plane = v.data[:, :, index]
-    else:
-        plane = v.data[:, index, :]
-    return Slice2D(plane)
+    return Slice2D(np.moveaxis(v.data, np_axis, 0)[index])
 
 
 def decimate(v: AnyVolume, stride: int = 4) -> AnyVolume:
@@ -362,17 +344,23 @@ def decimate(v: AnyVolume, stride: int = 4) -> AnyVolume:
     return Volume(kept, spacing)
 
 
-def export_pgm(s: Slice2D, path: str | Path, lo: float | None = None, hi: float | None = None) -> None:
-    """Write ``s`` as a binary PGM (P5, maxval 255).
+def export_pgm(
+    s: Slice2D, path: str | Path, lo: float | None = None, hi: float | None = None
+) -> tuple[float, float]:
+    """Write ``s`` as a binary PGM (P5, maxval 255); return the ``(lo, hi)`` window used.
 
     Intensities are mapped affinely from ``[lo, hi]`` onto 0..255, clamped,
     and rounded half away from zero.  Omitted bounds default to the slice
-    min / max.
+    min / max, and an omitted ``hi`` that would not exceed ``lo`` (a constant
+    slice) becomes ``lo + 1``.  An explicit window that is empty, reversed or
+    not finite raises ParameterError before anything is written.
     """
     if lo is None:
         lo = float(s.data.min())
     if hi is None:
         hi = float(s.data.max())
+        if hi <= lo:
+            hi = lo + 1.0
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ParameterError(f"window lo={lo!r} must be strictly below hi={hi!r}")
     w, h = s.dims
@@ -381,3 +369,4 @@ def export_pgm(s: Slice2D, path: str | Path, lo: float | None = None, hi: float 
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         f.write(pixels.tobytes())
+    return lo, hi

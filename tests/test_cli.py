@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -16,7 +17,7 @@ from isoslice import (
     load_volume,
     save_volume,
 )
-from isoslice.cli import canonical_json
+from isoslice.cli import canonical_json, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -612,6 +613,23 @@ class TestExport:
         assert result.returncode == 0
         assert out.read_bytes().endswith(b"\x00" * 4)
 
+    def test_constant_slice_without_window_reports_unit_window(self, tmp_path):
+        path = tmp_path / "v.vvol"
+        save_volume(Volume(np.full((1, 2, 2), 3.0, np.float32), Spacing(1, 1, 1)), path)
+        out = tmp_path / "s.pgm"
+        result = run_cli("export", "--in", path, "--axis", "axial", "--index", 0, "--out", out)
+        assert payload(result) == {"height": 2, "hi": 4.0, "lo": 3.0, "width": 2}
+        assert out.read_bytes().endswith(b"\x00" * 4)
+
+    def test_reversed_window_is_runtime_error(self, tmp_path, ramp_volume):
+        in_path, _ = ramp_volume
+        out = tmp_path / "s.pgm"
+        result = run_cli(
+            "export", "--in", in_path, "--axis", "axial", "--index", 0, "--out", out, "--window", "3,1",
+        )
+        assert_single_error(result)
+        assert not out.exists()
+
     def test_bad_axis_is_usage_error(self, tmp_path, ramp_volume):
         in_path, _ = ramp_volume
         result = run_cli(
@@ -643,6 +661,22 @@ class TestContract:
         run_cli("decimate", "--in", in_path, "--out", tmp_path / "d.vvol")
         run_cli("impute", "--in", in_path, "--out", tmp_path / "i.vvol", "--n", 1, "--method", "linear")
         assert in_path.read_bytes() == before
+
+    def test_second_main_call_builds_no_parser(self, tmp_path, ramp_volume, monkeypatch, capsys):
+        in_path, _ = ramp_volume
+        argv = ["decimate", "--in", str(in_path), "--out", str(tmp_path / "d.vvol")]
+        assert main(argv) == 0
+        added = []
+        add_argument = argparse._ActionsContainer.add_argument
+
+        def counting(self, *args, **kwargs):
+            added.append(args)
+            return add_argument(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
+        assert main(argv) == 0
+        assert added == []
+        assert capsys.readouterr().out.count("\n") == 2
 
     def test_version_flag(self):
         result = run_cli("--version")

@@ -83,6 +83,20 @@ class TestRecLoss:
         scaled = rec_loss([(Slice2D(3.0 * a.data), Slice2D(3.0 * b.data))])
         assert scaled == pytest.approx(3.0 * base, rel=1e-9)
 
+    def test_array_pairs_equal_slice_pairs(self):
+        rng = np.random.default_rng(65)
+        arrays = [(rng.random((5, 7), np.float32), rng.random((5, 7), np.float32)) for _ in range(3)]
+        assert rec_loss(arrays) == rec_loss((Slice2D(a), Slice2D(b)) for a, b in arrays)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(np.zeros((2, 3)), np.zeros((3, 2))), (np.zeros(4), np.zeros(4)),
+         (np.zeros((1, 2, 2)), np.zeros((1, 2, 2))), (np.zeros((0, 3)), np.zeros((0, 3)))],
+    )
+    def test_array_pairs_need_one_non_empty_2d_shape(self, a, b):
+        with pytest.raises(ShapeError):
+            rec_loss([(a, b)])
+
 
 class TestWarpLoss:
     def test_perfect_inputs_zero(self):

@@ -490,3 +490,15 @@ class TestExportPgm:
     def test_bad_window(self, tmp_path):
         with pytest.raises(ParameterError):
             export_pgm(Slice2D(np.zeros((2, 2))), tmp_path / "x.pgm", lo=1.0, hi=1.0)
+
+    def test_constant_slice_default_window_is_c_to_c_plus_one(self, tmp_path):
+        path = tmp_path / "flat.pgm"
+        assert export_pgm(Slice2D(np.full((2, 3), 2.5)), path) == (2.5, 3.5)
+        assert (self.read_pgm(path)[2] == 0).all()
+
+    def test_returns_the_window_used(self, tmp_path):
+        s = Slice2D(np.array([[2.0, 4.0]]))
+        assert export_pgm(s, tmp_path / "a.pgm") == (2.0, 4.0)
+        assert export_pgm(s, tmp_path / "b.pgm", lo=3.0) == (3.0, 4.0)
+        assert export_pgm(s, tmp_path / "c.pgm", lo=5.0) == (5.0, 6.0)
+        assert export_pgm(s, tmp_path / "d.pgm", -1.0, 1.0) == (-1.0, 1.0)
