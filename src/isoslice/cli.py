@@ -35,6 +35,7 @@ from .volume import (
     export_pgm,
     extract_slice,
     load_volume,
+    pgm_window,
     save_volume,
 )
 
@@ -92,17 +93,11 @@ def _window(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _load_scalar(path: str) -> Volume:
+def _load(path: str, kind: type[Volume] | type[LabelVolume]):
+    """The volume at ``path``; ParameterError unless it is a ``kind``."""
     v = load_volume(path)
-    if not isinstance(v, Volume):
-        raise ParameterError(f"{path}: expected a scalar (f32) volume, found labels")
-    return v
-
-
-def _load_labels(path: str) -> LabelVolume:
-    v = load_volume(path)
-    if not isinstance(v, LabelVolume):
-        raise ParameterError(f"{path}: expected a label (u8/u16) volume, found scalars")
+    if not isinstance(v, kind):
+        raise ParameterError(f"{path}: expected a {kind.__name__}, found a {type(v).__name__}")
     return v
 
 
@@ -146,8 +141,8 @@ def cmd_decimate(args: argparse.Namespace, written: list[Path]) -> dict:
 
 
 def cmd_impute(args: argparse.Namespace, written: list[Path]) -> dict:
-    vol = _load_scalar(args.input)
-    labels = _load_labels(args.labels) if args.labels else None
+    vol = _load(args.input, Volume)
+    labels = _load(args.labels, LabelVolume) if args.labels else None
     cfg = ImputeConfig(n_slices=args.n, method=args.method, hs=_hs_from_args(args))
     with warnings.catch_warnings(record=True) as notes:
         warnings.simplefilter("always", UserWarning)
@@ -171,7 +166,7 @@ def cmd_impute(args: argparse.Namespace, written: list[Path]) -> dict:
 def cmd_flow(args: argparse.Namespace, written: list[Path]) -> dict:
     slices = []
     for path in (args.a, args.b):
-        vol = _load_scalar(path)
+        vol = _load(path, Volume)
         if vol.dims[2] != 1:
             raise ParameterError(f"{path}: flow inputs must be single-slice volumes (Z=1)")
         slices.append(extract_slice(vol, Axis.AXIAL, 0))
@@ -188,8 +183,8 @@ def cmd_flow(args: argparse.Namespace, written: list[Path]) -> dict:
 
 
 def cmd_metrics(args: argparse.Namespace, written: list[Path]) -> dict:
-    gt = _load_labels(args.gt)
-    pred = _load_labels(args.pred)
+    gt = _load(args.gt, LabelVolume)
+    pred = _load(args.pred, LabelVolume)
     report = evaluate(gt, pred).as_dict()
     written.append(Path(args.out_json))
     with open(args.out_json, "w", encoding="utf-8") as f:
@@ -209,9 +204,9 @@ def cmd_loss(args: argparse.Namespace, written: list[Path]) -> dict:
     parts: dict[str, float] = {}
     extras: dict[str, float] = {}
     if args.volume:
-        parts["l_tp_smooth"] = tp_smooth_loss(_load_scalar(args.volume))
+        parts["l_tp_smooth"] = tp_smooth_loss(_load(args.volume, Volume))
     if args.rec:
-        synth, real = (_load_scalar(p) for p in args.rec)
+        synth, real = (_load(p, Volume) for p in args.rec)
         if synth.dims != real.dims:
             raise ParameterError("the two --rec volumes must share dims")
         parts["l_rec"] = rec_loss(zip(synth.data, real.data))
@@ -250,10 +245,10 @@ def cmd_phantom(args: argparse.Namespace, written: list[Path]) -> dict:
 
 
 def cmd_export(args: argparse.Namespace, written: list[Path]) -> dict:
-    vol = load_volume(args.input)
-    plane = extract_slice(vol, Axis(args.axis), args.index)
+    plane = extract_slice(load_volume(args.input), Axis(args.axis), args.index)
+    lo, hi = pgm_window(plane, *(args.window or ()))  # checked before --out is claimed
     written.append(Path(args.out))
-    lo, hi = export_pgm(plane, args.out, *(args.window or ()))
+    export_pgm(plane, args.out, lo, hi)
     w, h = plane.dims
     return {"height": h, "hi": hi, "lo": lo, "width": w}
 

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, ShapeError
+from .errors import DataValidationError, DomainError, ParameterError, ShapeError
 from .flow import FlowField
 from .impute import backward_warp
 from .volume import Slice2D, Volume, _as_float, _is_number
@@ -54,12 +54,24 @@ class LossWeights:
 
     def for_term(self, term: str) -> float:
         """The weight of loss term ``l_<name>``, which is field ``lambda_<name>``."""
+        if term not in LOSS_TERMS:
+            raise ParameterError(f"unknown loss term {term!r}; expected one of {LOSS_TERMS}")
         return getattr(self, "lambda_" + term.removeprefix("l_"))
+
+
+def _plane(s: Slice2D | np.ndarray) -> np.ndarray:
+    """The pixels of a ``Slice2D``, or of an array checked as real and finite."""
+    if isinstance(s, Slice2D):
+        return s.data
+    arr = np.asarray(s)
+    if arr.dtype.kind not in "biuf" or not np.isfinite(arr).all():
+        raise DataValidationError(f"slice arrays must hold finite real numbers, got dtype {arr.dtype}")
+    return arr
 
 
 def _mean_abs_diff(a: Slice2D | np.ndarray, b: Slice2D | np.ndarray) -> float:
     """Mean absolute per-pixel difference in float64 of two same-shape slices or 2-D arrays."""
-    a, b = (s.data if isinstance(s, Slice2D) else np.asarray(s) for s in (a, b))
+    a, b = _plane(a), _plane(b)
     if a.ndim != 2 or a.size == 0 or a.shape != b.shape:
         raise ShapeError(f"slice shapes {a.shape} and {b.shape} must be one non-empty 2-D shape")
     return float(np.mean(np.abs(np.subtract(a, b, dtype=np.float64))))
@@ -68,9 +80,9 @@ def _mean_abs_diff(a: Slice2D | np.ndarray, b: Slice2D | np.ndarray) -> float:
 def rec_loss(pairs: Iterable[tuple[Slice2D | np.ndarray, Slice2D | np.ndarray]]) -> float:
     """Mean over pairs of the mean absolute per-pixel difference.
 
-    A pair holds two ``Slice2D`` or two same-shape 2-D arrays, such as the
-    axial slices of two loaded volumes; arrays are used as given, without
-    ``Slice2D``'s copy and finiteness check.  ``pairs`` may be any iterable,
+    A pair holds two same-shape ``Slice2D`` or 2-D arrays, such as the
+    axial slices of two loaded volumes; arrays are not copied but, like
+    ``Slice2D``, must be real and finite.  ``pairs`` may be any iterable,
     a generator included, so a caller need not hold every slice at once.
     """
     values = [_mean_abs_diff(a, b) for a, b in pairs]
@@ -231,14 +243,12 @@ def multitask_loss(
 def total_loss(parts: Mapping[str, float], weights: LossWeights | None = None) -> float:
     """Weighted sum of the six named terms; missing terms count as 0."""
     weights = weights or LossWeights()
-    unknown = set(parts) - set(LOSS_TERMS)
-    if unknown:
-        raise ParameterError(f"unknown loss terms: {sorted(unknown)}")
     total = 0.0
     for term, value in parts.items():
+        weight = weights.for_term(term)
         if not math.isfinite(value):
             raise ParameterError(f"{term}={value!r} must be finite")
-        total += weights.for_term(term) * float(value)
+        total += weight * float(value)
     if not math.isfinite(total):
         raise ParameterError(f"the weighted total overflows: {total!r}")
     return total

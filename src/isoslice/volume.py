@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from numbers import Real
 from pathlib import Path
 from typing import Callable, Union
@@ -192,12 +192,6 @@ class LabelVolume(_ArrayValue):
 AnyVolume = Union[Volume, LabelVolume]
 
 
-def _dtype_tag(v: AnyVolume) -> str:
-    if isinstance(v, Volume):
-        return "f32"
-    return "u8" if v.data.dtype.itemsize == 1 else "u16"
-
-
 def _header_dims(header: dict, n: int) -> list[int]:
     """The header's ``dims``: ``n`` integers in 1..2**31-1, or FileFormatError."""
     dims = header["dims"]
@@ -257,11 +251,10 @@ def save_volume(v: AnyVolume, path: str | Path) -> None:
     The header JSON keeps a fixed key order (dims, spacing, dtype, classes)
     so identical objects always serialize to identical bytes.
     """
-    x, y, z = v.dims
     header: dict = {
-        "dims": [x, y, z],
-        "spacing": [v.spacing.sx, v.spacing.sy, v.spacing.sz],
-        "dtype": _dtype_tag(v),
+        "dims": list(v.dims),
+        "spacing": list(v.spacing.as_tuple()),
+        "dtype": "f32" if isinstance(v, Volume) else f"u{8 * v.data.dtype.itemsize}",
     }
     if isinstance(v, LabelVolume):
         header["classes"] = v.classes
@@ -337,32 +330,36 @@ def decimate(v: AnyVolume, stride: int = 4) -> AnyVolume:
     """
     if not _is_int(stride) or stride < 2:
         raise ParameterError(f"stride must be an integer >= 2, got {stride!r}")
-    kept = v.data[::stride]
     spacing = Spacing(v.spacing.sx, v.spacing.sy, v.spacing.sz * stride)
-    if isinstance(v, LabelVolume):
-        return LabelVolume(kept, spacing, v.classes)
-    return Volume(kept, spacing)
+    return replace(v, data=v.data[::stride], spacing=spacing)
+
+
+def pgm_window(s: Slice2D, lo: float | None = None, hi: float | None = None) -> tuple[float, float]:
+    """The ``(lo, hi)`` window ``export_pgm`` maps onto 0..255.
+
+    Omitted bounds are the slice min / max, except that a constant slice with
+    both omitted gets ``(c, c + 1)``.  Raises ParameterError unless ``lo < hi``
+    and both are finite.
+    """
+    both_omitted = lo is None and hi is None
+    lo = float(s.data.min()) if lo is None else lo
+    hi = float(s.data.max()) if hi is None else hi
+    if both_omitted and hi == lo:
+        hi = lo + 1.0
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ParameterError(f"window lo={lo!r} must be strictly below hi={hi!r}")
+    return lo, hi
 
 
 def export_pgm(
     s: Slice2D, path: str | Path, lo: float | None = None, hi: float | None = None
 ) -> tuple[float, float]:
-    """Write ``s`` as a binary PGM (P5, maxval 255); return the ``(lo, hi)`` window used.
+    """Write ``s`` as a binary PGM (P5, maxval 255); return the ``pgm_window`` used.
 
-    Intensities are mapped affinely from ``[lo, hi]`` onto 0..255, clamped,
-    and rounded half away from zero.  Omitted bounds default to the slice
-    min / max, and an omitted ``hi`` that would not exceed ``lo`` (a constant
-    slice) becomes ``lo + 1``.  An explicit window that is empty, reversed or
-    not finite raises ParameterError before anything is written.
+    Intensities are mapped affinely from that window onto 0..255, clamped,
+    and rounded half away from zero; a bad window is refused before writing.
     """
-    if lo is None:
-        lo = float(s.data.min())
-    if hi is None:
-        hi = float(s.data.max())
-        if hi <= lo:
-            hi = lo + 1.0
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise ParameterError(f"window lo={lo!r} must be strictly below hi={hi!r}")
+    lo, hi = pgm_window(s, lo, hi)
     w, h = s.dims
     norm = (np.clip(s.data, lo, hi) - lo) / (hi - lo)  # clip first: a tiny window cannot overflow
     pixels = np.floor(norm * 255.0 + 0.5).astype(np.uint8)

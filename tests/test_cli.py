@@ -630,6 +630,16 @@ class TestExport:
         assert_single_error(result)
         assert not out.exists()
 
+    def test_reversed_window_keeps_an_existing_out(self, tmp_path, ramp_volume):
+        in_path, _ = ramp_volume
+        out = tmp_path / "s.pgm"
+        out.write_bytes(b"kept")
+        result = run_cli(
+            "export", "--in", in_path, "--axis", "axial", "--index", 0, "--out", out, "--window", "3,1",
+        )
+        assert_single_error(result)
+        assert out.read_bytes() == b"kept"
+
     def test_bad_axis_is_usage_error(self, tmp_path, ramp_volume):
         in_path, _ = ramp_volume
         result = run_cli(

@@ -6,7 +6,9 @@ from scipy import ndimage
 
 import oracles
 from isoslice import (
+    DataValidationError,
     DomainError,
+    LOSS_TERMS,
     FlowField,
     LossWeights,
     ParameterError,
@@ -96,6 +98,23 @@ class TestRecLoss:
     def test_array_pairs_need_one_non_empty_2d_shape(self, a, b):
         with pytest.raises(ShapeError):
             rec_loss([(a, b)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_arrays_rejected(self, bad):
+        a = np.zeros((2, 2))
+        b = np.zeros((2, 2))
+        b[1, 0] = bad
+        with pytest.raises(DataValidationError):
+            rec_loss([(a, b)])
+        with pytest.raises(DataValidationError):
+            rec_loss([(Slice2D(a), b)])
+
+    @pytest.mark.parametrize(
+        "bad", [np.array([["a", "b"]]), np.zeros((1, 2), complex), np.array([[1.0, None]], object)]
+    )
+    def test_non_real_arrays_rejected(self, bad):
+        with pytest.raises(DataValidationError):
+            rec_loss([(np.zeros((1, 2)), bad)])
 
 
 class TestWarpLoss:
@@ -363,6 +382,15 @@ class TestTotalLoss:
         weights = LossWeights.from_dict({"lambda_adv": 0.5})
         assert total_loss({"l_adv": 1.0}, weights) == pytest.approx(0.5)
         assert weights.lambda_tp_smooth == pytest.approx(0.467)
+
+    @pytest.mark.parametrize("term", ["l_typo", "rec", "lambda_rec", ""])
+    def test_for_term_rejects_non_terms(self, term):
+        with pytest.raises(ParameterError):
+            LossWeights().for_term(term)
+
+    def test_for_term_reads_each_field(self):
+        weights = LossWeights(*range(1, 7))
+        assert [weights.for_term(t) for t in LOSS_TERMS] == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 
     def test_weights_reject_unknown_key(self):
         with pytest.raises(ParameterError):

@@ -500,5 +500,15 @@ class TestExportPgm:
         s = Slice2D(np.array([[2.0, 4.0]]))
         assert export_pgm(s, tmp_path / "a.pgm") == (2.0, 4.0)
         assert export_pgm(s, tmp_path / "b.pgm", lo=3.0) == (3.0, 4.0)
-        assert export_pgm(s, tmp_path / "c.pgm", lo=5.0) == (5.0, 6.0)
         assert export_pgm(s, tmp_path / "d.pgm", -1.0, 1.0) == (-1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "data, lo, hi",
+        [([[2.0, 4.0]], 5.0, None), ([[2.0, 4.0]], 4.0, None), ([[2.0, 4.0]], None, 2.0),
+         ([[2.0, 4.0]], None, 1.0), ([[3.0, 3.0]], 3.0, None), ([[3.0, 3.0]], None, 3.0)],
+    )
+    def test_one_bound_at_or_past_the_data_is_an_empty_window(self, tmp_path, data, lo, hi):
+        path = tmp_path / "x.pgm"
+        with pytest.raises(ParameterError):
+            export_pgm(Slice2D(np.array(data)), path, lo, hi)
+        assert not path.exists()
