@@ -13,8 +13,9 @@ repeated runs on the same inputs are bit-identical.  The solver
 works on (B, H, W) stacks of independent pairs, so ``impute`` solves the
 forward and backward flows of a whole run of gaps in one pass; each pair's
 result is bit-identical to solving it alone, and ``estimate_flow`` is the
-one-pair case.  Inside the solver ``u`` and ``v`` are one (2B, H, W) array,
-so each Jacobi sweep and each median filter is one ndimage call for both.
+one-pair case.  Inside the solver ``a`` over ``b`` and ``u`` over ``v`` are
+each one (2B, H, W) array, so each pyramid level is one ``_downsample`` and
+each Jacobi sweep and median filter is one ndimage call for both.
 
 Flow semantics are forward for estimation: the field returned by
 ``estimate_flow(i0, i1)`` maps a pixel ``(x, y)`` of ``i0`` to
@@ -157,7 +158,7 @@ def _corners(arr: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> tuple[list, np.
 
 
 def _bilerp(corners: list, wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
-    """The bilinear sum over ``_corners``'s values and weights."""
+    """The bilinear sum over ``_corners``'s values and weights, elementwise for any shape."""
     c00, c01, c10, c11 = corners
     top = c00 * (1.0 - wx) + c01 * wx
     bottom = c10 * (1.0 - wx) + c11 * wx
@@ -202,21 +203,20 @@ def _resize_bilinear(arr: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return sample_bilinear(arr, xs[None, None, :], ys[None, :, None])
 
 
-def _normalized(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Copies of the stacks with each pair's joint range mapped onto 0..255.
+def _normalized(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a`` over ``b`` as one (2B, H, W) copy, each pair's joint range mapped onto 0..255.
 
     The data/smoothness balance assumes that scale; the flow itself is scale
-    free.  A constant pair is left as it is.
+    free.  A constant pair gets ``lo = 0`` and ``gain = 1``: it is left as it is.
     """
-    a, b = a.copy(), b.copy()
-    for k in range(len(a)):
-        lo = min(a[k].min(), b[k].min())
-        hi = max(a[k].max(), b[k].max())
-        if hi > lo:
-            gain = 255.0 / (hi - lo)
-            a[k] = (a[k] - lo) * gain
-            b[k] = (b[k] - lo) * gain
-    return a, b
+    ab = np.concatenate((a, b))
+    pairs = ab.reshape(2, len(a), -1)
+    lo, hi = pairs.min(axis=(0, 2)), pairs.max(axis=(0, 2))
+    varied = hi > lo
+    gain = 255.0 / np.where(varied, hi - lo, 255.0)
+    pairs -= np.where(varied, lo, 0.0)[:, None]
+    pairs *= gain[:, None]
+    return ab
 
 
 def _hs_sweeps(a: np.ndarray, b: np.ndarray, uv0: np.ndarray, params: HsParams) -> np.ndarray:
@@ -275,24 +275,21 @@ def _solve_stack(
     against the resolved pyramid depth ``levels`` (see ``_pyramid_depth``);
     slice ``k`` of the result is bit-identical to solving pair ``k`` alone.
     """
-    a, b = _normalized(a, b)
-    a_levels = [a]
-    b_levels = [b]
-    for _ in range(levels - 1):
-        a_levels.append(_downsample(a_levels[-1]))
-        b_levels.append(_downsample(b_levels[-1]))
-
     n = len(a)
-    uv = np.zeros((2 * n, *a_levels[-1].shape[1:]))
-    for a, b in zip(reversed(a_levels), reversed(b_levels)):
-        if uv.shape[1:] != a.shape[1:]:
-            scale_x = a.shape[2] / uv.shape[2]
-            scale_y = a.shape[1] / uv.shape[1]
-            uv = _resize_bilinear(uv, a.shape[1:])
+    pyramid = [_normalized(a, b)]
+    for _ in range(levels - 1):
+        pyramid.append(_downsample(pyramid[-1]))
+
+    uv = np.zeros((2 * n, *pyramid[-1].shape[1:]))
+    for ab in reversed(pyramid):
+        if uv.shape[1:] != ab.shape[1:]:
+            scale_x = ab.shape[2] / uv.shape[2]
+            scale_y = ab.shape[1] / uv.shape[1]
+            uv = _resize_bilinear(uv, ab.shape[1:])
             uv[:n] *= scale_x
             uv[n:] *= scale_y
         for _ in range(params.warps_per_level):
-            uv = _median(_hs_sweeps(a, b, uv, params))
+            uv = _median(_hs_sweeps(ab[:n], ab[n:], uv, params))
     return uv[:n], uv[n:]
 
 
@@ -338,7 +335,7 @@ def _check_t(t: float) -> None:
 
 
 def _compose(f01: tuple[np.ndarray, np.ndarray], f10: tuple[np.ndarray, np.ndarray], t: float):
-    """The quadratic weights of ``compose_intermediate_flow`` on ``(u, v)`` array pairs."""
+    """The quadratic weights of ``compose_intermediate_flow``, elementwise on ``(u, v)`` slices or stacks."""
     cross = -(1.0 - t) * t
     sq = (1.0 - t) * (1.0 - t)
     ft0 = tuple(cross * a + t * t * b for a, b in zip(f01, f10))

@@ -15,14 +15,14 @@ blended indicator maps, so its cost and memory follow the slice size, not
 the number of classes present or declared.  This is exact: an id at none of
 the corners scores 0.0 there and can never beat one that is at a corner.
 
-With ``method="flow"`` the gaps are split into contiguous runs, one per
-usable CPU, of at most ``_STACK_PIXELS // (2 * W * H)`` gaps (at least
-one).  A run solves every flow pair ``(a -> b, b -> a)`` of its gaps as one
-(2g, H, W) stack, then writes its synthetic image and label slices into its
-own output rows.  The runs go to a thread pool (the flow solver spends most
+The gaps are split into contiguous runs of at most ``_STACK_PIXELS // (2 *
+W * H)`` gaps (at least one), with ``method="flow"`` also spread over the
+usable CPUs.  A flow run solves every pair ``(a -> b, b -> a)`` of its g gaps
+as one (2g, H, W) stack; every run synthesizes all its gaps at one ``t`` as
+one (g, H, W) stack.  Flow runs go to a thread pool (the solver spends most
 of its time in ndimage calls that release the GIL), and fewer, larger solves
 cut the per-call work that holds it.  Output bytes do not depend on the run
-split or the CPU count.  Linear gaps run serially (see ``impute_volume``).
+split or the CPU count.  Linear runs go serially (see ``impute_volume``).
 """
 
 from __future__ import annotations
@@ -68,12 +68,13 @@ METHOD_LINEAR = "linear"
 # hostile header spacing or slice count fails before any allocation.
 MAX_OUTPUT_VOXELS = 1 << 30
 
-# Most pixels in one flow solve's (2g, H, W) stack.  Measured on 2 CPUs with
-# the default HsParams: at 64x64, 16 gaps on two threads took 25.5 ms per gap
-# as 1-gap stacks, 22.0 as 2-gap and 20.8 as 4- or 8-gap stacks (2^15-2^16
-# px); at 128x128 and 256x256 the stack size made no difference.  One
-# thread's cost per pixel is lowest from 2^14 to 2^16 px and rises beyond
-# (4.8 to 5.3 us/px at 2^20), while a larger stack only holds more memory.
+# Most pixels in a run's (2g, H, W) stack of gap endpoints, for both methods.
+# Measured for flow on 2 CPUs with the default HsParams: at 64x64, 16 gaps
+# on two threads took 25.5 ms per gap as 1-gap stacks, 22.0 as 2-gap and 20.8
+# as 4- or 8-gap stacks (2^15-2^16 px); at 128x128 and 256x256 the stack size
+# made no difference.  One thread's cost per pixel is lowest from 2^14 to
+# 2^16 px and rises beyond (4.8 to 5.3 us/px at 2^20), while a larger stack
+# only holds more memory.
 _STACK_PIXELS = 1 << 16
 
 
@@ -122,7 +123,7 @@ def synth_intermediate_slice(
 
 
 def _blend(a: np.ndarray, b: np.ndarray, flows: tuple | None, t: float) -> np.ndarray:
-    """``(1-t) * warp(a, u0, v0) + t * warp(b, u1, v1)``, ``flows`` being ``((u0, v0), (u1, v1))`` or None."""
+    """``(1-t) * warp(a, *ft0) + t * warp(b, *ft1)`` on slices or stacks; ``flows`` is ``(ft0, ft1)`` or None."""
     if flows is None:
         return (1.0 - t) * a + t * b
     ft0, ft1 = flows
@@ -135,7 +136,8 @@ def _vote(l0: np.ndarray, l1: np.ndarray, flows: tuple | None, t: float) -> np.n
     Only an id at one of the pixel's 8 bilinear corners (4 per endpoint) can
     score above 0.0, and one always does, as ``1 - wx`` and ``1 - wy`` are
     positive.  So where the 8 agree that id wins, and elsewhere each corner
-    id is scored with the very operations of its warped indicator maps.
+    id is scored with the very operations of its warped indicator maps,
+    elementwise, so ``l0``, ``l1`` and the flows may be slices or stacks.
     """
     s0, s1 = 1.0 - t, t
     if flows is None:
@@ -179,11 +181,12 @@ def auto_slice_count(inter_mm: float, intra_mm: float) -> int:
     """Slices to insert per gap so inter-slice spacing matches in-plane spacing.
 
     ``floor(inter / intra) - 1``, clamped at zero: already-isotropic (or
-    super-resolved) inputs need nothing inserted.
+    super-resolved) inputs need nothing inserted.  Spacings whose ratio
+    overflows raise ParameterError.
     """
     inter, intra = _as_float(inter_mm), _as_float(intra_mm)
-    if not (0.0 < inter < math.inf and 0.0 < intra < math.inf):
-        raise ParameterError(f"spacings must be positive finite numbers, got {inter_mm!r}, {intra_mm!r}")
+    if not (0.0 < inter < math.inf and 0.0 < intra < math.inf and inter / intra < math.inf):
+        raise ParameterError(f"spacings and their ratio must be positive and finite: {inter_mm!r}, {intra_mm!r}")
     return max(math.floor(inter / intra) - 1, 0)
 
 
@@ -249,48 +252,39 @@ def impute_volume(
         out_labels[:: n + 1] = labels.data
 
     def fill_run(gaps: range) -> None:
-        """Write the n synthetic slices of each gap (k, k+1) in ``gaps`` into their own output rows."""
+        """Write the n synthetic slices of every gap (k, k+1) in ``gaps``, one (g, H, W) stack per t."""
+        g = len(gaps)
         ends = v.data[gaps.start : gaps.stop + 1].astype(np.float64)
-        if use_flow:
-            # Every (a -> b) and (b -> a) pair of the run in one solve.
-            fore, aft = ends[:-1], ends[1:]
+        fore, aft = ends[:-1], ends[1:]
+        if use_flow:  # every (a -> b) and (b -> a) pair of the run in one solve
             us, vs = _solve_stack(np.concatenate((fore, aft)), np.concatenate((aft, fore)), cfg.hs, levels)
-        for j, k in enumerate(gaps):
-            a, b = ends[j], ends[j + 1]
-            if use_flow:
-                back = len(gaps) + j
-                f01, f10 = (us[j], vs[j]), (us[back], vs[back])
-            for i in range(1, n + 1):
-                t = i / (n + 1)
-                flows = _compose(f01, f10, t) if use_flow else None
-                out[k * (n + 1) + i] = _blend(a, b, flows, t)
-                if out_labels is not None:
-                    out_labels[k * (n + 1) + i] = _vote(labels.data[k], labels.data[k + 1], flows, t)
+        for i in range(1, n + 1):
+            t = i / (n + 1)
+            flows = _compose((us[:g], vs[:g]), (us[g:], vs[g:]), t) if use_flow else None
+            rows = slice(gaps.start * (n + 1) + i, gaps.stop * (n + 1), n + 1)
+            out[rows] = _blend(fore, aft, flows, t)
+            if labels is not None:
+                ids = labels.data[gaps.start : gaps.stop + 1]
+                out_labels[rows] = _vote(ids[:-1], ids[1:], flows, t)
 
-    # Runs share no state and write disjoint rows, and a pair's flow does
-    # not depend on its stack, so neither the run split nor the CPU count
-    # can change a byte of the output.  Linear gaps stay serial, one per run:
-    # on a 117-class 256x256 label volume (2 CPUs) threading them saved no
-    # time (0.018-0.020 s per job, serial 0.016-0.019) and raised peak RSS
-    # from 110 to 116 MB, over three 30 s `organs-linear` bench runs each.
+    # Runs share no state and write disjoint rows, and a pair's flow and
+    # synthesis do not depend on its stack, so neither the run split nor the
+    # CPU count can change a byte of the output.  Linear runs stay serial: on
+    # a 117-class 256x256 label volume (2 CPUs) threading them saved no time
+    # (0.018-0.020 s per job, serial 0.016-0.019) and raised peak RSS from 110
+    # to 116 MB, over three 30 s `organs-linear` bench runs each.
     gaps = z - 1
-    workers, per_run = 1, 1
-    if use_flow:
-        workers = min(_usable_cpus(), gaps)
-        per_run = max(1, min(math.ceil(gaps / workers), _STACK_PIXELS // (2 * x * y)))
+    workers = min(_usable_cpus(), gaps) if use_flow else 1
+    per_run = max(1, min(math.ceil(gaps / workers), _STACK_PIXELS // (2 * x * y)))
     runs = [range(s, min(s + per_run, gaps)) for s in range(0, gaps, per_run)]
     workers = min(workers, len(runs))
     if workers > 1:
         with ThreadPoolExecutor(workers) as pool:
-            for _ in pool.map(fill_run, runs):
-                pass
+            list(pool.map(fill_run, runs))
     else:
         for run in runs:
             fill_run(run)
 
     spacing = Spacing(v.spacing.sx, v.spacing.sy, v.spacing.sz / (n + 1))
-    result = Volume(out, spacing)
-    result_labels = None
-    if out_labels is not None:
-        result_labels = LabelVolume(out_labels, spacing, labels.classes)
-    return result, result_labels
+    result_labels = None if labels is None else LabelVolume(out_labels, spacing, labels.classes)
+    return Volume(out, spacing), result_labels

@@ -14,7 +14,8 @@ surfaces is at 0.0 without a query); the naive all-pairs computation lives
 in the test suite as the correctness oracle.
 
 The per-class functions refuse a class id that is not an integer in
-``0..classes-1`` with ``ParameterError``.
+``0..classes-1`` with ``ParameterError``, and a spacing that takes a surface
+point or distance past the float64 range with ``DomainError``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ParameterError, ShapeError, UndefinedMetricError
+from .errors import DomainError, ParameterError, ShapeError, UndefinedMetricError
 from .volume import LabelVolume, Spacing, _is_int
 
 
@@ -153,7 +154,10 @@ def _surface_distances(
         raise UndefinedMetricError(
             f"surface distances are undefined: class {class_id} has an empty surface"
         )
-    pts_gt, pts_pred = vox_gt * scale, vox_pred * scale
+    with np.errstate(over="ignore"):
+        pts_gt, pts_pred = vox_gt * scale, vox_pred * scale
+    if not (np.isfinite(pts_gt).all() and np.isfinite(pts_pred).all()):
+        raise DomainError(f"class {class_id}: surface points overflow at spacing {spacing.as_tuple()}")
     # A point on both surfaces is at distance 0.0, so only the others are
     # queried.  Rows are sorted by (z, y, x), so their flat keys are sorted
     # and one searchsorted finds the shared rows.
@@ -169,6 +173,8 @@ def _surface_distances(
     d_gt[~shared_gt] = cKDTree(pts_pred).query(pts_gt[~shared_gt])[0]
     d_pred[~shared_pred] = cKDTree(pts_gt).query(pts_pred[~shared_pred])[0]
     assd_mm = (d_gt.sum() + d_pred.sum()) / (len(d_gt) + len(d_pred))
+    if not np.isfinite(assd_mm):  # an overflowed distance is inf, and so is the mean
+        raise DomainError(f"class {class_id}: surface distances overflow at spacing {spacing.as_tuple()}")
     return float(assd_mm), float(max(d_gt.max(), d_pred.max()))
 
 

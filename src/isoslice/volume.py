@@ -326,11 +326,12 @@ def decimate(v: AnyVolume, stride: int = 4) -> AnyVolume:
     """Keep only axial slices whose index is a multiple of ``stride``.
 
     The through-plane spacing grows by the same factor, which is how a dense
-    volume is made anisotropic for round-trip experiments.
+    volume is made anisotropic for round-trip experiments.  A spacing that
+    overflows raises ParameterError.
     """
     if not _is_int(stride) or stride < 2:
         raise ParameterError(f"stride must be an integer >= 2, got {stride!r}")
-    spacing = Spacing(v.spacing.sx, v.spacing.sy, v.spacing.sz * stride)
+    spacing = Spacing(v.spacing.sx, v.spacing.sy, v.spacing.sz * _as_float(stride))
     return replace(v, data=v.data[::stride], spacing=spacing)
 
 

@@ -156,17 +156,21 @@ class TestImpute:
         assert isinstance(load_volume(out_l), LabelVolume)
 
     def test_hostile_spacing_is_refused_before_writing(self, tmp_path):
-        spacing = Spacing(1e-6, 1e-6, 4.0)
-        save_volume(Volume(np.zeros((3, 32, 32), np.float32), spacing), tmp_path / "v.vvol")
-        save_volume(LabelVolume(np.zeros((3, 32, 32), np.uint8), spacing, 2), tmp_path / "l.vvol")
-        result = run_cli(
-            "impute", "--in", tmp_path / "v.vvol", "--labels", tmp_path / "l.vvol",
-            "--out", tmp_path / "out.vvol", "--out-labels", tmp_path / "out_l.vvol",
-            "--n", "auto", "--method", "linear",
-        )
-        assert_single_error(result)
-        assert "exceeds the limit" in result.stderr
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["l.vvol", "v.vvol"]
+        cases = [
+            (Spacing(1e-6, 1e-6, 4.0), "exceeds the limit"),
+            (Spacing(1e-308, 1e-308, 1e308), "their ratio must be positive and finite: 1e+308, 1e-308"),
+        ]
+        for spacing, message in cases:
+            save_volume(Volume(np.zeros((3, 32, 32), np.float32), spacing), tmp_path / "v.vvol")
+            save_volume(LabelVolume(np.zeros((3, 32, 32), np.uint8), spacing, 2), tmp_path / "l.vvol")
+            result = run_cli(
+                "impute", "--in", tmp_path / "v.vvol", "--labels", tmp_path / "l.vvol",
+                "--out", tmp_path / "out.vvol", "--out-labels", tmp_path / "out_l.vvol",
+                "--n", "auto", "--method", "linear",
+            )
+            assert_single_error(result)
+            assert message in result.stderr
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["l.vvol", "v.vvol"]
 
     def test_too_small_for_pyramid_is_refused_before_writing(self, tmp_path):
         spacing = Spacing(1.0, 1.0, 4.0)
@@ -405,6 +409,19 @@ class TestMetrics:
         save_volume(b, pb)
         result = run_cli("metrics", "--gt", pa, "--pred", pb, "--out-json", tmp_path / "r.json")
         assert result.returncode == 1
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("pitch", [1e308, 1e160])
+    def test_overflowing_spacing_writes_no_report(self, tmp_path, pitch):
+        gt = np.zeros((4, 4, 4), np.uint8)
+        gt[1:3, 1:3, 1:3] = 1
+        pred = np.roll(gt, 1, axis=2)
+        pa, pb = tmp_path / "a.vvol", tmp_path / "b.vvol"
+        save_volume(LabelVolume(gt, Spacing(pitch, pitch, pitch), 2), pa)
+        save_volume(LabelVolume(pred, Spacing(pitch, pitch, pitch), 2), pb)
+        result = run_cli("metrics", "--gt", pa, "--pred", pb, "--out-json", tmp_path / "r.json")
+        assert_single_error(result)
+        assert "overflow" in result.stderr
         assert not (tmp_path / "r.json").exists()
 
 

@@ -21,7 +21,7 @@ from isoslice import (
     load_flow,
     save_flow,
 )
-from isoslice.flow import _pyramid_depth, _solve_stack, sample_bilinear
+from isoslice.flow import _normalized, _pyramid_depth, _solve_stack, sample_bilinear
 
 
 def gaussian_blob(cx, cy, size=64, sigma=8.0):
@@ -195,6 +195,18 @@ class TestStackedSolver:
         for k in range(len(a)):
             assert stacked[k].tobytes() == oracles.warp_bilinear(a[k], du[k], dv[k]).tobytes()
             assert stacked[k].tobytes() == sample_bilinear(a[k], xs[k], ys[k]).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(stacked_pairs())
+    def test_normalization_matches_a_per_pair_loop(self, case):
+        a, b, _ = case
+        ab = _normalized(a, b)
+        for k in range(len(a)):
+            lo, hi = min(a[k].min(), b[k].min()), max(a[k].max(), b[k].max())
+            gain = 255.0 / (hi - lo) if hi > lo else None
+            for got, pixels in ((ab[k], a[k]), (ab[len(a) + k], b[k])):
+                want = pixels if gain is None else (pixels - lo) * gain
+                assert got.tobytes() == want.tobytes()
 
 
 class TestCompose:

@@ -7,7 +7,7 @@ a magic byte.  A reader must return a valid object or raise an
 line and no output file.  The ``loss`` command is given series and weights
 files one change away from a valid pair (or any JSON value) and must either
 print one JSON object or fail that way.  Numeric flags of ``phantom``,
-``impute`` and ``export`` are drawn from any integer or float text; each run
+``impute``, ``export`` and ``decimate`` are drawn from any integer or float text; each run
 must print one JSON object or exit 1 or 2 with one ``error:`` line.
 """
 
@@ -192,6 +192,7 @@ FIXED_ARGS = {
     "phantom": ["--out", "{tmp}/p.vvol", "--out-labels", "{tmp}/l.vvol"],
     "impute": ["--in", "{tmp}/in.vvol", "--out", "{tmp}/o.vvol", "--n", "1", "--method", "flow"],
     "export": ["--in", "{tmp}/in.vvol", "--axis", "axial", "--index", "1", "--out", "{tmp}/o.pgm"],
+    "decimate": ["--in", "{tmp}/in.vvol", "--out", "{tmp}/o.vvol"],
 }
 
 
@@ -207,6 +208,8 @@ def cli_flags(draw) -> list[str]:
         # Sweep and warp counts multiply the run time, so they stay small.
         flags = dict.fromkeys(["iterations", "warps-per-level"], st.integers(0, 3).map(str))
         flags |= {"alpha": NUMBER_TEXT, "pyramid-levels": NUMBER_TEXT | st.just("auto")}
+    elif command == "decimate":
+        flags = {"stride": NUMBER_TEXT}
     else:
         flags = {"window": st.tuples(NUMBER_TEXT, NUMBER_TEXT).map(",".join)}
     drawn = {name: draw(st.none() | values) for name, values in flags.items()}
@@ -217,6 +220,7 @@ def cli_flags(draw) -> list[str]:
 @given(argv=cli_flags())
 @example(argv=["phantom", "--step=nan"])
 @example(argv=["impute", "--alpha=1e-160"])
+@example(argv=["decimate", "--stride=1" + "0" * 400])
 def test_cli_argv_reports_or_fails_cleanly(tmp_path_factory, argv):
     tmp = tmp_path_factory.mktemp("argv")
     (tmp / "in.vvol").write_bytes(GOLDEN_PAIR)

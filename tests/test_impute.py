@@ -185,6 +185,10 @@ class TestAutoSliceCount:
         with pytest.raises(ParameterError):
             auto_slice_count(1.0, -1.0)
 
+    def test_rejects_an_overflowing_ratio(self):
+        with pytest.raises(ParameterError, match="spacings and their ratio"):
+            auto_slice_count(1e308, 1e-308)
+
 
 class TestImputeVolume:
     def two_slice_volume(self, rng, sz=2.0):
@@ -445,6 +449,29 @@ class TestGapWorkers:
         assert all(shape[1:] == (size, size) for shape in stacks)
         # Only a one-gap stack may exceed the cap: a gap's pair is never split.
         assert all(shape[0] == 2 or np.prod(shape) <= impute_module._STACK_PIXELS for shape in stacks)
+
+    def test_each_run_synthesizes_each_t_as_one_stack(self, monkeypatch):
+        calls = []
+        for name in ("_blend", "_vote", "_compose"):
+            real = getattr(impute_module, name)
+
+            def recording(*args, name=name, real=real):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(impute_module, name, recording)
+        monkeypatch.setattr(impute_module, "_usable_cpus", lambda: 2)
+        rng = np.random.default_rng(6)
+        vol = Volume(rng.random((9, 64, 64), dtype=np.float32), UNIT)
+        labels = LabelVolume((vol.data > 0.5).astype(np.uint8), UNIT, 2)
+        hs = HsParams(iterations=1, warps_per_level=1)
+        impute_volume(vol, labels, ImputeConfig(n_slices=3, method="flow", hs=hs))
+        # 8 gaps on 2 CPUs are two runs of 4; each run makes one call per t.
+        assert sorted(calls) == ["_blend"] * 6 + ["_compose"] * 6 + ["_vote"] * 6
+        calls.clear()
+        ph = moving_disk_phantom(dims=(32, 24, 16), radius=5.0, seed=4)
+        impute_volume(ph.volume, cfg=ImputeConfig(n_slices=2, method="linear"))
+        assert calls == ["_blend"] * 2  # 15 small gaps make one run
 
     def test_linear_gaps_stay_serial(self, monkeypatch, pools):
         ph = moving_disk_phantom(dims=(32, 24, 16), radius=5.0, seed=4)

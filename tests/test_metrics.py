@@ -8,6 +8,7 @@ import isoslice.metrics
 import oracles
 from isoslice import (
     ClassScores,
+    DomainError,
     LabelVolume,
     ParameterError,
     ShapeError,
@@ -185,6 +186,17 @@ class TestSurfaceDistances:
         a = single_voxel((0, 0, 0))
         b = single_voxel((3, 4, 0))
         assert mssd(a, b, 1) == pytest.approx(5.0, abs=1e-12)
+
+    @pytest.mark.parametrize(("pitch", "what"), [(1e308, "points"), (1e160, "distances")])
+    def test_overflowing_spacing_is_domain_error(self, pitch, what):
+        spacing = Spacing(pitch, pitch, pitch)
+        a = single_voxel((0, 0, 0), (4, 4, 4), spacing)
+        b = single_voxel((3, 3, 3), (4, 4, 4), spacing)
+        for score in (assd, mssd):
+            with pytest.raises(DomainError, match=f"surface {what} overflow"):
+                score(a, b, 1)
+        with pytest.raises(DomainError, match=f"surface {what} overflow"):
+            evaluate(a, b)
 
     def test_empty_surface_undefined(self):
         empty = lv(np.zeros((4, 4, 4), np.uint8), classes=2)

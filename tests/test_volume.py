@@ -450,6 +450,12 @@ class TestDecimate:
         assert out.classes == 5
         assert out.data.dtype == np.uint16
 
+    @pytest.mark.parametrize(("sz", "stride"), [(1.0, 10**400), (1e300, 10**10)], ids=["huge-stride", "huge-sz"])
+    def test_overflowing_spacing_is_parameter_error(self, sz, stride):
+        v = Volume(np.zeros((3, 2, 2), np.float32), Spacing(1.0, 1.0, sz))
+        with pytest.raises(ParameterError, match="spacing sz=inf"):
+            decimate(v, stride)
+
 
 class TestExportPgm:
     def read_pgm(self, path):
