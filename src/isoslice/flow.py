@@ -13,9 +13,10 @@ repeated runs on the same inputs are bit-identical.  The solver
 works on (B, H, W) stacks of independent pairs, so ``impute`` solves the
 forward and backward flows of a whole run of gaps in one pass; each pair's
 result is bit-identical to solving it alone, and ``estimate_flow`` is the
-one-pair case.  Inside the solver ``a`` over ``b`` and ``u`` over ``v`` are
-each one (2B, H, W) array, so each pyramid level is one ``_downsample`` and
-each Jacobi sweep and median filter is one ndimage call for both.
+one-pair case.  The caller hands the solver ``a`` over ``b`` as one (2B, H,
+W) array, which it normalizes in place, and ``u`` over ``v`` is one such
+array too, so each pyramid level is one ``_downsample`` and each Jacobi
+sweep and median filter is one ndimage call for both.
 
 Flow semantics are forward for estimation: the field returned by
 ``estimate_flow(i0, i1)`` maps a pixel ``(x, y)`` of ``i0`` to
@@ -203,20 +204,19 @@ def _resize_bilinear(arr: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return sample_bilinear(arr, xs[None, None, :], ys[None, :, None])
 
 
-def _normalized(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a`` over ``b`` as one (2B, H, W) copy, each pair's joint range mapped onto 0..255.
+def _normalize(ab: np.ndarray) -> None:
+    """Map each pair's joint range onto 0..255, in place in the (2B, H, W) stack ``ab``.
 
-    The data/smoothness balance assumes that scale; the flow itself is scale
-    free.  A constant pair gets ``lo = 0`` and ``gain = 1``: it is left as it is.
+    Pair ``k`` is slices ``k`` and ``B + k``.  The data/smoothness balance
+    assumes that scale; the flow itself is scale free.  A constant pair gets
+    ``lo = 0`` and ``gain = 1``: it is left as it is.
     """
-    ab = np.concatenate((a, b))
-    pairs = ab.reshape(2, len(a), -1)
+    pairs = ab.reshape(2, len(ab) // 2, -1)
     lo, hi = pairs.min(axis=(0, 2)), pairs.max(axis=(0, 2))
     varied = hi > lo
     gain = 255.0 / np.where(varied, hi - lo, 255.0)
     pairs -= np.where(varied, lo, 0.0)[:, None]
     pairs *= gain[:, None]
-    return ab
 
 
 def _hs_sweeps(a: np.ndarray, b: np.ndarray, uv0: np.ndarray, params: HsParams) -> np.ndarray:
@@ -266,17 +266,18 @@ def _median(arr: np.ndarray) -> np.ndarray:
     return ndimage.median_filter(arr, size=(1, _MEDIAN_SIZE, _MEDIAN_SIZE), mode="nearest")
 
 
-def _solve_stack(
-    a: np.ndarray, b: np.ndarray, params: HsParams, levels: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Forward flows ``(u, v)`` from each slice of stack ``a`` toward the same slice of ``b``.
+def _solve_stack(ab: np.ndarray, params: HsParams, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Forward flows ``(u, v)`` from each source slice of ``ab`` toward its target.
 
-    ``a`` and ``b`` are (B, H, W) float64 stacks of pairs already checked
-    against the resolved pyramid depth ``levels`` (see ``_pyramid_depth``);
-    slice ``k`` of the result is bit-identical to solving pair ``k`` alone.
+    ``ab`` is a (2B, H, W) float64 stack of B pairs, the B sources over the
+    B targets (pair ``k`` is slices ``k`` and ``B + k``), already checked against the resolved pyramid depth ``levels``
+    (see ``_pyramid_depth``); it is normalized in place, so the caller hands
+    it over.  Slice ``k`` of the result is bit-identical to solving pair
+    ``k`` alone.
     """
-    n = len(a)
-    pyramid = [_normalized(a, b)]
+    n = len(ab) // 2
+    _normalize(ab)
+    pyramid = [ab]
     for _ in range(levels - 1):
         pyramid.append(_downsample(pyramid[-1]))
 
@@ -305,7 +306,7 @@ def estimate_flow(i0: Slice2D, i1: Slice2D, params: HsParams | None = None) -> F
     if i0.dims != i1.dims:
         raise ShapeError(f"slice dims {i0.dims} and {i1.dims} differ")
     levels = _pyramid_depth(i0.dims, params.pyramid_levels)
-    u, v = _solve_stack(i0.data[None], i1.data[None], params, levels)
+    u, v = _solve_stack(np.stack((i0.data, i1.data)), params, levels)
     return FlowField(u[0], v[0])
 
 

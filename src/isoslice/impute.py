@@ -18,17 +18,17 @@ the corners scores 0.0 there and can never beat one that is at a corner.
 The gaps are split into contiguous runs of at most ``_STACK_PIXELS // (2 *
 W * H)`` gaps (at least one), with ``method="flow"`` also spread over the
 usable CPUs.  A flow run solves every pair ``(a -> b, b -> a)`` of its g gaps
-as one (2g, H, W) stack; every run synthesizes all its gaps at one ``t`` as
-one (g, H, W) stack.  Flow runs go to a thread pool (the solver spends most
-of its time in ndimage calls that release the GIL), and fewer, larger solves
-cut the per-call work that holds it.  Output bytes do not depend on the run
+in one solve, on its endpoints stacked once as ``(fore, aft, aft, fore)``, a
+(4g, H, W) array of 2g sources over 2g targets; every run synthesizes all
+its gaps at one ``t`` as one (g, H, W) stack.  Flow runs go to a thread
+pool (the solver spends most of its time in ndimage calls that release the
+GIL), and fewer, larger solves cut the per-call work that holds it.  Output bytes do not depend on the run
 split or the CPU count.  Linear runs go serially (see ``impute_volume``).
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -38,7 +38,7 @@ import numpy as np
 from .errors import InsufficientSlicesError, ParameterError, ShapeError
 from .flow import FlowField, HsParams, _check_t, _compose, _pyramid_depth, _solve_stack, _warp_by
 from .flow import _bilerp, _corners, _displaced
-from .volume import LabelVolume, Slice2D, Spacing, Volume, _as_float, _is_int
+from .volume import LabelVolume, Slice2D, Spacing, Volume, _as_float, _is_int, _usable_cpus
 
 # Not called here (gaps solve both directions as one stack, synthesis warps
 # through flow._warp_by and labels vote on id slices), but bench/tracing.py
@@ -190,13 +190,6 @@ def auto_slice_count(inter_mm: float, intra_mm: float) -> int:
     return max(math.floor(inter / intra) - 1, 0)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (all of them where affinity is unknown)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def impute_volume(
     v: Volume,
     labels: LabelVolume | None = None,
@@ -257,7 +250,7 @@ def impute_volume(
         ends = v.data[gaps.start : gaps.stop + 1].astype(np.float64)
         fore, aft = ends[:-1], ends[1:]
         if use_flow:  # every (a -> b) and (b -> a) pair of the run in one solve
-            us, vs = _solve_stack(np.concatenate((fore, aft)), np.concatenate((aft, fore)), cfg.hs, levels)
+            us, vs = _solve_stack(np.concatenate((fore, aft, aft, fore)), cfg.hs, levels)
         for i in range(1, n + 1):
             t = i / (n + 1)
             flows = _compose((us[:g], vs[:g]), (us[g:], vs[g:]), t) if use_flow else None

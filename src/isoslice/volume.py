@@ -92,15 +92,42 @@ def _as_float(value) -> float:
         return np.inf if value > 0 else -np.inf
 
 
-def _frozen(data, dtype, ndim: int, what: str) -> np.ndarray:
-    """A read-only, C-ordered ``dtype`` copy of ``data``.
+def _usable_cpus() -> int:
+    """CPUs this process may run on (all of them where affinity is unknown).
 
-    Raises ParameterError unless the copy is a non-empty ``ndim``-D array,
-    and DataValidationError if a float copy holds non-finite values (values
-    too large for ``dtype`` become infinite in the copy and are refused too).
+    The worker-count rule of every thread pool in the package.
     """
-    with np.errstate(over="ignore"):
-        arr = np.array(data, dtype=dtype, copy=True, order="C")
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _bytes_backed(data, dtype) -> bool:
+    """``data`` is an aligned, C-ordered ``dtype`` array whose memory belongs to a ``bytes`` object."""
+    if not (type(data) is np.ndarray and data.dtype == dtype and data.flags.c_contiguous and data.flags.aligned):
+        return False
+    base = data
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return isinstance(base, bytes)
+
+
+def _frozen(data, dtype, ndim: int, what: str) -> np.ndarray:
+    """A read-only, C-ordered ``dtype`` copy of ``data``, or ``data`` itself if it is bytes-backed.
+
+    An array whose memory belongs to an immutable ``bytes`` object (as
+    ``load_volume``'s payload does) is adopted without a copy: numpy refuses
+    to make it writeable, so no one can change it.  Every other input is
+    copied.  Raises ParameterError unless the result is a non-empty
+    ``ndim``-D array, and DataValidationError if a float result holds
+    non-finite values (values too large for ``dtype`` become infinite in the
+    copy and are refused too).
+    """
+    if _bytes_backed(data, dtype):
+        arr = data
+    else:
+        with np.errstate(over="ignore"):
+            arr = np.array(data, dtype=dtype, copy=True, order="C")
     if arr.ndim != ndim or arr.size == 0:
         raise ParameterError(f"{what} must be a non-empty {ndim}D array, got shape {arr.shape}")
     if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
@@ -327,11 +354,17 @@ def decimate(v: AnyVolume, stride: int = 4) -> AnyVolume:
 
     The through-plane spacing grows by the same factor, which is how a dense
     volume is made anisotropic for round-trip experiments.  A spacing that
-    overflows raises ParameterError.
+    overflows the float64 range raises ParameterError naming the stride and
+    the input spacing.
     """
     if not _is_int(stride) or stride < 2:
         raise ParameterError(f"stride must be an integer >= 2, got {stride!r}")
-    spacing = Spacing(v.spacing.sx, v.spacing.sy, v.spacing.sz * _as_float(stride))
+    sz = v.spacing.sz * _as_float(stride)
+    if not np.isfinite(sz):
+        raise ParameterError(
+            f"stride={stride} times spacing sz={v.spacing.sz!r} gives spacing sz=inf, past the float64 range"
+        )
+    spacing = Spacing(v.spacing.sx, v.spacing.sy, sz)
     return replace(v, data=v.data[::stride], spacing=spacing)
 
 

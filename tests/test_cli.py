@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import isoslice.metrics
 from isoslice import (
     LabelVolume,
     Spacing,
@@ -86,6 +87,16 @@ class TestDecimate:
         result = run_cli("decimate", "--in", in_path, "--out", tmp_path / "x.vvol", "--stride", 1)
         assert result.returncode == 2
         assert result.stdout == ""
+
+    def test_overflowing_stride_names_stride_and_spacing(self, tmp_path, ramp_volume):
+        in_path, _ = ramp_volume
+        out = tmp_path / "x.vvol"
+        stride = "1" + "0" * 400
+        result = run_cli("decimate", "--in", in_path, "--out", out, "--stride", stride)
+        assert_single_error(result)
+        sz = load_volume(in_path).spacing.sz
+        assert f"stride={stride} times spacing sz={sz!r}" in result.stderr
+        assert not out.exists()
 
     def test_missing_input_is_runtime_error(self, tmp_path):
         result = run_cli("decimate", "--in", tmp_path / "nope.vvol", "--out", tmp_path / "x.vvol")
@@ -398,6 +409,41 @@ class TestMetrics:
         save_volume(LabelVolume(pred, spacing, 8), pp)
         out_json = tmp_path / "report.json"
         payload(run_cli("metrics", "--gt", pg, "--pred", pp, "--out-json", out_json))
+        digest = hashlib.sha256(out_json.read_bytes()).hexdigest()
+        assert digest == "33619ddc0e3c923bd19b5b25b3c84093e4346ea44dbabc756ab1e93f77528c95"
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_report_bytes_do_not_depend_on_cpu_count(self, tmp_path, monkeypatch, capsys, cpus):
+        """The recorded report hash above holds however many workers score the classes."""
+        rng = np.random.default_rng(105)
+        shape = (9, 20, 24)
+        gt = np.zeros(shape, np.uint8)
+        for cid in range(1, 5):
+            z, y, x = (int(rng.integers(0, n - 2)) for n in shape)
+            dz, dy, dx = (int(rng.integers(2, 9)) for _ in shape)
+            gt[z : z + dz, y : y + dy, x : x + dx] = cid
+        pred = gt.copy()
+        flips = rng.random(shape) < 0.1
+        pred[flips] = rng.integers(0, 5, int(flips.sum()))
+        gt[0, :3, -4:] = 5
+        pred[-2:, -3:, :2] = 6
+        spacing = Spacing(0.8, 1.1, 3.0)
+        pg, pp = tmp_path / "gt.vvol", tmp_path / "pred.vvol"
+        save_volume(LabelVolume(gt, spacing, 8), pg)
+        save_volume(LabelVolume(pred, spacing, 8), pp)
+        out_json = tmp_path / "report.json"
+        pools = []
+        real_pool = isoslice.metrics.ThreadPoolExecutor
+
+        def pool(workers):
+            pools.append(workers)
+            return real_pool(workers)
+
+        monkeypatch.setattr(isoslice.metrics, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(isoslice.metrics, "ThreadPoolExecutor", pool)
+        assert main(["metrics", "--gt", str(pg), "--pred", str(pp), "--out-json", str(out_json)]) == 0
+        capsys.readouterr()
+        assert pools == ([] if cpus == 1 else [cpus])
         digest = hashlib.sha256(out_json.read_bytes()).hexdigest()
         assert digest == "33619ddc0e3c923bd19b5b25b3c84093e4346ea44dbabc756ab1e93f77528c95"
 

@@ -401,13 +401,13 @@ class TestGapWorkers:
 
     @pytest.fixture()
     def stacks(self, monkeypatch):
-        """(slices, H, W) of every stack ``impute_volume`` hands the flow solver."""
+        """(pairs, H, W) of every stack ``impute_volume`` hands the flow solver."""
         shapes = []
         solve = impute_module._solve_stack
 
-        def recording_solve(a, b, params, levels):
-            shapes.append(a.shape)
-            return solve(a, b, params, levels)
+        def recording_solve(ab, params, levels):
+            shapes.append((len(ab) // 2, *ab.shape[1:]))
+            return solve(ab, params, levels)
 
         monkeypatch.setattr(impute_module, "_solve_stack", recording_solve)
         return shapes

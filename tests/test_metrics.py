@@ -335,21 +335,32 @@ class TestEvaluate:
         gt[2, 2, 2] = 2
         pred[4, 4, 4] = 3  # class 4 is declared but absent from both
         surfaces, trees = [], []
-        real_surface, real_tree = isoslice.metrics.surface_voxels, isoslice.metrics.cKDTree
+        real_surface, real_tree = isoslice.metrics._surface, isoslice.metrics.cKDTree
 
-        def surface(l, cid):
+        def surface(l, cid, box):
             surfaces.append(cid)
-            return real_surface(l, cid)
+            return real_surface(l, cid, box)
 
-        def tree(points):
+        def tree(points, **options):
             trees.append(len(points))
-            return real_tree(points)
+            return real_tree(points, **options)
 
-        monkeypatch.setattr(isoslice.metrics, "surface_voxels", surface)
+        monkeypatch.setattr(isoslice.metrics, "_surface", surface)
         monkeypatch.setattr(isoslice.metrics, "cKDTree", tree)
         evaluate(lv(gt, classes=5), lv(pred, classes=5))
         assert surfaces == [1, 1]
         assert trees == [2, 2]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_first_error_in_class_order_is_raised(self, monkeypatch, cpus):
+        data = np.zeros((12, 12, 12), np.uint8)
+        data[2:11, 2:11, 2:11] = 1  # the largest surface, so its worker tends to finish last
+        data[0, 0, 5] = 2
+        data[0, 0, 8] = 3
+        spacing = Spacing(1e308, 1e308, 1e308)  # every point of classes 1-3 overflows
+        monkeypatch.setattr(isoslice.metrics, "_usable_cpus", lambda: cpus)
+        with pytest.raises(DomainError, match="^class 1: surface points overflow"):
+            evaluate(lv(data, spacing, 4), lv(data, spacing, 4))
 
     def test_cost_does_not_grow_with_declared_classes(self):
         rng = np.random.default_rng(91)

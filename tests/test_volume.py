@@ -245,6 +245,32 @@ REAL_PARAMETERS = {
 
 
 class TestTypes:
+    @pytest.mark.parametrize("dtype", [np.float32, np.uint16])
+    def test_load_adopts_its_payload_without_a_copy(self, tmp_path, dtype):
+        data = (np.arange(64 * 64 * 32).reshape(32, 64, 64) % 7).astype(dtype)
+        path = tmp_path / "big.vvol"
+        save_volume(Volume(data, UNIT) if dtype == np.float32 else LabelVolume(data, UNIT), path)
+        tracemalloc.start()
+        try:
+            v = load_volume(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * data.nbytes
+        assert np.array_equal(v.data, data)
+        with pytest.raises(ValueError):
+            v.data.setflags(write=True)
+
+    def test_caller_arrays_are_still_copied(self):
+        for writeable in (True, False):
+            src = np.zeros((2, 3, 4), np.float32)
+            src.setflags(write=writeable)
+            v = Volume(src, UNIT)
+            assert not np.shares_memory(v.data, src)
+            src.setflags(write=True)
+            src[0, 0, 0] = 5.0
+            assert v.data[0, 0, 0] == 0.0
+
     def test_spacing_must_be_positive(self):
         with pytest.raises(ParameterError):
             Spacing(0.0, 1.0, 1.0)
@@ -455,6 +481,12 @@ class TestDecimate:
         v = Volume(np.zeros((3, 2, 2), np.float32), Spacing(1.0, 1.0, sz))
         with pytest.raises(ParameterError, match="spacing sz=inf"):
             decimate(v, stride)
+
+
+    def test_overflow_names_stride_and_input_spacing(self):
+        v = Volume(np.zeros((3, 2, 2), np.float32), Spacing(1.0, 1.0, 1e300))
+        with pytest.raises(ParameterError, match=r"stride=10000000000 times spacing sz=1e\+300"):
+            decimate(v, 10**10)
 
 
 class TestExportPgm:
