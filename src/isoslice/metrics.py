@@ -316,15 +316,10 @@ def evaluate(gt: LabelVolume, pred: LabelVolume) -> MetricReport:
     def distances(cid: int) -> tuple[float, float]:
         return _surface_distances(gt, pred, cid, gt.spacing, boxes[cid - 1])
 
-    workers = min(_usable_cpus(), len(both))
-    if workers > 1:
-        with ThreadPoolExecutor(workers) as pool:
-            pending = pool.map(distances, both)
-            n_gt, n_pred, inter = _class_counts(gt.data, pred.data, gt.classes)
-            surface = dict(zip(both, pending))
-    else:
+    with ThreadPoolExecutor(max(1, min(_usable_cpus(), len(both)))) as pool:
+        pending = pool.map(distances, both)
         n_gt, n_pred, inter = _class_counts(gt.data, pred.data, gt.classes)
-        surface = {cid: distances(cid) for cid in both}
+        surface = dict(zip(both, pending))
 
     per_class: dict[int, ClassScores] = {}
     for cid in range(1, gt.classes):

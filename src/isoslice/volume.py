@@ -113,18 +113,19 @@ def _bytes_backed(data, dtype) -> bool:
 
 
 def _frozen(data, dtype, ndim: int, what: str) -> np.ndarray:
-    """A read-only, C-ordered ``dtype`` copy of ``data``, or ``data`` itself if it is bytes-backed.
+    """A read-only, C-ordered ``dtype`` copy of ``data``, or a new view of it if it is bytes-backed.
 
     An array whose memory belongs to an immutable ``bytes`` object (as
     ``load_volume``'s payload does) is adopted without a copy: numpy refuses
-    to make it writeable, so no one can change it.  Every other input is
-    copied.  Raises ParameterError unless the result is a non-empty
+    to make it writeable, so no one can change its values, and the result is
+    a new array object, so reshaping the caller's object leaves it as it is.
+    Every other input is copied.  Raises ParameterError unless the result is a non-empty
     ``ndim``-D array, and DataValidationError if a float result holds
     non-finite values (values too large for ``dtype`` become infinite in the
     copy and are refused too).
     """
     if _bytes_backed(data, dtype):
-        arr = data
+        arr = data.view()
     else:
         with np.errstate(over="ignore"):
             arr = np.array(data, dtype=dtype, copy=True, order="C")

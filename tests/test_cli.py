@@ -443,7 +443,7 @@ class TestMetrics:
         monkeypatch.setattr(isoslice.metrics, "ThreadPoolExecutor", pool)
         assert main(["metrics", "--gt", str(pg), "--pred", str(pp), "--out-json", str(out_json)]) == 0
         capsys.readouterr()
-        assert pools == ([] if cpus == 1 else [cpus])
+        assert pools == [cpus]
         digest = hashlib.sha256(out_json.read_bytes()).hexdigest()
         assert digest == "33619ddc0e3c923bd19b5b25b3c84093e4346ea44dbabc756ab1e93f77528c95"
 

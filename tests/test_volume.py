@@ -271,6 +271,21 @@ class TestTypes:
             src[0, 0, 0] = 5.0
             assert v.data[0, 0, 0] == 0.0
 
+    def test_bytes_backed_arrays_are_adopted_as_new_views(self):
+        raw = bytes(24)
+        for src, build in (
+            (np.frombuffer(raw, np.float32).reshape(1, 2, 3), lambda a: Volume(a, UNIT)),
+            (np.frombuffer(raw, np.uint8).reshape(2, 3, 4), lambda a: LabelVolume(a, UNIT)),
+        ):
+            v = build(src)
+            assert np.shares_memory(v.data, src)
+            assert v.data is not src
+            shape = v.data.shape
+            src.shape = (src.size,)  # reshaping the caller's object leaves the volume as it was
+            assert v.data.shape == shape
+            with pytest.raises(ValueError):
+                v.data.setflags(write=True)
+
     def test_spacing_must_be_positive(self):
         with pytest.raises(ParameterError):
             Spacing(0.0, 1.0, 1.0)
