@@ -14,6 +14,7 @@ import functools
 import json
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 from typing import Sequence
@@ -203,13 +204,25 @@ def cmd_loss(args: argparse.Namespace, written: list[Path]) -> dict:
 
     parts: dict[str, float] = {}
     extras: dict[str, float] = {}
-    if args.volume:
-        parts["l_tp_smooth"] = tp_smooth_loss(_load(args.volume, Volume))
-    if args.rec:
-        synth, real = (_load(p, Volume) for p in args.rec)
-        if synth.dims != real.dims:
-            raise ParameterError("the two --rec volumes must share dims")
-        parts["l_rec"] = rec_loss(zip(synth.data, real.data))
+    volume = functools.cache(lambda path: _load(path, Volume))  # each distinct path is read once
+    # The smoothness term runs on a side thread beside the reconstruction
+    # term.  Its result (or error) is taken first, so the parts keep their
+    # order and, should both terms fail, its error is the one reported.
+    smooth = l_rec = None
+    with ThreadPoolExecutor(1) as side:
+        if args.volume:
+            smooth = side.submit(tp_smooth_loss, volume(args.volume))
+        try:
+            if args.rec:
+                synth, real = (volume(p) for p in args.rec)
+                if synth.dims != real.dims:
+                    raise ParameterError("the two --rec volumes must share dims")
+                l_rec = rec_loss(zip(synth.data, real.data))
+        finally:
+            if smooth is not None:
+                parts["l_tp_smooth"] = smooth.result()
+    if l_rec is not None:
+        parts["l_rec"] = l_rec
     if args.series_json:
         series = _load_json_file(args.series_json)
         if not isinstance(series, dict):

@@ -2,7 +2,13 @@
 
 These are evaluators, not training objectives: no gradients, just numbers.
 L1 terms are normalized to per-pixel means so values are resolution
-independent; logs are natural.  Each evaluator is pure and reentrant.
+independent; logs are natural.  Each evaluator is pure and reentrant, so
+callers may run several at once: ``isoslice loss`` computes
+``tp_smooth_loss`` on one side thread while ``rec_loss`` runs on the calling
+thread (numpy releases the GIL in the slice arithmetic).  Array inputs are
+checked finite through their min and max, with no full-size temporary, and
+``tp_smooth_loss`` reads sagittal slices a small block at a time, so its
+extra memory stays a few slices however large the volume.
 
 Term vocabulary (also the JSON report keys): ``l_rec``, ``l_per``,
 ``l_warp``, ``l_smooth``, ``l_adv``, ``l_tp_smooth``.  ``l_per`` needs an
@@ -21,7 +27,7 @@ import numpy as np
 from .errors import DataValidationError, DomainError, ParameterError, ShapeError
 from .flow import FlowField
 from .impute import backward_warp
-from .volume import Slice2D, Volume, _as_float, _is_number
+from .volume import Slice2D, Volume, _all_finite, _as_float, _is_number
 
 LOSS_TERMS = ("l_rec", "l_per", "l_warp", "l_smooth", "l_adv", "l_tp_smooth")
 
@@ -64,7 +70,7 @@ def _plane(s: Slice2D | np.ndarray) -> np.ndarray:
     if isinstance(s, Slice2D):
         return s.data
     arr = np.asarray(s)
-    if arr.dtype.kind not in "biuf" or not np.isfinite(arr).all():
+    if arr.dtype.kind not in "biuf" or not _all_finite(arr):
         raise DataValidationError(f"slice arrays must hold finite real numbers, got dtype {arr.dtype}")
     return arr
 
@@ -151,14 +157,25 @@ def _tp_smooth(arr: np.ndarray) -> float:
     return (horizontal + vertical) / arr.size
 
 
+_SAGITTAL_BLOCK = 8  # sagittal slices gathered per pass over the z-planes
+
+
 def tp_smooth_loss(v: Volume) -> float:
     """Mean of ``tp_smooth_slice`` over every sagittal and coronal slice."""
     x, y, z = v.dims
     if min(x, y, z) < 2:
         raise ParameterError(f"volume extents {v.dims} must all be at least 2")
     # The volume is already validated: each slice only needs Slice2D's
-    # C-ordered float64 copy, not a re-checked Slice2D.
-    values = [_tp_smooth(np.ascontiguousarray(v.data[:, :, i], np.float64)) for i in range(x)]
+    # C-ordered float64 copy, not a re-checked Slice2D.  A sagittal slice is
+    # one column of every z-plane, so a few are gathered at once, each
+    # plane's strip transposed in one copy, instead of column by column.
+    values = []
+    for i in range(0, x, _SAGITTAL_BLOCK):
+        strip = v.data[:, :, i : i + _SAGITTAL_BLOCK]
+        block = np.empty((strip.shape[2], z, y), np.float32)
+        for k, plane in enumerate(strip):
+            block[:, k] = plane.T
+        values += [_tp_smooth(np.ascontiguousarray(s, np.float64)) for s in block]
     values += [_tp_smooth(np.ascontiguousarray(v.data[:, j, :], np.float64)) for j in range(y)]
     return float(np.mean(values))
 

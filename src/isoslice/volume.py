@@ -112,6 +112,15 @@ def _bytes_backed(data, dtype) -> bool:
     return isinstance(base, bytes)
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether a real array holds no NaN or infinity.
+
+    ``min`` and ``max`` propagate NaN and +-inf, so checking the two
+    extremes checks every element without a full-size boolean temporary.
+    """
+    return arr.dtype.kind != "f" or arr.size == 0 or bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
+
+
 def _frozen(data, dtype, ndim: int, what: str) -> np.ndarray:
     """A read-only, C-ordered ``dtype`` copy of ``data``, or a new view of it if it is bytes-backed.
 
@@ -131,7 +140,7 @@ def _frozen(data, dtype, ndim: int, what: str) -> np.ndarray:
             arr = np.array(data, dtype=dtype, copy=True, order="C")
     if arr.ndim != ndim or arr.size == 0:
         raise ParameterError(f"{what} must be a non-empty {ndim}D array, got shape {arr.shape}")
-    if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
+    if not _all_finite(arr):
         raise DataValidationError(f"{what} contains non-finite values")
     arr.setflags(write=False)
     return arr

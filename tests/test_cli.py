@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -576,6 +577,43 @@ class TestLoss:
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
             "a4bb3b14797d063f77e88ca4b66fbb8e57ca3de699688ba2cb47698210bc1611"
         )
+
+    def test_each_distinct_file_is_read_once(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(108)
+        a, b, c = (str(tmp_path / f"{name}.vvol") for name in "abc")
+        for path in (a, b, c):
+            save_volume(Volume(rng.random((3, 4, 5)).astype(np.float32), Spacing(1, 1, 1)), path)
+        reads = []
+
+        def counting_load(path):
+            reads.append(path)
+            return load_volume(path)
+
+        monkeypatch.setattr("isoslice.cli.load_volume", counting_load)
+        for argv, want in (([a, "--rec", a, b], [a, b]), ([a, "--rec", b, c], [a, b, c])):
+            reads.clear()
+            assert main(["loss", "--volume", *argv]) == 0
+            assert sorted(reads) == want
+
+    @pytest.mark.parametrize("case", ["flat-volume-and-missing-rec", "rec-dims-differ"])
+    def test_side_worker_keeps_the_serial_error_order(self, tmp_path, capsys, case):
+        def saved(name, shape):
+            path = tmp_path / name
+            save_volume(Volume(np.zeros(shape, np.float32), Spacing(1, 1, 1)), path)
+            return str(path)
+
+        good = saved("good.vvol", (3, 4, 5))
+        if case == "flat-volume-and-missing-rec":
+            # The smoothness term fails, and so would loading the second --rec file.
+            argv = ["--volume", saved("flat.vvol", (3, 4, 1)), "--rec", good, str(tmp_path / "missing.vvol")]
+            message = "volume extents (1, 4, 3) must all be at least 2"
+        else:
+            argv = ["--volume", good, "--rec", good, saved("wide.vvol", (3, 4, 6))]
+            message = "the two --rec volumes must share dims"
+        threads = threading.enumerate()
+        assert main(["loss", *argv]) == 1
+        assert threading.enumerate() == threads
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_full_series_reports_global_and_multitask(self, tmp_path):
         series = tmp_path / "series.json"

@@ -28,6 +28,7 @@ from isoslice import (
     tp_smooth_slice,
     warp_loss,
 )
+from isoslice.losses import _SAGITTAL_BLOCK
 
 LN2 = math.log(2.0)
 
@@ -225,6 +226,15 @@ class TestTpSmooth:
         # Exactly the mean over Slice2D copies of the slices.
         slices = [Slice2D(data[:, :, i]) for i in range(5)] + [Slice2D(data[:, j, :]) for j in range(4)]
         assert tp_smooth_loss(v) == float(np.mean([tp_smooth_slice(s) for s in slices]))
+        # Sagittal slices are read in blocks; the mean stays exact for one
+        # partial block, a block plus one, and several blocks plus a remainder.
+        n = _SAGITTAL_BLOCK
+        for x in (2, n - 1, n + 1, 3 * n + 2):
+            for y in (2, n - 1, n + 1, 3 * n + 2):
+                data = rng.random((2, y, x)).astype(np.float32)
+                slices = [Slice2D(data[:, :, i]) for i in range(x)] + [Slice2D(data[:, j, :]) for j in range(y)]
+                want = float(np.mean([tp_smooth_slice(s) for s in slices]))
+                assert tp_smooth_loss(Volume(data, Spacing(1, 1, 1))) == want, (x, y)
 
     def test_degenerate_extent_rejected(self):
         v = Volume(np.zeros((1, 3, 3), np.float32), Spacing(1, 1, 1))

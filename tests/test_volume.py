@@ -28,6 +28,7 @@ from isoslice import (
     load_volume,
     moving_disk_phantom,
     one_hot_stack,
+    rec_loss,
     save_volume,
     synth_intermediate_label,
     synth_intermediate_slice,
@@ -299,6 +300,36 @@ class TestTypes:
             Volume(np.full((1, 1, 1), np.nan, np.float32), UNIT)
         with pytest.raises(DataValidationError):
             Volume(np.full((1, 1, 1), 1e39), UNIT)  # beyond float32
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda a: Volume(a, UNIT), "volume data contains non-finite values"),
+            (lambda a: Slice2D(a[1]), "slice data contains non-finite values"),
+            (lambda a: FlowField(a[1], np.zeros_like(a[1])), "flow u contains non-finite values"),
+            (lambda a: FlowField(np.zeros_like(a[1]), a[1]), "flow v contains non-finite values"),
+            (lambda a: rec_loss([(np.zeros_like(a[1]), a[1])]), "slice arrays must hold finite real numbers"),
+        ],
+        ids=["Volume", "Slice2D", "FlowField-u", "FlowField-v", "rec_loss"],
+    )
+    def test_one_non_finite_element_is_refused(self, build, message, bad, dtype):
+        data = np.random.default_rng(4).random((2, 5, 7)).astype(dtype)
+        build(data)
+        data[1, 3, 2] = bad
+        with pytest.raises(DataValidationError, match=message):
+            build(data)
+
+    def test_finiteness_check_allocates_no_full_size_temporary(self):
+        payload = np.frombuffer(bytes(4 * 32 * 64 * 64), np.float32).reshape(32, 64, 64)
+        tracemalloc.start()
+        try:
+            Volume(payload, UNIT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < payload.size // 8  # a boolean mask of the volume takes payload.size bytes
 
     def test_volume_rejects_wrong_rank(self):
         with pytest.raises(ParameterError):
