@@ -15,6 +15,7 @@ import json
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import fields
 from pathlib import Path
 from typing import Sequence
@@ -32,6 +33,8 @@ from .volume import (
     Axis,
     LabelVolume,
     Volume,
+    _check_kind,
+    _volume_planes,
     decimate,
     export_pgm,
     extract_slice,
@@ -97,8 +100,7 @@ def _window(text: str) -> tuple[float, float]:
 def _load(path: str, kind: type[Volume] | type[LabelVolume]):
     """The volume at ``path``; ParameterError unless it is a ``kind``."""
     v = load_volume(path)
-    if not isinstance(v, kind):
-        raise ParameterError(f"{path}: expected a {kind.__name__}, found a {type(v).__name__}")
+    _check_kind(path, kind, type(v))
     return v
 
 
@@ -204,7 +206,13 @@ def cmd_loss(args: argparse.Namespace, written: list[Path]) -> dict:
 
     parts: dict[str, float] = {}
     extras: dict[str, float] = {}
-    volume = functools.cache(lambda path: _load(path, Volume))  # each distinct path is read once
+    held: dict[str, Volume] = {}  # each distinct path is read once
+
+    def volume(path: str) -> Volume:
+        if path not in held:
+            held[path] = _load(path, Volume)
+        return held[path]
+
     # The smoothness term runs on a side thread beside the reconstruction
     # term.  Its result (or error) is taken first, so the parts keep their
     # order and, should both terms fail, its error is the one reported.
@@ -214,10 +222,16 @@ def cmd_loss(args: argparse.Namespace, written: list[Path]) -> dict:
             smooth = side.submit(tp_smooth_loss, volume(args.volume))
         try:
             if args.rec:
-                synth, real = (volume(p) for p in args.rec)
-                if synth.dims != real.dims:
-                    raise ParameterError("the two --rec volumes must share dims")
-                l_rec = rec_loss(zip(synth.data, real.data))
+                synth, second = volume(args.rec[0]), args.rec[1]
+                # The second volume is read one z-plane at a time, unless it is already held.
+                if second in held:
+                    real = nullcontext((held[second].dims, held[second].data))
+                else:
+                    real = _volume_planes(second)
+                with real as (dims, planes):
+                    if synth.dims != dims:
+                        raise ParameterError("the two --rec volumes must share dims")
+                    l_rec = rec_loss(zip(synth.data, planes))
         finally:
             if smooth is not None:
                 parts["l_tp_smooth"] = smooth.result()

@@ -25,6 +25,15 @@ bilinear interpolation by ``_warp_by``, the one backward warp for the solver
 and for ``impute``: warping ``i1`` by that same field reconstructs ``i0``.
 Its ``_corners`` and ``_bilerp`` steps also serve ``impute``'s label vote.
 
+``scipy.ndimage`` is imported by the three helpers that call it
+(``_downsample``, ``_hs_sweeps`` and ``_median``) on first use, not when this
+module is imported.  Every command imports this module, but only a flow
+solve needs ``scipy.ndimage``; linear imputation, decimation, export,
+phantoms and losses never do, and its first load took about 0.4 s on a
+2-CPU Xeon VM.  Later imports are a ``sys.modules`` lookup.  When two
+solver threads reach the first one together, Python's per-module import
+lock lets one load it while the other waits.
+
 The on-disk container ("VFLO") is the volume container with its own magic::
 
     b"VFLO\\n"
@@ -39,7 +48,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import FileFormatError, ParameterError, ShapeError
 from .volume import (
@@ -191,6 +199,8 @@ def _central_gradients(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _downsample(arr: np.ndarray) -> np.ndarray:
+    from scipy import ndimage
+
     out = ndimage.correlate1d(arr, _BINOMIAL5, axis=1, mode="nearest")
     out = ndimage.correlate1d(out, _BINOMIAL5, axis=2, mode="nearest")
     return out[:, ::2, ::2]
@@ -229,6 +239,8 @@ def _hs_sweeps(a: np.ndarray, b: np.ndarray, uv0: np.ndarray, params: HsParams) 
     - u0) + gy * (vb - v0) + it) / denom``, evaluated into preallocated
     buffers.
     """
+    from scipy import ndimage
+
     n = len(a)
     warped = _warp_by(b, uv0[:n], uv0[n:])
     it = warped - a
@@ -263,6 +275,8 @@ def _pyramid_depth(dims: tuple[int, int], levels: int | str) -> int:
 
 
 def _median(arr: np.ndarray) -> np.ndarray:
+    from scipy import ndimage
+
     return ndimage.median_filter(arr, size=(1, _MEDIAN_SIZE, _MEDIAN_SIZE), mode="nearest")
 
 
@@ -353,9 +367,7 @@ def flow_magnitude_stats(f: FlowField) -> tuple[float, float]:
 def save_flow(f: FlowField, path: str | Path) -> None:
     """Write ``f`` to ``path`` in the VFLO container (components stored as f32)."""
     w, h = f.dims
-    _write_container(
-        path, FLOW_MAGIC, {"dims": [w, h]}, f.u.astype("<f4").tobytes(), f.v.astype("<f4").tobytes()
-    )
+    _write_container(path, FLOW_MAGIC, {"dims": [w, h]}, f.u.astype("<f4"), f.v.astype("<f4"))
 
 
 def _flow_payload_size(header: dict) -> int:

@@ -22,6 +22,12 @@ time.  The scores do not depend on the worker count.  The public
 ``any`` projection per axis of its whole-volume mask and run on the calling
 thread.
 
+``scipy.ndimage`` (``evaluate``'s box pass) and ``scipy.spatial`` (the k-d
+tree of ``_nearest``) are imported inside those functions on first use, not
+when this module is imported: every command imports this module, but only
+scoring needs them, and their first load took about 0.5 s on a 2-CPU Xeon
+VM.
+
 The per-class functions refuse a class id that is not an integer in
 ``0..classes-1`` with ``ParameterError``, and a spacing that takes a surface
 point or distance past the float64 range with ``DomainError``.
@@ -33,8 +39,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import ndimage
-from scipy.spatial import cKDTree
 
 from .errors import DomainError, ParameterError, ShapeError, UndefinedMetricError
 from .volume import LabelVolume, Spacing, _is_int, _usable_cpus
@@ -178,6 +182,8 @@ def _nearest(ref: np.ndarray, pts: np.ndarray, shared: np.ndarray) -> np.ndarray
     query's own arrays stay small; each query is independent of the rest,
     so the distances do not depend on the block size.
     """
+    from scipy.spatial import cKDTree
+
     d = np.zeros(len(pts))
     # Sliding-midpoint splits suit grid points: on the `score` bench inputs
     # they built and queried in 0.23 s against 0.30 s for median splits.
@@ -298,6 +304,8 @@ def evaluate(gt: LabelVolume, pred: LabelVolume) -> MetricReport:
     Undefined entries (empty reference mask or empty surface) surface as
     None rather than raising; the mean skips them.
     """
+    from scipy import ndimage
+
     _check_dims(gt, pred)
     if gt.spacing != pred.spacing:
         raise ShapeError("label spacings differ")

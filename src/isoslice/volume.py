@@ -24,10 +24,11 @@ from __future__ import annotations
 import enum
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from numbers import Real
 from pathlib import Path
-from typing import Callable, Union
+from typing import BinaryIO, Callable, Iterator, Union
 
 import numpy as np
 
@@ -238,48 +239,64 @@ def _header_dims(header: dict, n: int) -> list[int]:
     return dims
 
 
-def _write_container(path: str | Path, magic: bytes, header: dict, *payload: bytes) -> None:
-    """Write ``magic``, ``header`` as one compact JSON line, then the payload parts."""
+def _write_container(path: str | Path, magic: bytes, header: dict, *payload: np.ndarray) -> None:
+    """Write ``magic``, ``header`` as one compact JSON line, then the payload arrays' memory.
+
+    Each array must be C-ordered; its bytes are written from its own memory, without a copy.
+    """
     with open(path, "wb") as f:
         f.write(magic)
         f.write(json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n")
-        f.writelines(payload)
+        f.writelines(memoryview(part).cast("B") for part in payload)
 
 
-def _read_container(
-    path: str | Path, magic: bytes, payload_size: Callable[[dict], int]
-) -> tuple[dict, bytes]:
-    """Read a container written by ``_write_container``; return (header, payload).
+def _read_header(
+    f: BinaryIO, path: str | Path, magic: bytes, payload_size: Callable[[dict], int]
+) -> tuple[dict, int]:
+    """(header, payload size) of the container open in ``f``, which is left at the payload.
 
     ``payload_size`` checks the decoded header object and returns the payload
     size it promises, raising FileFormatError otherwise.  That size is checked
     against the file's size before anything is read, so memory follows the
     file, never the header.
     """
+    found = f.read(len(magic))
+    if found != magic:
+        raise FileFormatError(f"{path}: not a {magic[:-1].decode()} file (magic {found!r})")
+    raw = f.readline(_MAX_HEADER_BYTES)
+    if not raw.endswith(b"\n"):
+        raise FileFormatError(f"{path}: header line missing terminator")
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise FileFormatError(f"{path}: header is not a valid JSON line: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FileFormatError(f"{path}: header must be a JSON object")
+    try:
+        n_bytes = payload_size(header)
+    except FileFormatError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
+    held = os.fstat(f.fileno()).st_size - f.tell()
+    if held != n_bytes:
+        raise TruncatedPayloadError(f"{path}: header promises {n_bytes} payload bytes, file holds {held}")
+    return header, n_bytes
+
+
+def _read_exactly(f: BinaryIO, path: str | Path, n_bytes: int) -> bytes:
+    """The next ``n_bytes`` of ``f``; TruncatedPayloadError if the file ends first."""
+    data = f.read(n_bytes)
+    if len(data) != n_bytes:
+        raise TruncatedPayloadError(f"{path}: payload ended {n_bytes - len(data)} bytes early")
+    return data
+
+
+def _read_container(
+    path: str | Path, magic: bytes, payload_size: Callable[[dict], int]
+) -> tuple[dict, bytes]:
+    """Read a container written by ``_write_container``; return (header, payload)."""
     with open(path, "rb") as f:
-        found = f.read(len(magic))
-        if found != magic:
-            raise FileFormatError(f"{path}: not a {magic[:-1].decode()} file (magic {found!r})")
-        raw = f.readline(_MAX_HEADER_BYTES)
-        if not raw.endswith(b"\n"):
-            raise FileFormatError(f"{path}: header line missing terminator")
-        try:
-            header = json.loads(raw.decode("utf-8"))
-        except (ValueError, RecursionError) as exc:
-            raise FileFormatError(f"{path}: header is not a valid JSON line: {exc}") from exc
-        if not isinstance(header, dict):
-            raise FileFormatError(f"{path}: header must be a JSON object")
-        try:
-            n_bytes = payload_size(header)
-        except FileFormatError as exc:
-            raise FileFormatError(f"{path}: {exc}") from exc
-        held = os.fstat(f.fileno()).st_size - f.tell()
-        payload = f.read(n_bytes) if held == n_bytes else b""
-    if len(payload) != n_bytes:
-        raise TruncatedPayloadError(
-            f"{path}: header promises {n_bytes} payload bytes, file holds {held}"
-        )
-    return header, payload
+        header, n_bytes = _read_header(f, path, magic, payload_size)
+        return header, _read_exactly(f, path, n_bytes)
 
 
 def save_volume(v: AnyVolume, path: str | Path) -> None:
@@ -295,8 +312,7 @@ def save_volume(v: AnyVolume, path: str | Path) -> None:
     }
     if isinstance(v, LabelVolume):
         header["classes"] = v.classes
-    payload = np.ascontiguousarray(v.data, dtype=_DTYPE_TAGS[header["dtype"]]).tobytes()
-    _write_container(path, MAGIC, header, payload)
+    _write_container(path, MAGIC, header, np.ascontiguousarray(v.data, dtype=_DTYPE_TAGS[header["dtype"]]))
 
 
 def _volume_payload_size(header: dict) -> int:
@@ -341,6 +357,37 @@ def load_volume(path: str | Path) -> AnyVolume:
         return LabelVolume(arr, spacing, header["classes"])
     except DataValidationError as exc:
         raise DataValidationError(f"{path}: {exc}") from exc
+
+
+@contextmanager
+def _volume_planes(path: str | Path) -> Iterator[tuple[tuple[int, int, int], Iterator[np.ndarray]]]:
+    """The scalar volume at ``path`` as its dims and its z-planes, read one at a time.
+
+    On entry the file gets every check ``load_volume`` makes before it reads
+    the payload, and ParameterError if it holds a LabelVolume.  The planes
+    are read-only (Y, X) float32 arrays, read only as the iterator is
+    advanced; a plane holding a non-finite value raises ``load_volume``'s
+    DataValidationError.  The file is closed when the block exits.
+    """
+    with open(path, "rb") as f:
+        header, _ = _read_header(f, path, MAGIC, _volume_payload_size)
+        _check_kind(path, Volume, Volume if header["dtype"] == "f32" else LabelVolume)
+        x, y, z = header["dims"]
+
+        def planes() -> Iterator[np.ndarray]:
+            for _ in range(z):
+                plane = np.frombuffer(_read_exactly(f, path, x * y * 4), dtype="<f4").reshape(y, x)
+                if not _all_finite(plane):
+                    raise DataValidationError(f"{path}: volume data contains non-finite values")
+                yield plane
+
+        yield (x, y, z), planes()
+
+
+def _check_kind(path: str | Path, kind: type, found: type) -> None:
+    """ParameterError unless ``found``, the type the file at ``path`` holds, is ``kind``."""
+    if found is not kind:
+        raise ParameterError(f"{path}: expected a {kind.__name__}, found a {found.__name__}")
 
 
 _SLICE_AXIS = {Axis.AXIAL: 0, Axis.SAGITTAL: 2, Axis.CORONAL: 1}

@@ -20,20 +20,26 @@ from isoslice import (
     save_volume,
 )
 from isoslice.cli import canonical_json, main
+from isoslice.volume import _volume_planes
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(*args, cwd=None):
+def run_python(*args, cwd=None):
+    """A fresh interpreter on ``args`` that imports isoslice from this checkout."""
     env = os.environ.copy()
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-m", "isoslice", *map(str, args)],
+        [sys.executable, *map(str, args)],
         capture_output=True,
         text=True,
         env=env,
         cwd=cwd,
     )
+
+
+def run_cli(*args, cwd=None):
+    return run_python("-m", "isoslice", *args, cwd=cwd)
 
 
 def payload(result):
@@ -583,17 +589,50 @@ class TestLoss:
         a, b, c = (str(tmp_path / f"{name}.vvol") for name in "abc")
         for path in (a, b, c):
             save_volume(Volume(rng.random((3, 4, 5)).astype(np.float32), Spacing(1, 1, 1)), path)
-        reads = []
+        whole, planes = [], []
 
         def counting_load(path):
-            reads.append(path)
+            whole.append(path)
             return load_volume(path)
 
+        def counting_planes(path):
+            planes.append(path)
+            return _volume_planes(path)
+
         monkeypatch.setattr("isoslice.cli.load_volume", counting_load)
-        for argv, want in (([a, "--rec", a, b], [a, b]), ([a, "--rec", b, c], [a, b, c])):
-            reads.clear()
+        monkeypatch.setattr("isoslice.cli._volume_planes", counting_planes)
+        # The second --rec file is read one plane at a time, unless it is already held.
+        for argv, want_whole, want_planes in (
+            ([a, "--rec", a, b], [a], [b]),
+            ([a, "--rec", b, c], [a, b], [c]),
+            ([a, "--rec", b, a], [a, b], []),
+            ([a, "--rec", b, b], [a, b], []),
+        ):
+            whole.clear()
+            planes.clear()
             assert main(["loss", "--volume", *argv]) == 0
-            assert sorted(reads) == want
+            assert (sorted(whole), planes) == (want_whole, want_planes)
+
+    @pytest.mark.parametrize("case", ["nan-in-last-plane", "label-volume", "truncated", "bad-magic", "missing"])
+    def test_streamed_rec_refuses_what_a_whole_read_refuses(self, tmp_path, capsys, case):
+        good, bad = tmp_path / "good.vvol", tmp_path / "bad.vvol"
+        data = np.zeros((4, 3, 5), np.float32)
+        save_volume(Volume(data, Spacing(1, 1, 1)), good)
+        if case == "nan-in-last-plane":
+            data[-1, 2, 4] = np.nan
+            bad.write_bytes(good.read_bytes()[: -data.nbytes] + data.tobytes())
+        elif case == "label-volume":
+            save_volume(LabelVolume(np.zeros((4, 3, 5), np.uint8), Spacing(1, 1, 1), 2), bad)
+        elif case == "truncated":
+            bad.write_bytes(good.read_bytes()[:-1])
+        elif case == "bad-magic":
+            bad.write_bytes(b"VFLO\n" + good.read_bytes()[5:])
+        errors = []
+        for rec in ((bad, good), (good, bad)):  # bad read whole, then bad read plane by plane
+            assert main(["loss", "--rec", *map(str, rec)]) == 1
+            errors.append(capsys.readouterr())
+        assert errors[0] == errors[1]
+        assert errors[1].out == "" and errors[1].err.startswith("error: ") and "bad.vvol" in errors[1].err
 
     @pytest.mark.parametrize("case", ["flat-volume-and-missing-rec", "rec-dims-differ"])
     def test_side_worker_keeps_the_serial_error_order(self, tmp_path, capsys, case):
@@ -757,6 +796,48 @@ class TestExport:
         )
         assert result.returncode == 1
         assert not (tmp_path / "s.pgm").exists()
+
+
+# Prints, after the command's own output, the scipy subpackages it loaded.
+COLD_START = """
+import sys
+from isoslice.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(sorted(m for m in ("scipy.ndimage", "scipy.spatial") if m in sys.modules))
+sys.exit(code)
+"""
+
+
+class TestColdStart:
+    """Which commands load scipy, by module presence in a fresh interpreter (not by time)."""
+
+    @pytest.mark.parametrize(
+        "argv, loaded",
+        [
+            (["decimate", "--in", "{ramp}", "--out", "{tmp}/d.vvol"], []),
+            (["impute", "--in", "{ramp}", "--out", "{tmp}/i.vvol", "--n", "1", "--method", "linear"], []),
+            (["loss", "--volume", "{ramp}", "--rec", "{ramp}", "{tmp}/d.vvol"], []),
+            (["export", "--in", "{ramp}", "--axis", "axial", "--index", "0", "--out", "{tmp}/e.pgm"], []),
+            (["phantom", "--out", "{tmp}/p.vvol", "--out-labels", "{tmp}/pl.vvol", "--size", "32,16,16", "--radius", "4"], []),
+            (["--version"], []),
+            (["impute", "--in", "{ramp}", "--out", "{tmp}/f.vvol", "--n", "1", "--method", "flow"], ["scipy.ndimage"]),
+            (["metrics", "--gt", "{tmp}/l.vvol", "--pred", "{tmp}/l.vvol", "--out-json", "{tmp}/m.json"],
+             ["scipy.ndimage", "scipy.spatial"]),
+        ],
+        ids=["decimate", "impute-linear", "loss", "export", "phantom", "version", "impute-flow", "metrics"],
+    )
+    def test_scipy_loads_only_where_a_command_calls_it(self, tmp_path, ramp_volume, argv, loaded):
+        ramp, v = ramp_volume
+        save_volume(v, tmp_path / "d.vvol")
+        labels = np.zeros(v.data.shape, np.uint8)
+        labels[2:5, 1:4, 1:4] = 1
+        save_volume(LabelVolume(labels, v.spacing), tmp_path / "l.vvol")
+        result = run_python("-c", COLD_START, *(a.format(ramp=ramp, tmp=tmp_path) for a in argv))
+        assert result.returncode == 0 and result.stderr == "", result.stderr
+        assert result.stdout.splitlines()[-1] == str(loaded)
 
 
 class TestContract:

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.spatial
 
 import isoslice.metrics
 import oracles
@@ -221,14 +222,14 @@ class TestSurfaceDistances:
         gt[1:4, 1:5, 1:5] = 1
         pred[1:4, 2:6, 1:6] = 1
         queried = []
-        real_tree = isoslice.metrics.cKDTree
+        real_tree = scipy.spatial.cKDTree
 
         class Tree(real_tree):
             def query(self, points):
                 queried.append(len(points))
                 return super().query(points)
 
-        monkeypatch.setattr(isoslice.metrics, "cKDTree", Tree)
+        monkeypatch.setattr(scipy.spatial, "cKDTree", Tree)
         spacing = (0.7, 1.1, 2.3)
         a, b = lv(gt, Spacing(*spacing)), lv(pred, Spacing(*spacing))
         surf_gt = {tuple(p) for p in surface_voxels(a, 1)}
@@ -335,7 +336,7 @@ class TestEvaluate:
         gt[2, 2, 2] = 2
         pred[4, 4, 4] = 3  # class 4 is declared but absent from both
         surfaces, trees = [], []
-        real_surface, real_tree = isoslice.metrics._surface, isoslice.metrics.cKDTree
+        real_surface, real_tree = isoslice.metrics._surface, scipy.spatial.cKDTree
 
         def surface(l, cid, box):
             surfaces.append(cid)
@@ -346,7 +347,7 @@ class TestEvaluate:
             return real_tree(points, **options)
 
         monkeypatch.setattr(isoslice.metrics, "_surface", surface)
-        monkeypatch.setattr(isoslice.metrics, "cKDTree", tree)
+        monkeypatch.setattr(scipy.spatial, "cKDTree", tree)
         evaluate(lv(gt, classes=5), lv(pred, classes=5))
         assert surfaces == [1, 1]
         assert trees == [2, 2]

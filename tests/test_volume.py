@@ -113,6 +113,20 @@ class TestFileFormat:
         save_volume(v, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.uint16])
+    def test_save_writes_from_the_array_without_a_copy(self, tmp_path, dtype):
+        data = np.random.default_rng(5).integers(0, 7, (17, 256, 256)).astype(dtype)
+        v = Volume(data, UNIT) if dtype == np.float32 else LabelVolume(data, UNIT, 7)
+        path = tmp_path / "big.vvol"
+        tracemalloc.start()
+        try:
+            save_volume(v, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < data.nbytes // 16  # a tobytes() copy alone would be the whole payload
+        assert path.read_bytes().endswith(data.tobytes())
+
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "t.vvol"
         header = b'VVOL\n{"dims":[2,2,2],"spacing":[1.0,1.0,1.0],"dtype":"f32"}\n'
