@@ -2,9 +2,11 @@
 
 Exit codes: 0 on success, 1 on runtime or data errors, 2 on usage errors.
 Standard output carries exactly one canonical JSON object (sorted keys,
-shortest round-trip floats); diagnostics go to standard error.  Outputs
-written before a failure are removed, so a non-zero exit never leaves
-partial files behind.
+shortest round-trip floats); diagnostics go to standard error.  Each output
+is written to a temporary file beside its target, and the targets are
+replaced only after the command's last output is written.  A failing run
+removes its temporary files, so it leaves no partial file behind and every
+file that was already at a target as it was.
 """
 
 from __future__ import annotations
@@ -12,13 +14,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import fields
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -134,27 +137,24 @@ def _add_hs_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--warps-per-level", type=_int_at_least(1), default=hs.warps_per_level)
 
 
-def cmd_decimate(args: argparse.Namespace, written: list[Path]) -> dict:
+def cmd_decimate(args: argparse.Namespace, claim: Callable[[str], Path]) -> dict:
     vol = load_volume(args.input)
     kept = decimate(vol, args.stride)
-    written.append(Path(args.out))
-    save_volume(kept, args.out)
+    save_volume(kept, claim(args.out))
     z_in, z_out = vol.dims[2], kept.dims[2]
     return {"kept": z_out, "removed": z_in - z_out}
 
 
-def cmd_impute(args: argparse.Namespace, written: list[Path]) -> dict:
+def cmd_impute(args: argparse.Namespace, claim: Callable[[str], Path]) -> dict:
     vol = _load(args.input, Volume)
     labels = _load(args.labels, LabelVolume) if args.labels else None
     cfg = ImputeConfig(n_slices=args.n, method=args.method, hs=_hs_from_args(args))
     with warnings.catch_warnings(record=True) as notes:
         warnings.simplefilter("always", UserWarning)
         out_vol, out_labels = impute_volume(vol, labels, cfg)
-    written.append(Path(args.out))
-    save_volume(out_vol, args.out)
+    save_volume(out_vol, claim(args.out))
     if out_labels is not None:
-        written.append(Path(args.out_labels))
-        save_volume(out_labels, args.out_labels)
+        save_volume(out_labels, claim(args.out_labels))
     for note in notes:
         print(f"note: {note.message}", file=sys.stderr)
     z_in, z_out = vol.dims[2], out_vol.dims[2]
@@ -166,7 +166,7 @@ def cmd_impute(args: argparse.Namespace, written: list[Path]) -> dict:
     }
 
 
-def cmd_flow(args: argparse.Namespace, written: list[Path]) -> dict:
+def cmd_flow(args: argparse.Namespace, claim: Callable[[str], Path]) -> dict:
     slices = []
     for path in (args.a, args.b):
         vol = _load(path, Volume)
@@ -174,8 +174,7 @@ def cmd_flow(args: argparse.Namespace, written: list[Path]) -> dict:
             raise ParameterError(f"{path}: flow inputs must be single-slice volumes (Z=1)")
         slices.append(extract_slice(vol, Axis.AXIAL, 0))
     field = estimate_flow(slices[0], slices[1], _hs_from_args(args))
-    written.append(Path(args.out))
-    save_flow(field, args.out)
+    save_flow(field, claim(args.out))
     mean, peak = flow_magnitude_stats(field)
     return {
         "max": peak,
@@ -185,18 +184,17 @@ def cmd_flow(args: argparse.Namespace, written: list[Path]) -> dict:
     }
 
 
-def cmd_metrics(args: argparse.Namespace, written: list[Path]) -> dict:
+def cmd_metrics(args: argparse.Namespace, claim: Callable[[str], Path]) -> dict:
     gt = _load(args.gt, LabelVolume)
     pred = _load(args.pred, LabelVolume)
     report = evaluate(gt, pred).as_dict()
-    written.append(Path(args.out_json))
-    with open(args.out_json, "w", encoding="utf-8") as f:
+    with open(claim(args.out_json), "w", encoding="utf-8") as f:
         f.write(canonical_json(report))
         f.write("\n")
     return report
 
 
-def cmd_loss(args: argparse.Namespace, written: list[Path]) -> dict:
+def cmd_loss(args: argparse.Namespace, claim: Callable[[str], Path]) -> dict:
     weights = LossWeights()
     if args.weights_json:
         overrides = _load_json_file(args.weights_json)
@@ -254,14 +252,12 @@ def cmd_loss(args: argparse.Namespace, written: list[Path]) -> dict:
     return {**loss_report(parts, weights), **extras}
 
 
-def cmd_phantom(args: argparse.Namespace, written: list[Path]) -> dict:
+def cmd_phantom(args: argparse.Namespace, claim: Callable[[str], Path]) -> dict:
     made = moving_disk_phantom(
         dims=args.size, radius=args.radius, step=(args.step, 0.0), seed=args.seed
     )
-    written.append(Path(args.out))
-    save_volume(made.volume, args.out)
-    written.append(Path(args.out_labels))
-    save_volume(made.labels, args.out_labels)
+    save_volume(made.volume, claim(args.out))
+    save_volume(made.labels, claim(args.out_labels))
     return {
         "dims": list(args.size),
         "radius": made.radius,
@@ -271,11 +267,10 @@ def cmd_phantom(args: argparse.Namespace, written: list[Path]) -> dict:
     }
 
 
-def cmd_export(args: argparse.Namespace, written: list[Path]) -> dict:
+def cmd_export(args: argparse.Namespace, claim: Callable[[str], Path]) -> dict:
     plane = extract_slice(load_volume(args.input), Axis(args.axis), args.index)
     lo, hi = pgm_window(plane, *(args.window or ()))  # checked before --out is claimed
-    written.append(Path(args.out))
-    export_pgm(plane, args.out, lo, hi)
+    export_pgm(plane, claim(args.out), lo, hi)
     w, h = plane.dims
     return {"height": h, "hi": hi, "lo": lo, "width": w}
 
@@ -348,10 +343,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cleanup(written: list[Path]) -> None:
-    for path in written:
+def _claimer(claimed: list[tuple[Path, Path]]) -> Callable[[str], Path]:
+    """The ``claim`` a handler calls for each output path: it returns a new temporary path to write instead.
+
+    The temporary file sits in the target's directory, so moving it onto the
+    target with ``os.replace`` stays on one file system.
+    """
+
+    def claim(path: str) -> Path:
+        target = Path(path)
+        temporary = target.parent / f".{target.name}.{os.urandom(6).hex()}.tmp"
+        claimed.append((temporary, target))
+        return temporary
+
+    return claim
+
+
+def _cleanup(claimed: list[tuple[Path, Path]]) -> None:
+    """Remove the temporary files still left; targets are never touched."""
+    for temporary, _ in claimed:
         try:
-            path.unlink(missing_ok=True)
+            temporary.unlink(missing_ok=True)
         except OSError:
             pass
 
@@ -361,13 +373,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "impute" and bool(args.labels) != bool(args.out_labels):
         parser.error("--labels and --out-labels go together")
-    written: list[Path] = []
+    claimed: list[tuple[Path, Path]] = []
     try:
-        payload = args.handler(args, written)
+        payload = args.handler(args, _claimer(claimed))
+        for temporary, target in claimed:
+            os.replace(temporary, target)
     except (IsosliceError, OSError) as exc:
-        _cleanup(written)
+        # An error writing or moving a temporary file names its target, the path the user gave.
+        targets = {str(temporary): str(target) for temporary, target in claimed}
+        if isinstance(exc, OSError) and exc.filename in targets:
+            exc.filename, exc.filename2 = targets[exc.filename], None
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        _cleanup(claimed)
     print(canonical_json(payload))
     return 0
 

@@ -16,7 +16,7 @@ result is bit-identical to solving it alone, and ``estimate_flow`` is the
 one-pair case.  The caller hands the solver ``a`` over ``b`` as one (2B, H,
 W) array, which it normalizes in place, and ``u`` over ``v`` is one such
 array too, so each pyramid level is one ``_downsample`` and each Jacobi
-sweep and median filter is one ndimage call for both.
+sweep and median filter one pass over both.
 
 Flow semantics are forward for estimation: the field returned by
 ``estimate_flow(i0, i1)`` maps a pixel ``(x, y)`` of ``i0`` to
@@ -25,14 +25,15 @@ bilinear interpolation by ``_warp_by``, the one backward warp for the solver
 and for ``impute``: warping ``i1`` by that same field reconstructs ``i0``.
 Its ``_corners`` and ``_bilerp`` steps also serve ``impute``'s label vote.
 
-``scipy.ndimage`` is imported by the three helpers that call it
-(``_downsample``, ``_hs_sweeps`` and ``_median``) on first use, not when this
-module is imported.  Every command imports this module, but only a flow
-solve needs ``scipy.ndimage``; linear imputation, decimation, export,
-phantoms and losses never do, and its first load took about 0.4 s on a
-2-CPU Xeon VM.  Later imports are a ``sys.modules`` lookup.  When two
-solver threads reach the first one together, Python's per-module import
-lock lets one load it while the other waits.
+The solver runs on numpy alone.  Its three filters (the pyramid's binomial
+blur, the sweeps' 8-neighbour mean and the 5x5 median, all with
+edge-replicated borders) repeat the arithmetic of ``scipy.ndimage``'s
+``correlate1d``, ``correlate`` and ``median_filter`` in mode "nearest" bit
+for bit, so their outputs are the bytes those calls gave; the tests hold
+them to that.  So a flow solve never loads scipy; only ``metrics`` does.
+Loading ``scipy.ndimage`` costs a fresh process about 0.25 s and 24 MB of
+peak RSS: a cold 64x64x9 ``impute --method flow`` took 0.67 s and 69 MB
+with it and takes 0.42 s and 45 MB without (2-CPU Xeon VM).
 
 The on-disk container ("VFLO") is the volume container with its own magic::
 
@@ -53,6 +54,7 @@ from .errors import FileFormatError, ParameterError, ShapeError
 from .volume import (
     Slice2D,
     _ArrayValue,
+    _adopted,
     _as_float,
     _frozen,
     _header_dims,
@@ -64,20 +66,96 @@ from .volume import (
 
 FLOW_MAGIC = b"VFLO\n"
 
-# Weighted 8-neighbour average used by the Jacobi sweeps, shaped (1, 3, 3)
-# so it averages within each slice of a (B, H, W) stack.
+# Weighted 8-neighbour average used by the Jacobi sweeps within each slice.
 _AVG_KERNEL = np.array(
     [
         [1.0 / 12.0, 1.0 / 6.0, 1.0 / 12.0],
         [1.0 / 6.0, 0.0, 1.0 / 6.0],
         [1.0 / 12.0, 1.0 / 6.0, 1.0 / 12.0],
     ]
-)[None]
+)
+# Its non-zero taps as (row offset, column offset, weight) into a slice
+# padded by one pixel, in the kernel's C order: ndimage.correlate's order.
+# The weights are Python floats: with numpy scalar weights, two threads'
+# neighbour-mean loops took about 1.9x one thread's time (1.07x with
+# floats), so ``_BINOMIAL5``'s weights are taken as floats too.
+_AVG_TAPS = tuple((dy, dx, float(w)) for (dy, dx), w in np.ndenumerate(_AVG_KERNEL) if w)
 
 _BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
-# Side of the square median window applied to u and v after every warp.
-_MEDIAN_SIZE = 5
+# Devillard's ``opt_med25`` ("Fast median search: an ANSI C implementation",
+# 1998): after these 99 compare-exchange steps, each leaving the smaller
+# value on wire a and the larger on wire b, wire 12 holds the median of the
+# 25 values the wires started with.
+_MEDIAN25 = (
+    (0, 1), (3, 4), (2, 4), (2, 3), (6, 7), (5, 7), (5, 6), (9, 10), (8, 10), (8, 9),
+    (12, 13), (11, 13), (11, 12), (15, 16), (14, 16), (14, 15), (18, 19), (17, 19), (17, 18),
+    (21, 22), (20, 22), (20, 21), (23, 24), (2, 5), (3, 6), (0, 6), (0, 3), (4, 7), (1, 7), (1, 4),
+    (11, 14), (8, 14), (8, 11), (12, 15), (9, 15), (9, 12), (13, 16), (10, 16), (10, 13),
+    (20, 23), (17, 23), (17, 20), (21, 24), (18, 24), (18, 21), (19, 22), (8, 17), (9, 18),
+    (0, 18), (0, 9), (10, 19), (1, 19), (1, 10), (11, 20), (2, 20), (2, 11), (12, 21), (3, 21),
+    (3, 12), (13, 22), (4, 22), (4, 13), (14, 23), (5, 23), (5, 14), (15, 24), (6, 24), (6, 15),
+    (7, 16), (7, 19), (13, 21), (15, 23), (7, 13), (7, 15), (1, 9), (3, 11), (5, 17), (11, 17),
+    (9, 17), (4, 10), (6, 12), (7, 14), (4, 6), (4, 7), (12, 14), (10, 14), (6, 7), (10, 12),
+    (6, 10), (6, 17), (12, 17), (7, 17), (7, 10), (12, 18), (7, 12), (10, 18), (12, 20), (10, 20),
+    (10, 12),
+)
+
+
+def _program(network: tuple, out: int) -> tuple[tuple, int, int]:
+    """``network`` compiled to ufunc calls on numbered slots: ``(steps, buffers, result)``.
+
+    Each step ``(ufunc, i, j, k)`` is ``ufunc(slot[i], slot[j], out=slot[k])``.
+    Slots 0-24 hold the 25 input windows and are never written; slots from
+    25 on are ``buffers`` scratch arrays, and the median ends in slot
+    ``result``.  Outputs that no later step or wire ``out`` reads are
+    dropped (for ``_MEDIAN25`` 174 of the 198 remain, in 26 buffers); an
+    output lands in place when its wire already holds a buffer that the
+    step's other output does not still need, else in a buffer no wire needs.
+    """
+    live, kept = {out}, []
+    for a, b in reversed(network):
+        keep_min, keep_max = a in live, b in live
+        live -= {a, b}
+        if keep_min or keep_max:
+            kept.append((a, b, keep_min, keep_max))
+            live |= {a, b}
+    slot, free, steps = list(range(25)), [], []
+    buffers = 0
+
+    def place(held: int, in_place: bool) -> int:
+        nonlocal buffers
+        if held >= 25 and in_place:
+            return held
+        if free:
+            return free.pop()
+        buffers += 1
+        return 24 + buffers
+
+    for a, b, keep_min, keep_max in reversed(kept):
+        x, y = slot[a], slot[b]
+        if keep_min:
+            slot[a] = place(x, not keep_max)
+            steps.append((np.minimum, x, y, slot[a]))
+        if keep_max:
+            slot[b] = place(y, True)
+            steps.append((np.maximum, x, y, slot[b]))
+        for wire, keep, held in ((a, keep_min, x), (b, keep_max, y)):
+            if held >= 25 and not (keep and slot[wire] == held):
+                free.append(held)
+    return tuple(steps), buffers, slot[out]
+
+
+_MEDIAN25_STEPS, _MEDIAN25_BUFFERS, _MEDIAN25_RESULT = _program(_MEDIAN25, 12)
+
+# Output pixels per block of ``_median``: whole slices of a stack or rows of
+# one slice.  A block's 26 buffers then take 1.6 MB per thread whatever the
+# slice size, where whole-stack temporaries raised a threaded ``disk-flow``
+# job's peak RSS from 84.6 to 106 MB.  Calls on fewer than about 2^16
+# elements barely overlap across threads (numpy's per-call cost holds the
+# interpreter lock), but 2^13 to 2^16 px gave the same ``disk-flow`` job
+# times within noise on 2 CPUs, so the smallest of them is used.
+_MEDIAN_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,11 +277,32 @@ def _central_gradients(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _downsample(arr: np.ndarray) -> np.ndarray:
-    from scipy import ndimage
+    """Blur a (B, H, W) stack along rows, then columns, with ``_BINOMIAL5`` and keep every second of each.
 
-    out = ndimage.correlate1d(arr, _BINOMIAL5, axis=1, mode="nearest")
-    out = ndimage.correlate1d(out, _BINOMIAL5, axis=2, mode="nearest")
-    return out[:, ::2, ::2]
+    The bytes of ``ndimage.correlate1d`` along axis 1, then axis 2 (mode
+    "nearest"), sliced ``[:, ::2, ::2]``; only the kept rows and columns are
+    computed.
+    """
+    return _blur_halve(_blur_halve(arr, 1), 2)
+
+
+def _blur_halve(arr: np.ndarray, axis: int) -> np.ndarray:
+    """Samples 0, 2, 4, ... along ``axis`` of the edge-replicated ``_BINOMIAL5`` blur of ``arr``.
+
+    ``correlate1d`` sums a symmetric kernel as ``x[0] * w0``, then
+    ``+= (x[-2] + x[+2]) * w2``, then ``+= (x[-1] + x[+1]) * w1``; so does this.
+    """
+    n = arr.shape[axis]
+    padded = np.take(arr, np.clip(np.arange(-2, n + 2), 0, n - 1), axis=axis)
+
+    def tap(k: int) -> np.ndarray:  # offset k - 2 from every kept sample
+        return padded[(slice(None),) * axis + (slice(k, k + n, 2),)]
+
+    w2, w1, w0 = map(float, _BINOMIAL5[:3])
+    out = tap(2) * w0
+    out += (tap(0) + tap(4)) * w2
+    out += (tap(1) + tap(3)) * w1
+    return out
 
 
 def _resize_bilinear(arr: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -229,30 +328,61 @@ def _normalize(ab: np.ndarray) -> None:
     pairs *= gain[:, None]
 
 
+def _neighbour_mean(padded: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The ``_AVG_KERNEL`` mean of each pixel's neighbours, into ``out``; returns ``out``.
+
+    ``padded`` is the (B, H+2, W+2) edge-replicated copy of a (B, H, W)
+    stack, and ``scratch`` is (B, H, W) scratch space.  The bytes of
+    ``ndimage.correlate(stack, _AVG_KERNEL[None], mode="nearest")``, which
+    adds the eight non-zero products in ``_AVG_TAPS`` order to 0.0; the
+    closing ``+= 0.0`` is that start, which only turns a sum of eight -0.0
+    products into +0.0.
+    """
+    h, w = out.shape[1:]
+    (dy, dx, weight), *rest = _AVG_TAPS
+    np.multiply(padded[:, dy : dy + h, dx : dx + w], weight, out=out)
+    for dy, dx, weight in rest:
+        np.multiply(padded[:, dy : dy + h, dx : dx + w], weight, out=scratch)
+        out += scratch
+    out += 0.0
+    return out
+
+
+def _replicate_edges(padded: np.ndarray) -> None:
+    """Copy the outermost interior rows, then columns, of a (B, H+2, W+2) stack onto its one-pixel border."""
+    padded[:, 0] = padded[:, 1]
+    padded[:, -1] = padded[:, -2]
+    padded[:, :, 0] = padded[:, :, 1]
+    padded[:, :, -1] = padded[:, :, -2]
+
+
 def _hs_sweeps(a: np.ndarray, b: np.ndarray, uv0: np.ndarray, params: HsParams) -> np.ndarray:
     """One warp iteration: linearize around ``uv0``, then fixed Jacobi sweeps.
 
     ``uv0`` stacks the B ``u`` slices over the B ``v`` slices as one (2B, H,
-    W) array, so each sweep averages both components with one ``correlate``
-    call.  Per pixel a sweep is ``u = ub - gx * shared`` and ``v = vb - gy *
-    shared`` with ``ub``, ``vb`` the neighbour means and ``shared = (gx * (ub
-    - u0) + gy * (vb - v0) + it) / denom``, evaluated into preallocated
-    buffers.
+    W) array, so each sweep averages both components in one pass.  Per pixel
+    a sweep is ``u = ub - gx * shared`` and ``v = vb - gy * shared`` with
+    ``ub``, ``vb`` the neighbour means and ``shared = (gx * (ub - u0) + gy *
+    (vb - v0) + it) / denom``, evaluated into preallocated buffers.  ``uv``
+    is the interior of an edge-replicated buffer, so the neighbour means read
+    it without a padded copy; the result is that interior, a view.
     """
-    from scipy import ndimage
-
     n = len(a)
     warped = _warp_by(b, uv0[:n], uv0[n:])
     it = warped - a
     grad = np.concatenate(_central_gradients(0.5 * (a + warped)))
     gx, gy = grad[:n], grad[n:]
     denom = params.alpha * params.alpha + gx * gx + gy * gy
-    uv = uv0.copy()
-    avg, step = np.empty_like(uv), np.empty_like(uv)
+    h, w = uv0.shape[1:]
+    padded = np.empty((2 * n, h + 2, w + 2))
+    uv = padded[:, 1:-1, 1:-1]
+    uv[...] = uv0
+    avg, step = np.empty(uv0.shape), np.empty(uv0.shape)
     shared = np.empty_like(a)
     halves = (2, *a.shape)
     for _ in range(params.iterations):
-        ndimage.correlate(uv, _AVG_KERNEL, output=avg, mode="nearest")
+        _replicate_edges(padded)
+        _neighbour_mean(padded, avg, step)  # step is scratch until it is set below
         np.subtract(avg, uv0, out=step)
         step *= grad
         np.add(step[:n], step[n:], out=shared)
@@ -275,9 +405,33 @@ def _pyramid_depth(dims: tuple[int, int], levels: int | str) -> int:
 
 
 def _median(arr: np.ndarray) -> np.ndarray:
-    from scipy import ndimage
+    """The 5x5 median of each slice of a (B, H, W) stack, edge-replicated, as a new array.
 
-    return ndimage.median_filter(arr, size=(1, _MEDIAN_SIZE, _MEDIAN_SIZE), mode="nearest")
+    The bytes of ``ndimage.median_filter(arr, size=(1, 5, 5),
+    mode="nearest")`` for inputs without NaN or -0.0 (the solver makes
+    neither): ``_MEDIAN25_STEPS`` selects one of the 25 window values, it
+    computes none.  Runs in blocks of about ``_MEDIAN_BLOCK`` output pixels.
+    """
+    depth, h, w = arr.shape
+    out = np.empty((depth, h, w))
+    cols = np.clip(np.arange(-2, w + 2), 0, w - 1)
+    slices = max(1, _MEDIAN_BLOCK // (h * w))
+    rows = h if slices > 1 else max(1, _MEDIAN_BLOCK // w)
+    for z in range(0, depth, slices):
+        for y in range(0, h, rows):
+            ys = np.clip(np.arange(y - 2, min(y + rows, h) + 2), 0, h - 1)
+            out[z : z + slices, y : y + rows] = _median25(arr[z : z + slices, ys[:, None], cols])
+    return out
+
+
+def _median25(padded: np.ndarray) -> np.ndarray:
+    """The 5x5 medians of a (k, r+4, w+4) block, a (k, r, w) array, by ``_MEDIAN25_STEPS``."""
+    k, r, w = padded.shape[0], padded.shape[1] - 4, padded.shape[2] - 4
+    slots = [padded[:, dy : dy + r, dx : dx + w] for dy in range(5) for dx in range(5)]
+    slots += list(np.empty((_MEDIAN25_BUFFERS, k, r, w)))
+    for ufunc, i, j, o in _MEDIAN25_STEPS:
+        ufunc(slots[i], slots[j], out=slots[o])
+    return slots[_MEDIAN25_RESULT]
 
 
 def _solve_stack(ab: np.ndarray, params: HsParams, levels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -321,7 +475,7 @@ def estimate_flow(i0: Slice2D, i1: Slice2D, params: HsParams | None = None) -> F
         raise ShapeError(f"slice dims {i0.dims} and {i1.dims} differ")
     levels = _pyramid_depth(i0.dims, params.pyramid_levels)
     u, v = _solve_stack(np.stack((i0.data, i1.data)), params, levels)
-    return FlowField(u[0], v[0])
+    return _adopted(FlowField, u=u[0], v=v[0])
 
 
 def compose_intermediate_flow(

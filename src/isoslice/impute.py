@@ -21,7 +21,7 @@ usable CPUs.  A flow run solves every pair ``(a -> b, b -> a)`` of its g gaps
 in one solve, on its endpoints stacked once as ``(fore, aft, aft, fore)``, a
 (4g, H, W) array of 2g sources over 2g targets; every run synthesizes all
 its gaps at one ``t`` as one (g, H, W) stack.  Flow runs go to a thread
-pool (the solver spends most of its time in ndimage calls that release the
+pool (the solver spends most of its time in numpy calls that release the
 GIL), and fewer, larger solves cut the per-call work that holds it.  Output bytes do not depend on the run
 split or the CPU count.  Linear runs go serially (see ``impute_volume``).
 """
@@ -38,7 +38,7 @@ import numpy as np
 from .errors import InsufficientSlicesError, ParameterError, ShapeError
 from .flow import FlowField, HsParams, _check_t, _compose, _pyramid_depth, _solve_stack, _warp_by
 from .flow import _bilerp, _corners, _displaced
-from .volume import LabelVolume, Slice2D, Spacing, Volume, _as_float, _is_int, _usable_cpus
+from .volume import LabelVolume, Slice2D, Spacing, Volume, _adopted, _as_float, _is_int, _usable_cpus
 
 # Not called here (gaps solve both directions as one stack, synthesis warps
 # through flow._warp_by and labels vote on id slices), but bench/tracing.py
@@ -279,5 +279,9 @@ def impute_volume(
             fill_run(run)
 
     spacing = Spacing(v.spacing.sx, v.spacing.sy, v.spacing.sz / (n + 1))
-    result_labels = None if labels is None else LabelVolume(out_labels, spacing, labels.classes)
-    return Volume(out, spacing), result_labels
+    # Both outputs are adopted as built: a blend of finite slices is finite,
+    # and every synthesized id is one of the input's.
+    result_labels = None if labels is None else _adopted(
+        LabelVolume, data=out_labels, spacing=spacing, classes=labels.classes
+    )
+    return _adopted(Volume, data=out, spacing=spacing), result_labels

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .impute import MAX_OUTPUT_VOXELS
-from .volume import LabelVolume, Spacing, Volume, _as_float, _is_int
+from .volume import LabelVolume, Spacing, Volume, _adopted, _as_float, _is_int
 
 
 class MovingDiskPhantom(NamedTuple):
@@ -75,8 +75,8 @@ def moving_disk_phantom(
 
     spacing = Spacing(1.0, 1.0, 1.0)
     return MovingDiskPhantom(
-        Volume(img, spacing),
-        LabelVolume(lab, spacing, classes=2),
+        _adopted(Volume, data=img, spacing=spacing),
+        _adopted(LabelVolume, data=lab, spacing=spacing, classes=2),
         (start[0], start[1]),
         step,
         radius,

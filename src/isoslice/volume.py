@@ -147,6 +147,25 @@ def _frozen(data, dtype, ndim: int, what: str) -> np.ndarray:
     return arr
 
 
+def _adopted(cls: type, **values):
+    """A ``cls`` holding arrays this library has just built, without a copy or a second check.
+
+    The one adoption path for library-built values (``impute_volume``'s
+    outputs, ``moving_disk_phantom``'s, ``estimate_flow``'s field).  It skips
+    ``__post_init__``: each array is made read-only in place and kept, with
+    no finiteness or id-range scan.  So it is only for arrays nothing else
+    holds, already C-ordered with the field's dtype and valid by
+    construction; caller arrays go through the public constructors, which
+    copy.
+    """
+    obj = object.__new__(cls)
+    for name, value in values.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 class _ArrayValue:
     """Base of the frozen dataclasses holding validated arrays; unhashable.
 

@@ -17,6 +17,7 @@ from isoslice import (
     Volume,
     evaluate,
     load_volume,
+    moving_disk_phantom,
     save_volume,
 )
 from isoslice.cli import canonical_json, main
@@ -264,6 +265,28 @@ class TestImpute:
             "e4943b31636322c3887281eb3e883b5d11f10918a136b93f4d04391413bd0546"
         )
 
+    def test_failing_run_keeps_an_existing_out(self, tmp_path):
+        """Outputs go to temporary files and replace their targets only once the last one is written."""
+        vol, lab = box_label_inputs(tmp_path)
+        out = tmp_path / "existing.vvol"
+        out.write_bytes(b"kept")
+        before = sorted(os.listdir(tmp_path))
+        result = run_cli(
+            "impute", "--in", vol, "--labels", lab, "--out", out,
+            "--out-labels", tmp_path / "missing_dir" / "l.vvol", "--method", "linear", "--n", 1,
+        )
+        assert_single_error(result)
+        assert str(tmp_path / "missing_dir" / "l.vvol") in result.stderr  # the target, not a temporary name
+        assert out.read_bytes() == b"kept"
+        assert sorted(os.listdir(tmp_path)) == before
+        out_labels = tmp_path / "l_out.vvol"
+        payload(run_cli(
+            "impute", "--in", vol, "--labels", lab, "--out", out, "--out-labels", out_labels,
+            "--method", "linear", "--n", 1,
+        ))
+        assert load_volume(out).dims[2] == 9 and load_volume(out_labels).dims[2] == 9
+        assert sorted(os.listdir(tmp_path)) == sorted([*before, "l_out.vvol"])
+
     def test_labels_without_out_labels_is_usage_error(self, tmp_path, ramp_volume):
         in_path, _ = ramp_volume
         result = run_cli(
@@ -343,6 +366,28 @@ class TestFlow:
             result = run_cli("flow", "--a", a, "--b", b, "--out", tmp_path / "x.vflo", "--pyramid-levels", bad)
             assert result.returncode == 2
         assert not (tmp_path / "x.vflo").exists()
+
+    @pytest.mark.parametrize(
+        "dims, radius, step, seed, flags, digest",
+        [
+            ((64, 64, 33), 8.0, (0.75, 0.0), 7, [],
+             "881aa01c75de016ed9775dd770ac3fe23b58a3f1ded66e2dbf4b84a31c37640d"),
+            ((256, 256, 16), 40.0, (0.75, 0.5), 3, [],
+             "09e6d13a7926999e68881b36899ec1d95bf74e457fecc5f1fe657df6a8875a2e"),
+            ((64, 64, 33), 8.0, (0.75, 0.0), 7, ["--alpha", "1e-100"],
+             "a5469462db72c831e88782f328d6d5cb7088ecde1bca3abe16439429baa79631"),
+        ],
+        ids=["gate8-pair", "256x256-pair", "alpha-floor"],
+    )
+    def test_flow_file_bytes_match_recorded_hash(self, tmp_path, dims, radius, step, seed, flags, digest):
+        """The solver's own bytes: slices 0 and 4 of a moving-disk phantom (gate 8's at seed 7)."""
+        ph = moving_disk_phantom(dims=dims, radius=radius, step=step, seed=seed)
+        a, b = tmp_path / "a.vvol", tmp_path / "b.vvol"
+        save_volume(Volume(ph.volume.data[0:1], ph.volume.spacing), a)
+        save_volume(Volume(ph.volume.data[4:5], ph.volume.spacing), b)
+        out = tmp_path / "f.vflo"
+        payload(run_cli("flow", "--a", a, "--b", b, "--out", out, *flags))
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_missing_file(self, tmp_path):
         result = run_cli(
@@ -823,15 +868,17 @@ class TestColdStart:
             (["export", "--in", "{ramp}", "--axis", "axial", "--index", "0", "--out", "{tmp}/e.pgm"], []),
             (["phantom", "--out", "{tmp}/p.vvol", "--out-labels", "{tmp}/pl.vvol", "--size", "32,16,16", "--radius", "4"], []),
             (["--version"], []),
-            (["impute", "--in", "{ramp}", "--out", "{tmp}/f.vvol", "--n", "1", "--method", "flow"], ["scipy.ndimage"]),
+            (["impute", "--in", "{ramp}", "--out", "{tmp}/f.vvol", "--n", "1", "--method", "flow"], []),
+            (["flow", "--a", "{tmp}/s.vvol", "--b", "{tmp}/s.vvol", "--out", "{tmp}/f.vflo"], []),
             (["metrics", "--gt", "{tmp}/l.vvol", "--pred", "{tmp}/l.vvol", "--out-json", "{tmp}/m.json"],
              ["scipy.ndimage", "scipy.spatial"]),
         ],
-        ids=["decimate", "impute-linear", "loss", "export", "phantom", "version", "impute-flow", "metrics"],
+        ids=["decimate", "impute-linear", "loss", "export", "phantom", "version", "impute-flow", "flow", "metrics"],
     )
     def test_scipy_loads_only_where_a_command_calls_it(self, tmp_path, ramp_volume, argv, loaded):
         ramp, v = ramp_volume
         save_volume(v, tmp_path / "d.vvol")
+        save_volume(Volume(v.data[:1], v.spacing), tmp_path / "s.vvol")
         labels = np.zeros(v.data.shape, np.uint8)
         labels[2:5, 1:4, 1:4] = 1
         save_volume(LabelVolume(labels, v.spacing), tmp_path / "l.vvol")

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
+import isoslice.flow as flow_module
 import oracles
 from isoslice import (
     DataValidationError,
@@ -21,7 +24,23 @@ from isoslice import (
     load_flow,
     save_flow,
 )
-from isoslice.flow import _normalize, _pyramid_depth, _solve_stack, sample_bilinear
+from isoslice.flow import (
+    _AVG_KERNEL,
+    _BINOMIAL5,
+    _MEDIAN25_BUFFERS,
+    _MEDIAN25_RESULT,
+    _MEDIAN25_STEPS,
+    _central_gradients,
+    _downsample,
+    _hs_sweeps,
+    _median,
+    _neighbour_mean,
+    _normalize,
+    _pyramid_depth,
+    _solve_stack,
+    _warp_by,
+    sample_bilinear,
+)
 
 
 def gaussian_blob(cx, cy, size=64, sigma=8.0):
@@ -93,6 +112,13 @@ class TestEstimate:
     def test_dims_mismatch(self):
         with pytest.raises(ShapeError):
             estimate_flow(Slice2D(np.zeros((16, 16))), Slice2D(np.zeros((16, 17))))
+
+    def test_field_is_adopted_without_a_copy_or_a_second_scan(self, monkeypatch):
+        i0, i1 = Slice2D(gaussian_blob(30.0, 32.0)), Slice2D(gaussian_blob(32.0, 32.0))
+        monkeypatch.setattr(flow_module, "_frozen", None)  # FlowField(...) would call it
+        f = estimate_flow(i0, i1)
+        assert not f.u.flags.writeable and not f.v.flags.writeable
+        assert f.u.dtype == np.float64 and f.u.flags.c_contiguous and f.v.flags.c_contiguous
 
     def test_too_small_for_pyramid(self):
         tiny = Slice2D(np.zeros((4, 4)))
@@ -208,6 +234,128 @@ class TestStackedSolver:
             for got, pixels in ((ab[k], a[k]), (ab[len(a) + k], b[k])):
                 want = pixels if gain is None else (pixels - lo) * gain
                 assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def filter_stacks(draw):
+    """A float64 (B, H, W) stack, 2x2 up to odd and non-square slices, of repeated values or magnitudes near 1e200.
+
+    No NaN and no -0.0: a min/max network and ndimage's selection may pick
+    different bits among values that compare equal.
+    """
+    shape = draw(
+        st.tuples(st.integers(1, 3), st.integers(2, 12), st.integers(2, 12))
+        | st.sampled_from([(1, 2, 2), (2, 5, 7), (1, 7, 5), (1, 3, 64), (2, 64, 3)])
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "repeated", "huge"]))
+    if kind == "repeated":
+        return rng.integers(-2, 3, shape) * 0.75
+    return rng.normal(size=shape) * (1e200 if kind == "huge" else 1.0)
+
+
+def ndimage_sweeps(a, b, uv0, params):
+    """The Jacobi sweeps with the neighbour mean taken by ``ndimage.correlate``: the oracle for ``_hs_sweeps``."""
+    n = len(a)
+    warped = _warp_by(b, uv0[:n], uv0[n:])
+    it = warped - a
+    grad = np.concatenate(_central_gradients(0.5 * (a + warped)))
+    denom = params.alpha * params.alpha + grad[:n] * grad[:n] + grad[n:] * grad[n:]
+    uv = uv0.copy()
+    for _ in range(params.iterations):
+        avg = ndimage.correlate(uv, _AVG_KERNEL[None], mode="nearest")
+        step = (avg - uv0) * grad
+        shared = (step[:n] + step[n:] + it) / denom
+        uv = avg - np.concatenate((grad[:n] * shared, grad[n:] * shared))
+    return uv
+
+
+class TestFiltersMatchNdimage:
+    """The solver's numpy filters give the bytes of the ndimage calls they replace (mode "nearest")."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(filter_stacks())
+    def test_downsample_is_correlate1d_on_both_axes_then_halved(self, x):
+        blurred = ndimage.correlate1d(x, _BINOMIAL5, axis=1, mode="nearest")
+        blurred = ndimage.correlate1d(blurred, _BINOMIAL5, axis=2, mode="nearest")
+        assert _downsample(x).tobytes() == blurred[:, ::2, ::2].tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(filter_stacks())
+    def test_neighbour_mean_is_correlate(self, x):
+        got = _neighbour_mean(np.pad(x, ((0, 0), (1, 1), (1, 1)), mode="edge"), np.empty_like(x), np.empty_like(x))
+        assert got.tobytes() == ndimage.correlate(x, _AVG_KERNEL[None], mode="nearest").tobytes()
+
+    def test_neighbour_mean_of_negative_zeros_is_positive_zero(self):
+        x = np.full((1, 3, 4), -0.0)
+        got = _neighbour_mean(np.pad(x, ((0, 0), (1, 1), (1, 1)), mode="edge"), np.empty_like(x), np.empty_like(x))
+        want = ndimage.correlate(x, _AVG_KERNEL[None], mode="nearest")
+        assert not np.signbit(want).any()
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(filter_stacks())
+    def test_median_is_median_filter(self, x):
+        want = ndimage.median_filter(x, size=(1, 5, 5), mode="nearest")
+        assert _median(x).tobytes() == want.tobytes()
+
+    def test_median_program_selects_the_median_of_zero_one_inputs(self):
+        """The 0-1 principle, sampled: 2^18 random 0/1 columns with every count of ones from 0 to 25."""
+        rng = np.random.default_rng(10)
+        ones = rng.integers(0, 26, 1 << 18)
+        bits = (rng.random((1 << 18, 25)).argsort(axis=1) < ones[:, None]).T.astype(np.uint8)
+        slots = list(bits) + list(np.empty((_MEDIAN25_BUFFERS, 1 << 18), np.uint8))
+        for ufunc, i, j, o in _MEDIAN25_STEPS:
+            ufunc(slots[i], slots[j], out=slots[o])
+        assert len(_MEDIAN25_STEPS) == 174
+        assert np.array_equal(slots[_MEDIAN25_RESULT], ones >= 13)
+
+    @pytest.mark.parametrize("shape", [(3, 40, 300), (1, 9000, 2), (1, 2, 9000)])
+    def test_median_blocks_cut_over_rows_and_the_stack(self, shape):
+        x = np.random.default_rng(9).integers(0, 50, shape) * 1.0
+        want = ndimage.median_filter(x, size=(1, 5, 5), mode="nearest")
+        assert _median(x).tobytes() == want.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(stacked_pairs())
+    def test_sweeps_equal_the_ndimage_sweeps(self, case):
+        a, b, hs = case
+        uv0 = np.random.default_rng(int(a.size)).normal(size=(2 * len(a), *a.shape[1:]))
+        assert _hs_sweeps(a, b, uv0, hs).tobytes() == ndimage_sweeps(a, b, uv0, hs).tobytes()
+
+
+def traced_peak(fn, *args):
+    """Peak bytes numpy allocated while ``fn(*args)`` ran, and its result."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+class TestSolverMemory:
+    """Blocked and preallocated filters: no stack-sized temporary per product or comparator."""
+
+    MB = 1 << 20
+
+    def stacks(self):
+        rng = np.random.default_rng(12)
+        a, b = rng.random((2, 2, 256, 256)) * 255.0
+        return a, b, rng.normal(size=(4, 256, 256))
+
+    def test_median_holds_its_output_and_2_mb(self):
+        _, _, uv = self.stacks()
+        peak, out = traced_peak(_median, uv)
+        assert peak <= out.nbytes + 2 * self.MB
+
+    def test_sweeps_hold_their_opening_warp_and_2_mb(self):
+        """The warp that linearizes the problem sets the peak; the 25 sweeps add no stack of their own."""
+        a, b, uv0 = self.stacks()
+        n = len(a)
+        warp_peak, _ = traced_peak(_warp_by, b, uv0[:n], uv0[n:])
+        peak, _ = traced_peak(_hs_sweeps, a, b, uv0, HsParams())
+        assert peak <= warp_peak + 2 * self.MB
 
 
 class TestCompose:

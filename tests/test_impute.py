@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import isoslice.impute as impute_module
+import isoslice.volume as volume_module
 import oracles
 from isoslice.flow import _warp_by
 from isoslice import (
@@ -31,6 +32,7 @@ from isoslice import (
     impute_volume,
     moving_disk_phantom,
     one_hot_stack,
+    save_volume,
     synth_intermediate_label,
     synth_intermediate_slice,
 )
@@ -220,6 +222,25 @@ class TestImputeVolume:
         ph = moving_disk_phantom(dims=(32, 24, 16), radius=5.0, step=(0.75, 0.25), seed=5)
         impute_volume(decimate(ph.volume, 4), decimate(ph.labels, 4), ImputeConfig(n_slices=3, method="flow"))
         assert len(built) == 1
+
+    @pytest.mark.parametrize("with_labels", [False, True])
+    def test_linear_impute_and_save_hold_output_and_a_few_slices(self, tmp_path, monkeypatch, with_labels):
+        """Outputs are adopted as built, not copied or scanned again: input + output + a few slices."""
+        rng = np.random.default_rng(43)
+        v = Volume(rng.random((17, 256, 256), dtype=np.float32), Spacing(1.0, 1.0, 4.0))
+        labels = LabelVolume(rng.integers(0, 5, (17, 256, 256)).astype(np.uint8), v.spacing, 5) if with_labels else None
+        monkeypatch.setattr(volume_module, "_frozen", None)  # Volume(...) and LabelVolume(...) would call it
+        tracemalloc.start()  # the input is already held
+        try:
+            out, out_labels = impute_volume(v, labels, ImputeConfig(n_slices=3, method="linear"))
+            save_volume(out, tmp_path / "o.vvol")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = out.data.nbytes + (out_labels.data.nbytes if with_labels else 0)
+        assert peak <= held + 6 * 256 * 256 * 8  # six float64 slices
+        assert not out.data.flags.writeable
+        assert not with_labels or not out_labels.data.flags.writeable
 
     def test_counting_identity_z3_n2(self):
         rng = np.random.default_rng(41)

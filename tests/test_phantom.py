@@ -1,10 +1,26 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import isoslice.volume as volume_module
 from isoslice import ParameterError, moving_disk_phantom
 
 
 class TestMovingDisk:
+    def test_volumes_are_adopted_without_a_copy(self, monkeypatch):
+        monkeypatch.setattr(volume_module, "_frozen", None)  # Volume(...) and LabelVolume(...) would call it
+        tracemalloc.start()
+        try:
+            ph = moving_disk_phantom(dims=(256, 256, 17), radius=40.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = ph.volume.data.nbytes + ph.labels.data.nbytes
+        assert peak <= held + 6 * 256 * 256 * 8  # six float64 slices, not a second copy of both volumes
+        assert not ph.volume.data.flags.writeable and not ph.labels.data.flags.writeable
+        assert ph.labels.classes == 2 and ph.labels.data.dtype == np.uint8
+
     def test_same_seed_is_byte_identical(self):
         a = moving_disk_phantom(seed=9)
         b = moving_disk_phantom(seed=9)
