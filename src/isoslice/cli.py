@@ -352,7 +352,9 @@ def _claimer(claimed: list[tuple[Path, Path]]) -> Callable[[str], Path]:
 
     def claim(path: str) -> Path:
         target = Path(path)
-        temporary = target.parent / f".{target.name}.{os.urandom(6).hex()}.tmp"
+        # A file name holds at most 255 bytes: the 18 this adds come off the target's name.
+        name = os.fsencode(target.name)[: 255 - 18]
+        temporary = target.parent / os.fsdecode(b".%s.%s.tmp" % (name, os.urandom(6).hex().encode()))
         claimed.append((temporary, target))
         return temporary
 
@@ -382,7 +384,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # An error writing or moving a temporary file names its target, the path the user gave.
         targets = {str(temporary): str(target) for temporary, target in claimed}
         if isinstance(exc, OSError) and exc.filename in targets:
-            exc.filename, exc.filename2 = targets[exc.filename], None
+            exc = OSError(exc.errno, exc.strerror, targets[exc.filename])
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

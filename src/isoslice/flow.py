@@ -50,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FileFormatError, ParameterError, ShapeError
+from .errors import DataValidationError, FileFormatError, ParameterError, ShapeError
 from .volume import (
     Slice2D,
     _ArrayValue,
@@ -83,78 +83,10 @@ _AVG_TAPS = tuple((dy, dx, float(w)) for (dy, dx), w in np.ndenumerate(_AVG_KERN
 
 _BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
-# Devillard's ``opt_med25`` ("Fast median search: an ANSI C implementation",
-# 1998): after these 99 compare-exchange steps, each leaving the smaller
-# value on wire a and the larger on wire b, wire 12 holds the median of the
-# 25 values the wires started with.
-_MEDIAN25 = (
-    (0, 1), (3, 4), (2, 4), (2, 3), (6, 7), (5, 7), (5, 6), (9, 10), (8, 10), (8, 9),
-    (12, 13), (11, 13), (11, 12), (15, 16), (14, 16), (14, 15), (18, 19), (17, 19), (17, 18),
-    (21, 22), (20, 22), (20, 21), (23, 24), (2, 5), (3, 6), (0, 6), (0, 3), (4, 7), (1, 7), (1, 4),
-    (11, 14), (8, 14), (8, 11), (12, 15), (9, 15), (9, 12), (13, 16), (10, 16), (10, 13),
-    (20, 23), (17, 23), (17, 20), (21, 24), (18, 24), (18, 21), (19, 22), (8, 17), (9, 18),
-    (0, 18), (0, 9), (10, 19), (1, 19), (1, 10), (11, 20), (2, 20), (2, 11), (12, 21), (3, 21),
-    (3, 12), (13, 22), (4, 22), (4, 13), (14, 23), (5, 23), (5, 14), (15, 24), (6, 24), (6, 15),
-    (7, 16), (7, 19), (13, 21), (15, 23), (7, 13), (7, 15), (1, 9), (3, 11), (5, 17), (11, 17),
-    (9, 17), (4, 10), (6, 12), (7, 14), (4, 6), (4, 7), (12, 14), (10, 14), (6, 7), (10, 12),
-    (6, 10), (6, 17), (12, 17), (7, 17), (7, 10), (12, 18), (7, 12), (10, 18), (12, 20), (10, 20),
-    (10, 12),
-)
-
-
-def _program(network: tuple, out: int) -> tuple[tuple, int, int]:
-    """``network`` compiled to ufunc calls on numbered slots: ``(steps, buffers, result)``.
-
-    Each step ``(ufunc, i, j, k)`` is ``ufunc(slot[i], slot[j], out=slot[k])``.
-    Slots 0-24 hold the 25 input windows and are never written; slots from
-    25 on are ``buffers`` scratch arrays, and the median ends in slot
-    ``result``.  Outputs that no later step or wire ``out`` reads are
-    dropped (for ``_MEDIAN25`` 174 of the 198 remain, in 26 buffers); an
-    output lands in place when its wire already holds a buffer that the
-    step's other output does not still need, else in a buffer no wire needs.
-    """
-    live, kept = {out}, []
-    for a, b in reversed(network):
-        keep_min, keep_max = a in live, b in live
-        live -= {a, b}
-        if keep_min or keep_max:
-            kept.append((a, b, keep_min, keep_max))
-            live |= {a, b}
-    slot, free, steps = list(range(25)), [], []
-    buffers = 0
-
-    def place(held: int, in_place: bool) -> int:
-        nonlocal buffers
-        if held >= 25 and in_place:
-            return held
-        if free:
-            return free.pop()
-        buffers += 1
-        return 24 + buffers
-
-    for a, b, keep_min, keep_max in reversed(kept):
-        x, y = slot[a], slot[b]
-        if keep_min:
-            slot[a] = place(x, not keep_max)
-            steps.append((np.minimum, x, y, slot[a]))
-        if keep_max:
-            slot[b] = place(y, True)
-            steps.append((np.maximum, x, y, slot[b]))
-        for wire, keep, held in ((a, keep_min, x), (b, keep_max, y)):
-            if held >= 25 and not (keep and slot[wire] == held):
-                free.append(held)
-    return tuple(steps), buffers, slot[out]
-
-
-_MEDIAN25_STEPS, _MEDIAN25_BUFFERS, _MEDIAN25_RESULT = _program(_MEDIAN25, 12)
-
 # Output pixels per block of ``_median``: whole slices of a stack or rows of
-# one slice.  A block's 26 buffers then take 1.6 MB per thread whatever the
-# slice size, where whole-stack temporaries raised a threaded ``disk-flow``
-# job's peak RSS from 84.6 to 106 MB.  Calls on fewer than about 2^16
-# elements barely overlap across threads (numpy's per-call cost holds the
-# interpreter lock), but 2^13 to 2^16 px gave the same ``disk-flow`` job
-# times within noise on 2 CPUs, so the smallest of them is used.
+# one slice.  A block's 25 window values per pixel then take 1.6 MB per
+# thread whatever the slice size, where whole-stack temporaries raised a
+# threaded ``disk-flow`` job's peak RSS from 84.6 to 106 MB.
 _MEDIAN_BLOCK = 1 << 13
 
 
@@ -409,8 +341,9 @@ def _median(arr: np.ndarray) -> np.ndarray:
 
     The bytes of ``ndimage.median_filter(arr, size=(1, 5, 5),
     mode="nearest")`` for inputs without NaN or -0.0 (the solver makes
-    neither): ``_MEDIAN25_STEPS`` selects one of the 25 window values, it
-    computes none.  Runs in blocks of about ``_MEDIAN_BLOCK`` output pixels.
+    neither): like it, a rank-12 partition of each pixel's 25 window values
+    selects one of them.  Runs in blocks of about ``_MEDIAN_BLOCK`` output
+    pixels, whose windows are copied out and partitioned in place.
     """
     depth, h, w = arr.shape
     out = np.empty((depth, h, w))
@@ -420,18 +353,13 @@ def _median(arr: np.ndarray) -> np.ndarray:
     for z in range(0, depth, slices):
         for y in range(0, h, rows):
             ys = np.clip(np.arange(y - 2, min(y + rows, h) + 2), 0, h - 1)
-            out[z : z + slices, y : y + rows] = _median25(arr[z : z + slices, ys[:, None], cols])
+            dest = out[z : z + slices, y : y + rows]
+            block = arr[z : z + slices, ys[:, None], cols]
+            windows = np.lib.stride_tricks.sliding_window_view(block, (5, 5), (1, 2)).reshape(*dest.shape, 25)
+            windows.partition(12)
+            dest[...] = windows[..., 12]
+            del windows  # before the next block's copy is made
     return out
-
-
-def _median25(padded: np.ndarray) -> np.ndarray:
-    """The 5x5 medians of a (k, r+4, w+4) block, a (k, r, w) array, by ``_MEDIAN25_STEPS``."""
-    k, r, w = padded.shape[0], padded.shape[1] - 4, padded.shape[2] - 4
-    slots = [padded[:, dy : dy + r, dx : dx + w] for dy in range(5) for dx in range(5)]
-    slots += list(np.empty((_MEDIAN25_BUFFERS, k, r, w)))
-    for ufunc, i, j, o in _MEDIAN25_STEPS:
-        ufunc(slots[i], slots[j], out=slots[o])
-    return slots[_MEDIAN25_RESULT]
 
 
 def _solve_stack(ab: np.ndarray, params: HsParams, levels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -532,8 +460,11 @@ def _flow_payload_size(header: dict) -> int:
 
 
 def load_flow(path: str | Path) -> FlowField:
-    """Read a VFLO file back into a FlowField."""
+    """Read a VFLO file back into a FlowField; a DataValidationError names the path, as ``load_volume``'s does."""
     header, payload = _read_container(path, FLOW_MAGIC, _flow_payload_size)
     w, h = header["dims"]
     u, v = np.frombuffer(payload, dtype="<f4").reshape(2, h, w)
-    return FlowField(u, v)
+    try:
+        return FlowField(u, v)
+    except DataValidationError as exc:
+        raise DataValidationError(f"{path}: {exc}") from exc

@@ -42,7 +42,7 @@ from .volume import LabelVolume, Slice2D, Spacing, Volume, _adopted, _as_float, 
 
 # Not called here (gaps solve both directions as one stack, synthesis warps
 # through flow._warp_by and labels vote on id slices), but bench/tracing.py
-# still wraps these and one_hot_stack by name (ROADMAP item 4).
+# still wraps these and one_hot_stack by name (ROADMAP item 7).
 from .flow import compose_intermediate_flow, estimate_flow, sample_bilinear  # noqa: F401
 
 

@@ -276,7 +276,9 @@ class TestImpute:
             "--out-labels", tmp_path / "missing_dir" / "l.vvol", "--method", "linear", "--n", 1,
         )
         assert_single_error(result)
-        assert str(tmp_path / "missing_dir" / "l.vvol") in result.stderr  # the target, not a temporary name
+        # The target, not a temporary name, and nothing after it.
+        target = str(tmp_path / "missing_dir" / "l.vvol")
+        assert result.stderr == f"error: [Errno 2] No such file or directory: {target!r}\n"
         assert out.read_bytes() == b"kept"
         assert sorted(os.listdir(tmp_path)) == before
         out_labels = tmp_path / "l_out.vvol"
@@ -286,6 +288,16 @@ class TestImpute:
         ))
         assert load_volume(out).dims[2] == 9 and load_volume(out_labels).dims[2] == 9
         assert sorted(os.listdir(tmp_path)) == sorted([*before, "l_out.vvol"])
+
+    def test_an_output_name_of_255_bytes_is_written(self, tmp_path, ramp_volume):
+        """The temporary file's name stays within the 255 bytes a file name may hold."""
+        in_path, _ = ramp_volume
+        short, long = tmp_path / "short.vvol", tmp_path / ("\u00e9" * 125 + ".vvol")
+        assert len(os.fsencode(long.name)) == 255
+        for out in (short, long):
+            payload(run_cli("decimate", "--in", in_path, "--out", out))
+        assert long.read_bytes() == short.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == sorted(["ramp.vvol", short.name, long.name])
 
     def test_labels_without_out_labels_is_usage_error(self, tmp_path, ramp_volume):
         in_path, _ = ramp_volume
