@@ -6,12 +6,15 @@ shortest round-trip floats); diagnostics go to standard error.  Each output
 is written to a temporary file beside its target, and the targets are
 replaced only after the command's last output is written.  A failing run
 removes its temporary files, so it leaves no partial file behind and every
-file that was already at a target as it was.
+file that was already at a target as it was.  A target that is an existing
+directory, or that names the same file as another target, is refused before
+any output is written.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -347,11 +350,18 @@ def _claimer(claimed: list[tuple[Path, Path]]) -> Callable[[str], Path]:
     """The ``claim`` a handler calls for each output path: it returns a new temporary path to write instead.
 
     The temporary file sits in the target's directory, so moving it onto the
-    target with ``os.replace`` stays on one file system.
+    target with ``os.replace`` stays on one file system.  A target that is an
+    existing directory, or the same directory entry as an earlier target, is
+    refused here, before any target is replaced.
     """
 
     def claim(path: str) -> Path:
         target = Path(path)
+        if os.path.isdir(target) and not os.path.islink(target):  # os.replace would fail on it
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        for _, earlier in claimed:
+            if earlier.name == target.name and earlier.parent.resolve() == target.parent.resolve():
+                raise ParameterError(f"output {path} is the same file as output {earlier}")
         # A file name holds at most 255 bytes: the 18 this adds come off the target's name.
         name = os.fsencode(target.name)[: 255 - 18]
         temporary = target.parent / os.fsdecode(b".%s.%s.tmp" % (name, os.urandom(6).hex().encode()))

@@ -289,6 +289,32 @@ class TestImpute:
         assert load_volume(out).dims[2] == 9 and load_volume(out_labels).dims[2] == 9
         assert sorted(os.listdir(tmp_path)) == sorted([*before, "l_out.vvol"])
 
+    def test_a_directory_target_is_refused_before_any_target_is_replaced(self, tmp_path):
+        vol, lab = box_label_inputs(tmp_path)
+        out = tmp_path / "existing.vvol"
+        out.write_bytes(b"kept")
+        (tmp_path / "labdir").mkdir()
+        before = sorted(os.listdir(tmp_path))
+        result = run_cli(
+            "impute", "--in", vol, "--labels", lab, "--out", "existing.vvol", "--out-labels", "labdir",
+            "--method", "linear", "--n", 1, cwd=tmp_path,
+        )
+        assert_single_error(result)
+        assert result.stderr == "error: [Errno 21] Is a directory: 'labdir'\n"
+        assert out.read_bytes() == b"kept"
+        assert sorted(os.listdir(tmp_path)) == before and not os.listdir(tmp_path / "labdir")
+
+    def test_one_path_for_both_outputs_is_refused(self, tmp_path):
+        vol, lab = box_label_inputs(tmp_path)
+        before = sorted(os.listdir(tmp_path))
+        result = run_cli(
+            "impute", "--in", vol, "--labels", lab, "--out", "same.vvol", "--out-labels", "./same.vvol",
+            "--method", "linear", "--n", 1, cwd=tmp_path,
+        )
+        assert_single_error(result)
+        assert result.stderr == "error: output ./same.vvol is the same file as output same.vvol\n"
+        assert sorted(os.listdir(tmp_path)) == before
+
     def test_an_output_name_of_255_bytes_is_written(self, tmp_path, ramp_volume):
         """The temporary file's name stays within the 255 bytes a file name may hold."""
         in_path, _ = ramp_volume
@@ -764,6 +790,17 @@ class TestPhantom:
             cy = info["start"][1] + z * info["step"][1]
             inside = (xs - cx) ** 2 + (ys - cy) ** 2 < info["radius"] ** 2
             assert np.array_equal(labels.data[z].astype(bool), inside)
+
+    @pytest.mark.parametrize("out, out_labels", [("q", "q"), ("d/q", "alias/../d/q"), ("d/q", "alias/q")])
+    def test_one_file_for_both_outputs_is_refused(self, tmp_path, out, out_labels):
+        (tmp_path / "d").mkdir()
+        (tmp_path / "alias").symlink_to("d")
+        result = run_cli(
+            "phantom", "--out", out, "--out-labels", out_labels, "--size", "32,16,16", "--radius", 4, cwd=tmp_path
+        )
+        assert_single_error(result)
+        assert result.stderr == f"error: output {out_labels} is the same file as output {out}\n"
+        assert sorted(os.listdir(tmp_path)) == ["alias", "d"] and not os.listdir(tmp_path / "d")
 
     def test_negative_seed_is_usage_error(self, tmp_path):
         result = run_cli(

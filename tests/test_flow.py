@@ -252,6 +252,27 @@ def filter_stacks(draw):
     return rng.normal(size=shape) * (1e200 if kind == "huge" else 1.0)
 
 
+@st.composite
+def seam_pairs(draw):
+    """Thin pairs (H or W of 2-3) and a start flow whose slices each have their own scale, 1e-3 up to 1e200.
+
+    A sweep tap that read across a row, slice or u/v boundary would mix
+    scales and change the bytes.
+    """
+    thin, other = draw(st.integers(2, 3)), draw(st.integers(2, 9))
+    h, w = draw(st.sampled_from([(thin, other), (other, thin)]))
+    depth = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pair_scales = draw(st.lists(st.sampled_from([1e-3, 1.0, 300.0]), min_size=depth, max_size=depth))
+    flow_scales = draw(
+        st.lists(st.sampled_from([1e-3, 1.0, 1e3, 1e100, 1e200]), min_size=2 * depth, max_size=2 * depth)
+    )
+    a, b = rng.normal(size=(2, depth, h, w)) * np.array(pair_scales)[:, None, None]
+    uv0 = rng.normal(size=(2 * depth, h, w)) * np.array(flow_scales)[:, None, None]
+    hs = HsParams(alpha=draw(st.sampled_from([0.5, 15.0])), iterations=draw(st.integers(1, 4)))
+    return a, b, uv0, hs
+
+
 def ndimage_sweeps(a, b, uv0, params):
     """The Jacobi sweeps with the neighbour mean taken by ``ndimage.correlate``: the oracle for ``_hs_sweeps``."""
     n = len(a)
@@ -281,12 +302,12 @@ class TestFiltersMatchNdimage:
     @settings(max_examples=80, deadline=None)
     @given(filter_stacks())
     def test_neighbour_mean_is_correlate(self, x):
-        got = _neighbour_mean(np.pad(x, ((0, 0), (1, 1), (1, 1)), mode="edge"), np.empty_like(x), np.empty_like(x))
+        got = _neighbour_mean(p := np.pad(x, ((0, 0), (1, 1), (1, 1)), mode="edge"), np.empty_like(p), np.empty_like(p))
         assert got.tobytes() == ndimage.correlate(x, _AVG_KERNEL[None], mode="nearest").tobytes()
 
     def test_neighbour_mean_of_negative_zeros_is_positive_zero(self):
         x = np.full((1, 3, 4), -0.0)
-        got = _neighbour_mean(np.pad(x, ((0, 0), (1, 1), (1, 1)), mode="edge"), np.empty_like(x), np.empty_like(x))
+        got = _neighbour_mean(p := np.pad(x, ((0, 0), (1, 1), (1, 1)), mode="edge"), np.empty_like(p), np.empty_like(p))
         want = ndimage.correlate(x, _AVG_KERNEL[None], mode="nearest")
         assert not np.signbit(want).any()
         assert got.tobytes() == want.tobytes()
@@ -308,6 +329,12 @@ class TestFiltersMatchNdimage:
     def test_sweeps_equal_the_ndimage_sweeps(self, case):
         a, b, hs = case
         uv0 = np.random.default_rng(int(a.size)).normal(size=(2 * len(a), *a.shape[1:]))
+        assert _hs_sweeps(a, b, uv0, hs).tobytes() == ndimage_sweeps(a, b, uv0, hs).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seam_pairs())
+    def test_sweeps_equal_the_ndimage_sweeps_across_row_and_slice_seams(self, case):
+        a, b, uv0, hs = case
         assert _hs_sweeps(a, b, uv0, hs).tobytes() == ndimage_sweeps(a, b, uv0, hs).tobytes()
 
     @settings(max_examples=60, deadline=None)
