@@ -4,8 +4,10 @@ Exit codes: 0 on success, 1 on runtime or data errors, 2 on usage errors.
 Standard output carries exactly one canonical JSON object (sorted keys,
 shortest round-trip floats); diagnostics go to standard error.  Each output
 is written to a temporary file beside its target, and the targets are
-replaced only after the command's last output is written.  A failing run
-removes its temporary files, so it leaves no partial file behind and every
+replaced only after the command's last output is written.  Each file
+already at a target is hard-linked aside first, so a move that fails after
+others succeeded puts every target back.  A failing run removes its
+temporary files and links, so it leaves no partial file behind and every
 file that was already at a target as it was.  A target that is an existing
 directory, or that names the same file as another target, is refused before
 any output is written.
@@ -371,13 +373,46 @@ def _claimer(claimed: list[tuple[Path, Path]]) -> Callable[[str], Path]:
     return claim
 
 
-def _cleanup(claimed: list[tuple[Path, Path]]) -> None:
-    """Remove the temporary files still left; targets are never touched."""
-    for temporary, _ in claimed:
+def _aside(temporary: Path) -> Path:
+    """Where ``_replace_all`` keeps a hard link to the file at ``temporary``'s target."""
+    return temporary.with_suffix(".old")
+
+
+def _replace_all(claimed: list[tuple[Path, Path]]) -> None:
+    """Move every temporary file onto its target: all of them, or none.
+
+    Each target that exists is first hard-linked aside (a target that cannot
+    be linked fails the run before any move), so if a move fails, every
+    target already moved gets back the file it held, or loses the new one
+    where there was none.
+    """
+    for temporary, target in claimed:
         try:
-            temporary.unlink(missing_ok=True)
-        except OSError:
+            os.link(target, _aside(temporary), follow_symlinks=False)
+        except FileNotFoundError:
             pass
+    moved = []
+    try:
+        for temporary, target in claimed:
+            os.replace(temporary, target)
+            moved.append((temporary, target))
+    except OSError:
+        for temporary, target in moved:
+            if os.path.lexists(_aside(temporary)):
+                os.replace(_aside(temporary), target)
+            else:
+                target.unlink()
+        raise
+
+
+def _cleanup(claimed: list[tuple[Path, Path]]) -> None:
+    """Remove the temporary files and aside links still left; targets are never touched."""
+    for temporary, _ in claimed:
+        for path in (temporary, _aside(temporary)):
+            try:
+                path.unlink(missing_ok=True)
+            except OSError:
+                pass
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -388,11 +423,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     claimed: list[tuple[Path, Path]] = []
     try:
         payload = args.handler(args, _claimer(claimed))
-        for temporary, target in claimed:
-            os.replace(temporary, target)
+        _replace_all(claimed)
     except (IsosliceError, OSError) as exc:
-        # An error writing or moving a temporary file names its target, the path the user gave.
-        targets = {str(temporary): str(target) for temporary, target in claimed}
+        # An error writing or moving a temporary file, or linking a target aside, names just the
+        # target, the path the user gave.
+        targets = {str(path): str(target) for temporary, target in claimed for path in (temporary, target)}
         if isinstance(exc, OSError) and exc.filename in targets:
             exc = OSError(exc.errno, exc.strerror, targets[exc.filename])
         print(f"error: {exc}", file=sys.stderr)

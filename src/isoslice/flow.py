@@ -20,10 +20,9 @@ sweep and median filter one pass over both.
 
 Flow semantics are forward for estimation: the field returned by
 ``estimate_flow(i0, i1)`` maps a pixel ``(x, y)`` of ``i0`` to
-``(x + u, y + v)`` in ``i1``.  Sampling is backward with clamp-to-edge
-bilinear interpolation by ``_warp_by``, the one backward warp for the solver
-and for ``impute``: warping ``i1`` by that same field reconstructs ``i0``.
-Its ``_corners`` and ``_bilerp`` steps also serve ``impute``'s label vote.
+``(x + u, y + v)`` in ``i1``.  Sampling is backward, clamp-to-edge bilinear
+through one ``_plan`` of corner indices and weights per warp: warping
+``i1`` by that same field reconstructs ``i0``.
 
 The solver runs on numpy alone.  Its three filters (the pyramid's binomial
 blur, the sweeps' 8-neighbour mean and the 5x5 median, all with
@@ -167,24 +166,35 @@ def sample_bilinear(arr: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarr
     positions broadcast against (B, ...) and slice ``b`` is sampled at
     ``xs[b], ys[b]``; each slice's samples equal a 2-D call on that slice.
     """
-    return _bilerp(*_corners(arr, xs, ys))
+    corners, wx, wy = _plan(arr.shape, xs, ys)
+    values = arr.reshape(-1).take(corners)
+    del corners  # before the bilerp's temporaries
+    return _bilerp(values, wx, wy)
 
 
-def _corners(arr: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
-    """``arr`` at the clamped corners (top-left, top-right, bottom-left, bottom-right), and ``wx``, ``wy``."""
-    h, w = arr.shape[-2:]
-    xs = np.clip(xs, 0.0, w - 1.0)
-    ys = np.clip(ys, 0.0, h - 1.0)
-    x0 = np.floor(xs).astype(np.intp)
-    y0 = np.floor(ys).astype(np.intp)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    lead = (np.arange(arr.shape[0])[:, None, None],) if arr.ndim == 3 else ()
-    return [arr[(*lead, y, x)] for y in (y0, y1) for x in (x0, x1)], xs - x0, ys - y0
+def _plan(shape: tuple, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The flat indices of the clamped bilinear corners of ``xs, ys`` in an array of ``shape``, and ``wx``, ``wy``.
+
+    ``corners`` is one (4, ...) intp array, filled in place: top-left, top-right, bottom-left, bottom-right.
+    """
+    h, w = shape[-2:]
+    wx = np.clip(xs, 0.0, w - 1.0, dtype=np.float64)  # float64 weights whatever the positions' dtype
+    wy = np.clip(ys, 0.0, h - 1.0, dtype=np.float64)
+    col = np.floor(wx).astype(np.intp)
+    row = np.floor(wy).astype(np.intp)
+    wx -= col
+    wy -= row
+    lead = np.arange(shape[0])[:, None, None] * (h * w) if len(shape) == 3 else 0
+    corners = np.empty((4, *np.broadcast_shapes(np.shape(lead), col.shape, row.shape)), np.intp)
+    np.add(row * w + lead, col, out=corners[0, ...])  # [k, ...] is an array even for 0-d positions
+    np.add(corners[0], col < w - 1, out=corners[1, ...])
+    np.add(corners[0], (row < h - 1) * w, out=corners[2, ...])
+    np.add(corners[2], col < w - 1, out=corners[3, ...])
+    return corners, wx, wy
 
 
-def _bilerp(corners: list, wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
-    """The bilinear sum over ``_corners``'s values and weights, elementwise for any shape."""
+def _bilerp(corners: np.ndarray, wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
+    """The bilinear sum over the four corner values a ``_plan`` gathers and its weights, elementwise for any shape."""
     c00, c01, c10, c11 = corners
     top = c00 * (1.0 - wx) + c01 * wx
     bottom = c10 * (1.0 - wx) + c11 * wx

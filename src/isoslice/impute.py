@@ -1,8 +1,8 @@
 """Slice synthesis and through-plane imputation.
 
 A synthetic slice at position ``t`` between two bracketing slices is the
-position-weighted blend of the two backward-warped endpoints (``_blend``,
-warping with ``flow._warp_by``).  Labels travel the same way: each pixel
+position-weighted blend of the two backward-warped endpoints (``_blend``).
+Labels travel the same way, through the same ``flow._plan``s: each pixel
 takes the class whose warped and blended indicator map is largest (ties go
 to the lower class id, so background wins).  ``impute_volume`` applies this
 between every pair of consecutive axial slices and carries the original
@@ -37,12 +37,12 @@ import numpy as np
 
 from .errors import InsufficientSlicesError, ParameterError, ShapeError
 from .flow import FlowField, HsParams, _check_t, _compose, _pyramid_depth, _solve_stack, _warp_by
-from .flow import _bilerp, _corners, _displaced
+from .flow import _bilerp, _displaced, _plan
 from .volume import LabelVolume, Slice2D, Spacing, Volume, _adopted, _as_float, _is_int, _usable_cpus
 
 # Not called here (gaps solve both directions as one stack, synthesis warps
-# through flow._warp_by and labels vote on id slices), but bench/tracing.py
-# still wraps these and one_hot_stack by name (ROADMAP item 7).
+# through flow._plan and labels vote on id slices), but bench/tracing.py
+# still wraps these and one_hot_stack by name (ROADMAP item 3).
 from .flow import compose_intermediate_flow, estimate_flow, sample_bilinear  # noqa: F401
 
 
@@ -119,32 +119,37 @@ def synth_intermediate_slice(
             f"dims differ: slices {i0.dims}/{i1.dims}, flows {ft0.dims}/{ft1.dims}"
         )
     _check_t(t)
-    return Slice2D(_blend(i0.data, i1.data, ((ft0.u, ft0.v), (ft1.u, ft1.v)), t))
+    return Slice2D(_blend(i0.data, i1.data, _plans(i0.data.shape, ((ft0.u, ft0.v), (ft1.u, ft1.v))), t))
 
 
-def _blend(a: np.ndarray, b: np.ndarray, flows: tuple | None, t: float) -> np.ndarray:
-    """``(1-t) * warp(a, *ft0) + t * warp(b, *ft1)`` on slices or stacks; ``flows`` is ``(ft0, ft1)`` or None."""
-    if flows is None:
+def _plans(shape: tuple, flows) -> list:
+    """One ``flow._plan`` per backward warp ``(u, v)`` in ``flows``, over arrays of ``shape``."""
+    return [_plan(shape, *_displaced(u, v)) for u, v in flows]
+
+
+def _blend(a: np.ndarray, b: np.ndarray, plans: list | None, t: float) -> np.ndarray:
+    """``(1-t) * warp(a) + t * warp(b)`` on slices or stacks, through ``plans`` (one per endpoint) or none."""
+    if plans is None:
         return (1.0 - t) * a + t * b
-    ft0, ft1 = flows
-    return (1.0 - t) * _warp_by(a, *ft0) + t * _warp_by(b, *ft1)
+    (c0, wx0, wy0), (c1, wx1, wy1) = plans
+    return (1.0 - t) * _bilerp(a.reshape(-1).take(c0), wx0, wy0) + t * _bilerp(b.reshape(-1).take(c1), wx1, wy1)
 
 
-def _vote(l0: np.ndarray, l1: np.ndarray, flows: tuple | None, t: float) -> np.ndarray:
-    """Per-pixel id ``c`` with the largest ``_blend(l0 == c, l1 == c, flows, t)``, ties to the lower id.
+def _vote(l0: np.ndarray, l1: np.ndarray, plans: list | None, t: float) -> np.ndarray:
+    """Per-pixel id ``c`` with the largest ``_blend(l0 == c, l1 == c, plans, t)``, ties to the lower id.
 
     Only an id at one of the pixel's 8 bilinear corners (4 per endpoint) can
     score above 0.0, and one always does, as ``1 - wx`` and ``1 - wy`` are
     positive.  So where the 8 agree that id wins, and elsewhere each corner
     id is scored with the very operations of its warped indicator maps,
-    elementwise, so ``l0``, ``l1`` and the flows may be slices or stacks.
+    elementwise, so ``l0``, ``l1`` and the plans may be slices or stacks.
     """
     s0, s1 = 1.0 - t, t
-    if flows is None:
+    if plans is None:
         return l0 if s0 > s1 else l1 if s1 > s0 else np.minimum(l0, l1)
-    g0, wx0, wy0 = _corners(l0, *_displaced(*flows[0]))
-    g1, wx1, wy1 = _corners(l1, *_displaced(*flows[1]))
-    ids, corners = g0[0], np.array(g0 + g1)
+    (c0, wx0, wy0), (c1, wx1, wy1) = plans
+    corners = np.concatenate((l0.reshape(-1).take(c0), l1.reshape(-1).take(c1)))
+    ids = corners[0].copy()
     mixed = (corners != ids).any(axis=0)
     cands = corners[:, mixed]
     wx0, wy0, wx1, wy1 = (w[mixed] for w in (wx0, wy0, wx1, wy1))
@@ -174,7 +179,7 @@ def synth_intermediate_label(
     if ft0.dims != l0.shape[::-1] or ft1.dims != l0.shape[::-1]:
         raise ShapeError(f"flow dims {ft0.dims}/{ft1.dims} do not match label dims {l0.shape[::-1]}")
     _check_t(t)
-    return _vote(l0.astype(np.intp), l1.astype(np.intp), ((ft0.u, ft0.v), (ft1.u, ft1.v)), t)
+    return _vote(l0.astype(np.intp), l1.astype(np.intp), _plans(l0.shape, ((ft0.u, ft0.v), (ft1.u, ft1.v))), t)
 
 
 def auto_slice_count(inter_mm: float, intra_mm: float) -> int:
@@ -253,12 +258,12 @@ def impute_volume(
             us, vs = _solve_stack(np.concatenate((fore, aft, aft, fore)), cfg.hs, levels)
         for i in range(1, n + 1):
             t = i / (n + 1)
-            flows = _compose((us[:g], vs[:g]), (us[g:], vs[g:]), t) if use_flow else None
+            plans = _plans(fore.shape, _compose((us[:g], vs[:g]), (us[g:], vs[g:]), t)) if use_flow else None
             rows = slice(gaps.start * (n + 1) + i, gaps.stop * (n + 1), n + 1)
-            out[rows] = _blend(fore, aft, flows, t)
+            out[rows] = _blend(fore, aft, plans, t)
             if labels is not None:
                 ids = labels.data[gaps.start : gaps.stop + 1]
-                out_labels[rows] = _vote(ids[:-1], ids[1:], flows, t)
+                out_labels[rows] = _vote(ids[:-1], ids[1:], plans, t)
 
     # Runs share no state and write disjoint rows, and a pair's flow and
     # synthesis do not depend on its stack, so neither the run split nor the

@@ -235,6 +235,28 @@ class TestImpute:
             "5e400b787c0821eb5c0bc85a394b54e48c51517ce6e65babba44126042dfa288"
         )
 
+    def test_flow_output_bytes_match_recorded_hash_when_every_gap_is_its_own_run(self, tmp_path):
+        """At 256x192 one gap's endpoints exceed the run stack's pixel cap, so each gap is solved and warped alone."""
+        dense, dense_labels = tmp_path / "p.vvol", tmp_path / "l.vvol"
+        payload(run_cli(
+            "phantom", "--out", dense, "--out-labels", dense_labels,
+            "--size", "256,192,16", "--radius", 30, "--step", 2, "--seed", 2,
+        ))
+        thin, thin_labels = tmp_path / "pd.vvol", tmp_path / "ld.vvol"
+        payload(run_cli("decimate", "--in", dense, "--out", thin, "--stride", 5))
+        payload(run_cli("decimate", "--in", dense_labels, "--out", thin_labels, "--stride", 5))
+        out, out_labels = tmp_path / "o.vvol", tmp_path / "ol.vvol"
+        payload(run_cli(
+            "impute", "--in", thin, "--labels", thin_labels, "--out", out, "--out-labels", out_labels,
+            "--method", "flow", "--n", 2, "--iterations", 8,
+        ))
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "c9affc7386464eb3c5fab02847c3b5583ef4d129f6ec5c4f32fd884c76e1b2b5"
+        )
+        assert hashlib.sha256(out_labels.read_bytes()).hexdigest() == (
+            "1dbdafd4bff068e4d7f167c075ecf645899da0aded4ac15d2187b6fd88f0a2ad"
+        )
+
     def test_linear_output_bytes_match_recorded_hash(self, tmp_path):
         """Any rewrite of linear synthesis or label argmax must reproduce these files byte for byte."""
         vol, lab = box_label_inputs(tmp_path)
@@ -303,6 +325,38 @@ class TestImpute:
         assert result.stderr == "error: [Errno 21] Is a directory: 'labdir'\n"
         assert out.read_bytes() == b"kept"
         assert sorted(os.listdir(tmp_path)) == before and not os.listdir(tmp_path / "labdir")
+
+    @pytest.mark.parametrize("first_existed", [True, False])
+    def test_a_failed_later_move_puts_back_the_targets_already_moved(
+        self, tmp_path, monkeypatch, capsys, first_existed
+    ):
+        """The second move fails: the first target gets its old file back, or goes if it had none."""
+        vol, lab = box_label_inputs(tmp_path)
+        out = tmp_path / "existing.vvol"
+        if first_existed:
+            out.write_bytes(b"kept")
+        before = sorted(os.listdir(tmp_path))
+        replace, moves = os.replace, []
+
+        def second_move_fails(src, dst):
+            moves.append(dst)
+            if len(moves) == 2:
+                raise PermissionError(13, "Permission denied", str(src))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", second_move_fails)
+        code = main([
+            "impute", "--in", str(vol), "--labels", str(lab), "--out", str(out),
+            "--out-labels", str(tmp_path / "l_out.vvol"), "--method", "linear", "--n", "1",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: [Errno 13] Permission denied: {str(tmp_path / 'l_out.vvol')!r}\n"
+        if first_existed:
+            assert out.read_bytes() == b"kept"
+        else:
+            assert not out.exists()
+        assert sorted(os.listdir(tmp_path)) == before  # no temporary file or aside link is left
 
     def test_one_path_for_both_outputs_is_refused(self, tmp_path):
         vol, lab = box_label_inputs(tmp_path)

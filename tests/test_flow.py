@@ -219,6 +219,11 @@ class TestStackedSolver:
         for k in range(len(a)):
             assert stacked[k].tobytes() == oracles.warp_bilinear(a[k], du[k], dv[k]).tobytes()
             assert stacked[k].tobytes() == sample_bilinear(a[k], xs[k], ys[k]).tobytes()
+        # Float32 and 0-d positions sample like the float64 arrays they convert to.
+        xs32, ys32 = xs.astype(np.float32), ys.astype(np.float32)
+        as64 = sample_bilinear(a, xs32.astype(np.float64), ys32.astype(np.float64))
+        assert sample_bilinear(a, xs32, ys32).tobytes() == as64.tobytes()
+        assert sample_bilinear(a[0], xs[0, 0, 0], ys[0, 0, 0]) == stacked[0, 0, 0]
 
     @settings(max_examples=60, deadline=None)
     @given(stacked_pairs())
@@ -379,13 +384,29 @@ class TestSolverMemory:
         peak, out = traced_peak(_median, uv)
         assert peak <= out.nbytes + 2 * self.MB
 
-    def test_sweeps_hold_their_opening_warp_and_2_mb(self):
-        """The warp that linearizes the problem sets the peak; the 25 sweeps add no stack of their own."""
+    def test_warp_peaks_at_most_14_07_mb(self):
+        """A solver warp of a (2, 256, 256) stack: one plan, its four gathered corners, then the bilerp."""
         a, b, uv0 = self.stacks()
         n = len(a)
-        warp_peak, _ = traced_peak(_warp_by, b, uv0[:n], uv0[n:])
+        peak, _ = traced_peak(_warp_by, b, uv0[:n], uv0[n:])
+        assert peak <= 14.07 * self.MB
+
+    def test_sweeps_hold_their_own_buffers_and_1_mb(self, monkeypatch):
+        """After the opening warp, the 25 sweeps hold their seven padded stacks and no stack-sized temporary."""
+        a, b, uv0 = self.stacks()
+        warp = flow_module._warp_by
+
+        def warp_then_reset_peak(*args):
+            warped = warp(*args)
+            tracemalloc.reset_peak()  # from here the peak is the sweeps'
+            return warped
+
+        monkeypatch.setattr(flow_module, "_warp_by", warp_then_reset_peak)
         peak, _ = traced_peak(_hs_sweeps, a, b, uv0, HsParams())
-        assert peak <= warp_peak + 2 * self.MB
+        n, h, w = a.shape
+        padded = (h + 2) * (w + 2) * 8  # bytes of one padded float64 slice
+        # Five (2B, H+2, W+2) stacks (uv0, uv, the gradients, two scratch) and two (B, H+2, W+2) (it, denom).
+        assert peak <= (5 * 2 * n + 2 * n) * padded + self.MB
 
 
 class TestCompose:

@@ -472,13 +472,19 @@ class TestGapWorkers:
         assert all(shape[0] == 2 or np.prod(shape) <= impute_module._STACK_PIXELS for shape in stacks)
 
     def test_each_run_synthesizes_each_t_as_one_stack(self, monkeypatch):
-        calls = []
-        for name in ("_blend", "_vote", "_compose"):
+        # Plans and plan lists are kept alive, so their ids stay unique.
+        calls, built, handed = [], [], {"_blend": [], "_vote": []}
+        for name in ("_blend", "_vote", "_compose", "_plan"):
             real = getattr(impute_module, name)
 
             def recording(*args, name=name, real=real):
                 calls.append(name)
-                return real(*args)
+                result = real(*args)
+                if name == "_plan":
+                    built.append(result)
+                elif name in handed:
+                    handed[name].append(args[2])
+                return result
 
             monkeypatch.setattr(impute_module, name, recording)
         monkeypatch.setattr(impute_module, "_usable_cpus", lambda: 2)
@@ -487,8 +493,12 @@ class TestGapWorkers:
         labels = LabelVolume((vol.data > 0.5).astype(np.uint8), UNIT, 2)
         hs = HsParams(iterations=1, warps_per_level=1)
         impute_volume(vol, labels, ImputeConfig(n_slices=3, method="flow", hs=hs))
-        # 8 gaps on 2 CPUs are two runs of 4; each run makes one call per t.
-        assert sorted(calls) == ["_blend"] * 6 + ["_compose"] * 6 + ["_vote"] * 6
+        # 8 gaps on 2 CPUs are two runs of 4; each run makes one call per t, and builds one plan per endpoint.
+        assert sorted(calls) == ["_blend"] * 6 + ["_compose"] * 6 + ["_plan"] * 12 + ["_vote"] * 6
+        # The blend and the vote of each t get the very same two plans, and every plan built serves one t.
+        assert sorted(map(id, handed["_blend"])) == sorted(map(id, handed["_vote"]))
+        assert all(len(plans) == 2 for plans in handed["_blend"])
+        assert sorted(id(plan) for plans in handed["_blend"] for plan in plans) == sorted(map(id, built))
         calls.clear()
         ph = moving_disk_phantom(dims=(32, 24, 16), radius=5.0, seed=4)
         impute_volume(ph.volume, cfg=ImputeConfig(n_slices=2, method="linear"))
