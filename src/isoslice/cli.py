@@ -5,8 +5,8 @@ Standard output carries exactly one canonical JSON object (sorted keys,
 shortest round-trip floats); diagnostics go to standard error.  Each output
 is written to a temporary file beside its target, and the targets are
 replaced only after the command's last output is written.  Each file
-already at a target is hard-linked aside first, so a move that fails after
-others succeeded puts every target back.  A failing run removes its
+already at a target but the last is hard-linked aside first, so a move that
+fails after others succeeded puts every target back.  A failing run removes its
 temporary files and links, so it leaves no partial file behind and every
 file that was already at a target as it was.  A target that is an existing
 directory, or that names the same file as another target, is refused before
@@ -22,7 +22,6 @@ import json
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import fields
 from pathlib import Path
@@ -112,12 +111,16 @@ def _load(path: str, kind: type[Volume] | type[LabelVolume]):
     return v
 
 
-def _load_json_file(path: str):
+def _load_json_object(path: str, what: str) -> dict:
+    """The JSON object in the file at ``path``; ParameterError if it is not JSON, or not an object."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
+            obj = json.load(f)
     except (ValueError, RecursionError) as exc:
         raise ParameterError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ParameterError(f"{path}: {what} JSON must be an object")
+    return obj
 
 
 def _hs_from_args(args: argparse.Namespace) -> HsParams:
@@ -202,10 +205,7 @@ def cmd_metrics(args: argparse.Namespace, claim: Callable[[str], Path]) -> dict:
 def cmd_loss(args: argparse.Namespace, claim: Callable[[str], Path]) -> dict:
     weights = LossWeights()
     if args.weights_json:
-        overrides = _load_json_file(args.weights_json)
-        if not isinstance(overrides, dict):
-            raise ParameterError(f"{args.weights_json}: weights JSON must be an object")
-        weights = LossWeights.from_dict(overrides)
+        weights = LossWeights.from_dict(_load_json_object(args.weights_json, "weights"))
 
     parts: dict[str, float] = {}
     extras: dict[str, float] = {}
@@ -216,34 +216,21 @@ def cmd_loss(args: argparse.Namespace, claim: Callable[[str], Path]) -> dict:
             held[path] = _load(path, Volume)
         return held[path]
 
-    # The smoothness term runs on a side thread beside the reconstruction
-    # term.  Its result (or error) is taken first, so the parts keep their
-    # order and, should both terms fail, its error is the one reported.
-    smooth = l_rec = None
-    with ThreadPoolExecutor(1) as side:
-        if args.volume:
-            smooth = side.submit(tp_smooth_loss, volume(args.volume))
-        try:
-            if args.rec:
-                synth, second = volume(args.rec[0]), args.rec[1]
-                # The second volume is read one z-plane at a time, unless it is already held.
-                if second in held:
-                    real = nullcontext((held[second].dims, held[second].data))
-                else:
-                    real = _volume_planes(second)
-                with real as (dims, planes):
-                    if synth.dims != dims:
-                        raise ParameterError("the two --rec volumes must share dims")
-                    l_rec = rec_loss(zip(synth.data, planes))
-        finally:
-            if smooth is not None:
-                parts["l_tp_smooth"] = smooth.result()
-    if l_rec is not None:
-        parts["l_rec"] = l_rec
+    if args.volume:
+        parts["l_tp_smooth"] = tp_smooth_loss(volume(args.volume))
+    if args.rec:
+        synth, second = volume(args.rec[0]), args.rec[1]
+        # The second volume is read one z-plane at a time, unless it is already held.
+        if second in held:
+            real = nullcontext((held[second].dims, held[second].data))
+        else:
+            real = _volume_planes(second)
+        with real as (dims, planes):
+            if synth.dims != dims:
+                raise ParameterError("the two --rec volumes must share dims")
+            parts["l_rec"] = rec_loss(zip(synth.data, planes))
     if args.series_json:
-        series = _load_json_file(args.series_json)
-        if not isinstance(series, dict):
-            raise ParameterError(f"{args.series_json}: series JSON must be an object")
+        series = _load_json_object(args.series_json, "series")
         if {"ld_fake", "gd_fake"} <= set(series):
             parts["l_adv"] = adv_loss(series["ld_fake"], series["gd_fake"])
         if {"gd_fake", "gd_real"} <= set(series):
@@ -381,12 +368,13 @@ def _aside(temporary: Path) -> Path:
 def _replace_all(claimed: list[tuple[Path, Path]]) -> None:
     """Move every temporary file onto its target: all of them, or none.
 
-    Each target that exists is first hard-linked aside (a target that cannot
-    be linked fails the run before any move), so if a move fails, every
-    target already moved gets back the file it held, or loses the new one
-    where there was none.
+    Each target that exists, but the last, is first hard-linked aside (a
+    target that cannot be linked fails the run before any move), so if a
+    move fails, every target already moved gets back the file it held, or
+    loses the new one where there was none.  No move follows the last one,
+    so its target is never linked, and one output needs no hard link.
     """
-    for temporary, target in claimed:
+    for temporary, target in claimed[:-1]:
         try:
             os.link(target, _aside(temporary), follow_symlinks=False)
         except FileNotFoundError:

@@ -54,7 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataValidationError, FileFormatError, ParameterError, ShapeError
+from .errors import DataValidationError, DomainError, FileFormatError, ParameterError, ShapeError
 from .volume import (
     Slice2D,
     _ArrayValue,
@@ -255,10 +255,10 @@ def _blur_halve(arr: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _resize_bilinear(arr: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    h2, w2 = shape
+    h2, w2 = shape  # at least 4 px each: ``_pyramid_depth`` keeps min(W, H) >= 2**levels
     h1, w1 = arr.shape[1:]
-    xs = np.zeros(w2) if w2 == 1 else np.arange(w2) * ((w1 - 1) / (w2 - 1))
-    ys = np.zeros(h2) if h2 == 1 else np.arange(h2) * ((h1 - 1) / (h2 - 1))
+    xs = np.arange(w2) * ((w1 - 1) / (w2 - 1))
+    ys = np.arange(h2) * ((h1 - 1) / (h2 - 1))
     return sample_bilinear(arr, xs[None, None, :], ys[None, :, None])
 
 
@@ -267,12 +267,17 @@ def _normalize(ab: np.ndarray) -> None:
 
     Pair ``k`` is slices ``k`` and ``B + k``.  The data/smoothness balance
     assumes that scale; the flow itself is scale free.  A constant pair gets
-    ``lo = 0`` and ``gain = 1``: it is left as it is.
+    ``lo = 0`` and ``gain = 1``: it is left as it is.  A range that is not a
+    finite float64, or whose gain is not, raises DomainError.
     """
     pairs = ab.reshape(2, len(ab) // 2, -1)
     lo, hi = pairs.min(axis=(0, 2)), pairs.max(axis=(0, 2))
     varied = hi > lo
-    gain = 255.0 / np.where(varied, hi - lo, 255.0)
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        span = np.where(varied, hi - lo, 255.0)
+        gain = 255.0 / span
+    for k in np.flatnonzero(~(np.isfinite(span) & np.isfinite(gain))):
+        raise DomainError(f"slice pair {k}: range {float(lo[k])}..{float(hi[k])} cannot be scaled to 0..255")
     pairs -= np.where(varied, lo, 0.0)[:, None]
     pairs *= gain[:, None]
 
@@ -435,6 +440,8 @@ def estimate_flow(i0: Slice2D, i1: Slice2D, params: HsParams | None = None) -> F
     the coarsest level starts from zero motion, and each finer level warps
     ``i1`` by the upsampled estimate before re-solving; every warp ends with
     a median filter of the flow.  Deterministic for fixed inputs and params.
+    The pair's joint range is scaled to 0..255 first: a range, or 255 over it, that
+    overflows float64 (1e308 against -1e308, 0 against 1e-310) raises DomainError.
     """
     params = params or HsParams()
     if i0.dims != i1.dims:

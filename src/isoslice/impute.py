@@ -69,12 +69,11 @@ METHOD_LINEAR = "linear"
 MAX_OUTPUT_VOXELS = 1 << 30
 
 # Most pixels in a run's (2g, H, W) stack of gap endpoints, for both methods.
-# Measured for flow on 2 CPUs with the default HsParams: at 64x64, 16 gaps
-# on two threads took 25.5 ms per gap as 1-gap stacks, 22.0 as 2-gap and 20.8
-# as 4- or 8-gap stacks (2^15-2^16 px); at 128x128 and 256x256 the stack size
-# made no difference.  One thread's cost per pixel is lowest from 2^14 to
-# 2^16 px and rises beyond (4.8 to 5.3 us/px at 2^20), while a larger stack
-# only holds more memory.
+# Measured for flow on 2 CPUs with the default HsParams: gate 8's 64x64x9
+# disk imputed with --n 3 and labels took 218 ms as two 4-gap stacks and 402
+# ms as 1-gap stacks (median of 12 alternating rounds).  One thread's cost
+# per pixel is lowest from 2^14 to 2^16 px and rises beyond (4.8 to 5.3
+# us/px at 2^20), while a larger stack only holds more memory.
 _STACK_PIXELS = 1 << 16
 
 
@@ -267,7 +266,8 @@ def impute_volume(
 
     # Runs share no state and write disjoint rows, and a pair's flow and
     # synthesis do not depend on its stack, so neither the run split nor the
-    # CPU count can change a byte of the output.  Linear runs stay serial: on
+    # CPU count can change a byte of the output.  The disk above took 196 ms
+    # on two flow workers and 298 ms on one.  Linear runs stay serial: on
     # a 117-class 256x256 label volume (2 CPUs) threading them saved no time
     # (0.018-0.020 s per job, serial 0.016-0.019) and raised peak RSS from 110
     # to 116 MB, over three 30 s `organs-linear` bench runs each.

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import isoslice.cli
 import isoslice.metrics
 from isoslice import (
     LabelVolume,
@@ -357,6 +358,32 @@ class TestImpute:
         else:
             assert not out.exists()
         assert sorted(os.listdir(tmp_path)) == before  # no temporary file or aside link is left
+
+    def test_only_targets_a_later_move_may_put_back_are_linked_aside(self, tmp_path, monkeypatch, capsys):
+        """Where hard links fail, one output still replaces its target; of two, an existing first one cannot."""
+        vol, lab = box_label_inputs(tmp_path)
+        out = tmp_path / "existing.vvol"
+        out.write_bytes(b"kept")
+        before = sorted(os.listdir(tmp_path))
+
+        def refused(src, dst, **kwargs):
+            raise PermissionError(1, "Operation not permitted", str(src))
+
+        monkeypatch.setattr(os, "link", refused)
+        assert main(["decimate", "--in", str(vol), "--out", str(out), "--stride", "2"]) == 0
+        assert capsys.readouterr().err == ""
+        assert load_volume(out).dims[2] == 3
+        assert sorted(os.listdir(tmp_path)) == before  # no temporary file or aside link is left
+        out.write_bytes(b"kept")
+        code = main([
+            "impute", "--in", str(vol), "--labels", str(lab), "--out", str(out),
+            "--out-labels", str(tmp_path / "new.vvol"), "--method", "linear", "--n", "1",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: [Errno 1] Operation not permitted: {str(out)!r}\n"
+        assert out.read_bytes() == b"kept"
+        assert sorted(os.listdir(tmp_path)) == before
 
     def test_one_path_for_both_outputs_is_refused(self, tmp_path):
         vol, lab = box_label_inputs(tmp_path)
@@ -772,7 +799,7 @@ class TestLoss:
         assert errors[1].out == "" and errors[1].err.startswith("error: ") and "bad.vvol" in errors[1].err
 
     @pytest.mark.parametrize("case", ["flat-volume-and-missing-rec", "rec-dims-differ"])
-    def test_side_worker_keeps_the_serial_error_order(self, tmp_path, capsys, case):
+    def test_loss_reports_the_smoothness_error_first(self, tmp_path, capsys, case):
         def saved(name, shape):
             path = tmp_path / name
             save_volume(Volume(np.zeros(shape, np.float32), Spacing(1, 1, 1)), path)
@@ -790,6 +817,21 @@ class TestLoss:
         assert main(["loss", *argv]) == 1
         assert threading.enumerate() == threads
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_both_terms_run_on_the_calling_thread(self, tmp_path, monkeypatch):
+        a, b = tmp_path / "a.vvol", tmp_path / "b.vvol"
+        for path, seed in ((a, 1), (b, 2)):
+            data = np.random.default_rng(seed).random((4, 5, 6)).astype(np.float32)
+            save_volume(Volume(data, Spacing(1, 1, 1)), path)
+        seen = []
+        for name in ("tp_smooth_loss", "rec_loss"):
+            def recording(*args, term=getattr(isoslice.cli, name)):
+                seen.append(threading.current_thread())
+                return term(*args)
+
+            monkeypatch.setattr(isoslice.cli, name, recording)
+        assert main(["loss", "--volume", str(a), "--rec", str(a), str(b)]) == 0
+        assert seen == [threading.main_thread()] * 2
 
     def test_full_series_reports_global_and_multitask(self, tmp_path):
         series = tmp_path / "series.json"

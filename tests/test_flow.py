@@ -12,6 +12,7 @@ import isoslice.flow as flow_module
 import oracles
 from isoslice import (
     DataValidationError,
+    DomainError,
     FileFormatError,
     FlowField,
     HsParams,
@@ -148,6 +149,23 @@ class TestEstimate:
         noise = Slice2D(np.random.default_rng(31).random((32, 32)))
         field = estimate_flow(flat, noise, HsParams(alpha=1e-100))
         assert np.all(np.isfinite(field.u)) and np.all(np.isfinite(field.v))
+
+    @pytest.mark.parametrize(
+        "lo, hi, shown",
+        [(-1e308, 1e308, "-1e+308..1e+308"), (0.0, 1e-310, "0.0..1e-310")],
+        ids=["range-overflows", "gain-overflows"],
+    )
+    def test_finite_slices_whose_range_cannot_be_scaled_are_refused(self, lo, hi, shown):
+        # Warnings are errors in this suite, so a numpy overflow warning fails here too.
+        a = np.full((16, 16), lo)
+        b = a.copy()
+        b[3, 5] = hi
+        message = rf"^slice pair 0: range {re.escape(shown)} cannot be scaled to 0\.\.255$"
+        with pytest.raises(DomainError, match=message):
+            estimate_flow(Slice2D(a), Slice2D(b))
+        stack = np.stack((np.zeros((16, 16)), a, gaussian_blob(3.0, 4.0, 16), b))
+        with pytest.raises(DomainError, match=message.replace("pair 0", "pair 1")):
+            _normalize(stack)
 
     def test_params_validation(self):
         bad = [
