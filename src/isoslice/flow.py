@@ -11,7 +11,7 @@ so the coarsest level's short side is about 8-16 px (4 levels at 64x64, 6 at
 256x256, 1 below 16 px).  Every sweep and filter has a fixed order, so
 repeated runs on the same inputs are bit-identical.  The solver
 works on (B, H, W) stacks of independent pairs, so ``impute`` solves the
-forward and backward flows of a whole run of gaps in one pass; each pair's
+forward and backward flows of many gaps as one stack per level; each pair's
 result is bit-identical to solving it alone, and ``estimate_flow`` is the
 one-pair case.  The caller hands the solver ``a`` over ``b`` as one (2B, H,
 W) array, which it normalizes in place, and ``u`` over ``v`` is one such
@@ -34,7 +34,18 @@ A warp's Jacobi sweeps keep every operand in one flat layout with a
 one-pixel border, so each step of a sweep is one contiguous pass over whole
 buffers, and each of the mean's eight taps is a constant offset into one of
 two scaled copies of the flow: 21 numpy calls per sweep where shifted
-per-tap products took 27.
+per-tap products took 27.  Every view those calls touch (the eight taps,
+the span, the four border copies and the ``u``/``v`` halves) is built once
+per warp, so a sweep runs no Python beyond its 21 calls.  What the gap
+threads lose is the GIL they hand each other between calls, not arithmetic
+or memory bandwidth.  On 2 CPUs (medians of 30 calls, seven rounds), 25
+sweeps of an 8-pair 64x64 stack took 14.6-24.2 ms on one thread and
+14.9-25.1 ms as two copies in two processes; as two copies in two threads
+they took 16.5-39.0 ms with the views built per sweep and 15.8-23.6 ms with
+them built per warp.  Calls on fewer than about 2^14 elements do not
+overlap across threads at all, so ``impute`` solves small pyramid levels
+once for several runs (``_pyramid`` builds the levels, ``_refine`` solves
+any run of them).
 Loading ``scipy.ndimage`` costs a fresh process about 0.25 s and 24 MB of
 peak RSS: a cold 64x64x9 ``impute --method flow`` took 0.67 s and 69 MB
 with it and takes 0.42 s and 45 MB without (2-CPU Xeon VM).
@@ -296,29 +307,43 @@ def _neighbour_mean(padded: np.ndarray, twelfths: np.ndarray, sixths: np.ndarray
     pixels between rows and slices, which are left holding sums of no use.
     Returns the interior, a view.
     """
-    width = padded.shape[2]
-    flat = padded.reshape(-1)
-    scaled = {}
-    for buffer, weight in ((twelfths, 1.0 / 12.0), (sixths, 1.0 / 6.0)):
-        scaled[weight] = np.multiply(flat, weight, out=buffer.reshape(-1))
-    first = width + 1  # the first interior pixel, and the span's distance from each end
-    span = flat[first:-first]
-    first_tap, second_tap, *rest = (
-        scaled[weight][first + (dy - 1) * width + dx - 1 :][: len(span)] for dy, dx, weight in _AVG_TAPS
-    )
-    np.add(first_tap, second_tap, out=span)
-    for tap in rest:
-        span += tap
-    span += 0.0
+    _add_taps(*_tap_views(padded, twelfths, sixths))
     return padded[:, 1:-1, 1:-1]
 
 
-def _replicate_edges(padded: np.ndarray) -> None:
-    """Copy the outermost interior rows, then columns, of a (B, H+2, W+2) stack onto its one-pixel border."""
-    padded[:, 0] = padded[:, 1]
-    padded[:, -1] = padded[:, -2]
-    padded[:, :, 0] = padded[:, :, 1]
-    padded[:, :, -1] = padded[:, :, -2]
+def _tap_views(padded: np.ndarray, twelfths: np.ndarray, sixths: np.ndarray) -> tuple:
+    """The flat operands of ``_neighbour_mean``: ``padded``, the two scratch buffers, the eight taps and the span.
+
+    Views only, so a warp builds them once and its sweeps reuse them.
+    """
+    width = padded.shape[2]
+    flat, flat12, flat6 = padded.reshape(-1), twelfths.reshape(-1), sixths.reshape(-1)
+    scaled = {1.0 / 12.0: flat12, 1.0 / 6.0: flat6}
+    first = width + 1  # the first interior pixel, and the span's distance from each end
+    span = flat[first:-first]
+    taps = tuple(scaled[weight][first + (dy - 1) * width + dx - 1 :][: len(span)] for dy, dx, weight in _AVG_TAPS)
+    return flat, flat12, flat6, taps, span
+
+
+def _add_taps(flat: np.ndarray, flat12: np.ndarray, flat6: np.ndarray, taps: tuple, span: np.ndarray) -> None:
+    """``_neighbour_mean``'s ten numpy calls on the views ``_tap_views`` built."""
+    np.multiply(flat, 1.0 / 12.0, out=flat12)
+    np.multiply(flat, 1.0 / 6.0, out=flat6)
+    np.add(taps[0], taps[1], out=span)
+    for tap in taps[2:]:
+        np.add(span, tap, out=span)
+    np.add(span, 0.0, out=span)
+
+
+def _edge_pairs(padded: np.ndarray) -> tuple:
+    """(destination, source) views for copying the outermost interior rows, then columns, of a (B, H+2, W+2) stack
+    onto its one-pixel border, in that order."""
+    return (
+        (padded[:, 0], padded[:, 1]),
+        (padded[:, -1], padded[:, -2]),
+        (padded[:, :, 0], padded[:, :, 1]),
+        (padded[:, :, -1], padded[:, :, -2]),
+    )
 
 
 def _padded(stack: np.ndarray) -> np.ndarray:
@@ -340,8 +365,9 @@ def _hs_sweeps(a: np.ndarray, b: np.ndarray, uv0: np.ndarray, params: HsParams) 
     of no use (see ``_neighbour_mean``).  The borders of ``uv0``, the
     gradients and ``it`` are 0, so ``denom``'s is ``alpha ** 2``, never 0,
     and every border step stays finite.  The two scaled copies the mean
-    takes are then reused as the sweep's ``step`` and ``shared``.  The
-    result is ``uv``'s interior, a view.
+    takes are then reused as the sweep's ``step`` and ``shared``.  Every
+    view a sweep touches is built once, before the first, so a sweep is its
+    21 numpy calls and no more.  The result is ``uv``'s interior, a view.
     """
     n = len(a)
     warped = _warp_by(b, uv0[:n], uv0[n:])
@@ -353,17 +379,21 @@ def _hs_sweeps(a: np.ndarray, b: np.ndarray, uv0: np.ndarray, params: HsParams) 
     uv0 = _padded(uv0)
     uv = uv0.copy()
     step, scratch = np.empty_like(uv), np.empty_like(uv)
-    shared = scratch[:n]
+    edges = _edge_pairs(uv)
+    taps = _tap_views(uv, step, scratch)  # uv holds the mean until the sweep's last line
+    shared, step_u, step_v = scratch[:n], step[:n], step[n:]
     halves = (2, *it.shape)
+    grad_halves, step_halves = grad.reshape(halves), step.reshape(halves)
     for _ in range(params.iterations):
-        _replicate_edges(uv)
-        _neighbour_mean(uv, step, scratch)  # uv holds the mean until the sweep's last line
+        for dest, source in edges:
+            np.copyto(dest, source)
+        _add_taps(*taps)
         np.subtract(uv, uv0, out=step)
-        step *= grad
-        np.add(step[:n], step[n:], out=shared)
-        shared += it
-        shared /= denom
-        np.multiply(grad.reshape(halves), shared, out=step.reshape(halves))
+        np.multiply(step, grad, out=step)
+        np.add(step_u, step_v, out=shared)
+        np.add(shared, it, out=shared)
+        np.divide(shared, denom, out=shared)
+        np.multiply(grad_halves, shared, out=step_halves)
         np.subtract(uv, step, out=uv)
     return uv[:, 1:-1, 1:-1]
 
@@ -415,12 +445,31 @@ def _solve_stack(ab: np.ndarray, params: HsParams, levels: int) -> tuple[np.ndar
     ``k`` alone.
     """
     n = len(ab) // 2
+    uv = _refine(_pyramid(ab, levels), None, params)
+    return uv[:n], uv[n:]
+
+
+def _pyramid(ab: np.ndarray, levels: int) -> list[np.ndarray]:
+    """``levels`` levels of the (2B, H, W) pair stack ``ab``, finest first: ``ab`` normalized in place, then halved."""
     _normalize(ab)
     pyramid = [ab]
     for _ in range(levels - 1):
         pyramid.append(_downsample(pyramid[-1]))
+    return pyramid
 
-    uv = np.zeros((2 * n, *pyramid[-1].shape[1:]))
+
+def _refine(pyramid: list[np.ndarray], uv: np.ndarray | None, params: HsParams) -> np.ndarray:
+    """The (2B, h, w) flows ``u`` over ``v`` after the warps of every level of ``pyramid``.
+
+    ``pyramid`` lists (2B, h, w) stacks of sources over targets, finest
+    first, as ``_pyramid`` builds them; they are solved coarsest first.  The
+    warps start from ``uv``, a coarser level's flows that are resized and
+    rescaled to the coarsest level given, or from zero motion when ``uv`` is
+    None.
+    """
+    n = len(pyramid[0]) // 2
+    if uv is None:
+        uv = np.zeros((2 * n, *pyramid[-1].shape[1:]))
     for ab in reversed(pyramid):
         if uv.shape[1:] != ab.shape[1:]:
             scale_x = ab.shape[2] / uv.shape[2]
@@ -430,7 +479,7 @@ def _solve_stack(ab: np.ndarray, params: HsParams, levels: int) -> tuple[np.ndar
             uv[n:] *= scale_y
         for _ in range(params.warps_per_level):
             uv = _median(_hs_sweeps(ab[:n], ab[n:], uv, params))
-    return uv[:n], uv[n:]
+    return uv
 
 
 def estimate_flow(i0: Slice2D, i1: Slice2D, params: HsParams | None = None) -> FlowField:

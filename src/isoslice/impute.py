@@ -18,12 +18,25 @@ the corners scores 0.0 there and can never beat one that is at a corner.
 The gaps are split into contiguous runs of at most ``_STACK_PIXELS // (2 *
 W * H)`` gaps (at least one), with ``method="flow"`` also spread over the
 usable CPUs.  A flow run solves every pair ``(a -> b, b -> a)`` of its g gaps
-in one solve, on its endpoints stacked once as ``(fore, aft, aft, fore)``, a
-(4g, H, W) array of 2g sources over 2g targets; every run synthesizes all
-its gaps at one ``t`` as one (g, H, W) stack.  Flow runs go to a thread
-pool (the solver spends most of its time in numpy calls that release the
-GIL), and fewer, larger solves cut the per-call work that holds it.  Output bytes do not depend on the run
-split or the CPU count.  Linear runs go serially (see ``impute_volume``).
+in one solve per pyramid level, as ``(fore, aft, aft, fore)``, a (4g, h, w)
+array of 2g sources over 2g targets; its pyramid is built from the 2g
+distinct endpoints ``(fore, aft)``, since a pair's joint range is symmetric.
+Every run synthesizes all its gaps at one ``t`` as one (g, H, W) stack.
+
+Flow runs go to a thread pool (the solver spends most of its time in numpy
+calls that release the GIL), and fewer, larger solves cut the per-call work
+that holds it.  Pyramid levels too small to overlap across threads are the
+coarse phase: below the finest level, a level whose (4g, h, w) stack holds
+fewer than ``_COARSE_PIXELS`` is solved once for a group of consecutive runs,
+as one stack on one worker, before the runs fan out; each run then rebuilds
+its own finer levels from its endpoints and finishes from its coarse flows.
+On 2 CPUs the bench's 8-gap 64x64 disk solves its 16x16 and 8x8 levels as
+one 16-pair stack and its 32x32 and 64x64 levels as two 4-gap runs; that
+took a flow impute from 163-185 to 146-165 ms (medians of three
+alternating rounds of 40 jobs).  Only the coarse flows of all gaps are held
+at once, so memory follows the runs in flight, not the gap count.  Output
+bytes do not depend on the run split, the coarse groups or the CPU count.
+Linear runs go serially (see ``impute_volume``).
 """
 
 from __future__ import annotations
@@ -36,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientSlicesError, ParameterError, ShapeError
-from .flow import FlowField, HsParams, _check_t, _compose, _pyramid_depth, _solve_stack, _warp_by
+from .flow import FlowField, HsParams, _check_t, _compose, _pyramid, _pyramid_depth, _refine, _warp_by
 from .flow import _bilerp, _displaced, _plan
 from .volume import LabelVolume, Slice2D, Spacing, Volume, _adopted, _as_float, _is_int, _usable_cpus
 
@@ -75,6 +88,16 @@ MAX_OUTPUT_VOXELS = 1 << 30
 # per pixel is lowest from 2^14 to 2^16 px and rises beyond (4.8 to 5.3
 # us/px at 2^20), while a larger stack only holds more memory.
 _STACK_PIXELS = 1 << 16
+
+# Fewest pixels in a run's (4g, h, w) flow stack for a pyramid level below
+# the finest to be solved per run; smaller levels are solved once for a
+# group of runs (``_groups``) on one worker.  Measured on the disk above
+# with nothing merged (2 CPUs, medians of 20 jobs): one worker solving all 8
+# gaps as one run took 5.6, 12.9, 41 and 200 ms at 8x8, 16x16, 32x32 and
+# 64x64, while two workers, each on a 4-gap run at the same time, took 12.2,
+# 17.4, 32 and 87 ms each.  Threads lose below a 2^14 px run stack (16x16)
+# and gain from there up (32x32).
+_COARSE_PIXELS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -181,6 +204,35 @@ def synth_intermediate_label(
     return _vote(l0.astype(np.intp), l1.astype(np.intp), _plans(l0.shape, ((ft0.u, ft0.v), (ft1.u, ft1.v))), t)
 
 
+def _pairs(ends: list[np.ndarray]) -> np.ndarray:
+    """Every gap's pair both ways, sources over targets, as one stack.
+
+    ``ends`` holds one (2g, h, w) stack of endpoints per run, fore over aft,
+    normalized per gap.  A pair's joint range is symmetric, so ``(aft,
+    fore)`` targets are those same slices: a run's stack is ``(fore, aft,
+    aft, fore)``, several runs' is all their sources over all their targets.
+    """
+    halves = [(e[: len(e) // 2], e[len(e) // 2 :]) for e in ends]
+    return np.concatenate([*ends, *(half for fore, aft in halves for half in (aft, fore))])
+
+
+def _groups(runs: list[range], pixels: int) -> list[list[range]]:
+    """Consecutive runs grouped for the coarse phase, given ``pixels`` per slice of its finest level.
+
+    A group is the fewest runs whose (4G, h, w) flow stack there reaches
+    ``_COARSE_PIXELS``, or the most whose (2G, h, w) endpoints stay within
+    ``_STACK_PIXELS``, whichever is fewer; but never less than one run.
+    """
+    groups, held = [], 0
+    for run in runs:
+        if not groups or 4 * held * pixels >= _COARSE_PIXELS or 2 * (held + len(run)) * pixels > _STACK_PIXELS:
+            groups.append([])
+            held = 0
+        groups[-1].append(run)
+        held += len(run)
+    return groups
+
+
 def auto_slice_count(inter_mm: float, intra_mm: float) -> int:
     """Slices to insert per gap so inter-slice spacing matches in-plane spacing.
 
@@ -248,13 +300,25 @@ def impute_volume(
         out_labels = np.empty((z_out, y, x), dtype=labels.data.dtype)
         out_labels[:: n + 1] = labels.data
 
-    def fill_run(gaps: range) -> None:
-        """Write the n synthetic slices of every gap (k, k+1) in ``gaps``, one (g, H, W) stack per t."""
+    def endpoints(gaps: range) -> np.ndarray:
+        """A new (2g, H, W) float64 stack of the endpoints of ``gaps``, fore over aft, for a pyramid to normalize."""
+        ends = v.data[gaps.start : gaps.stop + 1]
+        return np.concatenate((ends[:-1], ends[1:]), dtype=np.float64)
+
+    def fill_run(gaps: range, uv: np.ndarray | None) -> None:
+        """Write the n synthetic slices of every gap (k, k+1) in ``gaps``, one (g, H, W) stack per t.
+
+        A flow run finishes its solve from ``uv``, its flows after the
+        coarse levels (None when there are none), level by level.
+        """
         g = len(gaps)
+        if use_flow:  # every (a -> b) and (b -> a) pair of the run in one solve per level
+            pyramid = _pyramid(endpoints(gaps), fine)
+            while pyramid:  # coarsest first, each level dropped once its pair stack is built
+                uv = _refine([_pairs([pyramid.pop()])], uv, cfg.hs)
+            us, vs = uv[: 2 * g], uv[2 * g :]
         ends = v.data[gaps.start : gaps.stop + 1].astype(np.float64)
         fore, aft = ends[:-1], ends[1:]
-        if use_flow:  # every (a -> b) and (b -> a) pair of the run in one solve
-            us, vs = _solve_stack(np.concatenate((fore, aft, aft, fore)), cfg.hs, levels)
         for i in range(1, n + 1):
             t = i / (n + 1)
             plans = _plans(fore.shape, _compose((us[:g], vs[:g]), (us[g:], vs[g:]), t)) if use_flow else None
@@ -264,24 +328,50 @@ def impute_volume(
                 ids = labels.data[gaps.start : gaps.stop + 1]
                 out_labels[rows] = _vote(ids[:-1], ids[1:], plans, t)
 
+    def solve_coarse(group: list[range]) -> list[np.ndarray]:
+        """The flows after the coarse levels of each run in ``group``, from one solve of all their pairs."""
+        # Each run's full pyramid lives only until its coarse levels are taken.
+        coarse = [_pyramid(endpoints(run), levels)[fine:] for run in group]
+        uv = _refine([_pairs(level) for level in zip(*coarse)], None, cfg.hs)
+        pairs = len(uv) // 2
+        bounds = np.cumsum([0] + [2 * len(run) for run in group])
+        return [np.concatenate((uv[lo:hi], uv[pairs + lo : pairs + hi])) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
     # Runs share no state and write disjoint rows, and a pair's flow and
-    # synthesis do not depend on its stack, so neither the run split nor the
-    # CPU count can change a byte of the output.  The disk above took 196 ms
-    # on two flow workers and 298 ms on one.  Linear runs stay serial: on
-    # a 117-class 256x256 label volume (2 CPUs) threading them saved no time
-    # (0.018-0.020 s per job, serial 0.016-0.019) and raised peak RSS from 110
-    # to 116 MB, over three 30 s `organs-linear` bench runs each.
+    # synthesis do not depend on its stack, so neither the run split, the
+    # coarse groups nor the CPU count can change a byte of the output.  The
+    # disk above took 167 ms on two flow workers and 253 ms on one (medians
+    # of 40 jobs).  Linear runs stay serial: on a 117-class 256x256 label
+    # volume (2 CPUs) threading them saved no time (0.018-0.020 s per job,
+    # serial 0.016-0.019) and raised peak RSS from 110 to 116 MB, over three
+    # 30 s `organs-linear` bench runs each.
     gaps = z - 1
     workers = min(_usable_cpus(), gaps) if use_flow else 1
     per_run = max(1, min(math.ceil(gaps / workers), _STACK_PIXELS // (2 * x * y)))
     runs = [range(s, min(s + per_run, gaps)) for s in range(0, gaps, per_run)]
     workers = min(workers, len(runs))
+    groups = []
+    if use_flow:
+        shapes = [(y, x)]
+        for _ in range(levels - 1):  # each _downsample keeps samples 0, 2, 4, ...
+            shapes.append(tuple((side + 1) // 2 for side in shapes[-1]))
+        # The finest level is always a run's own, so a gap's full-size flows
+        # exist only while its run is in flight.  Below it a level is coarse
+        # when a full run's (4g, h, w) flow stack there is under _COARSE_PIXELS.
+        fine = 1 + sum(4 * per_run * h * w >= _COARSE_PIXELS for h, w in shapes[1:])
+        if fine < levels:
+            groups = _groups(runs, math.prod(shapes[fine]))
+
+    def solve(each) -> None:
+        """The coarse phase, then every run, through the map ``each``."""
+        starts = [uv for flows in each(solve_coarse, groups) for uv in flows] if groups else [None] * len(runs)
+        list(each(fill_run, runs, starts))
+
     if workers > 1:
         with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(fill_run, runs))
+            solve(pool.map)
     else:
-        for run in runs:
-            fill_run(run)
+        solve(map)
 
     spacing = Spacing(v.spacing.sx, v.spacing.sy, v.spacing.sz / (n + 1))
     # Both outputs are adopted as built: a blend of finite slices is finite,

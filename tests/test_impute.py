@@ -368,7 +368,7 @@ class TestImputeVolume:
         def solve(*args):
             raise AssertionError("a gap was solved before the size check")
 
-        monkeypatch.setattr(impute_module, "_solve_stack", solve)
+        monkeypatch.setattr(impute_module, "_pyramid", solve)  # every solve, coarse or per run, starts there
         v = Volume(np.zeros((3, 4, 6), np.float32), UNIT)
         hs = HsParams(pyramid_levels=3)
         with pytest.raises(ParameterError) as from_volume:
@@ -422,22 +422,26 @@ class TestGapWorkers:
 
     @pytest.fixture()
     def stacks(self, monkeypatch):
-        """(pairs, H, W) of every stack ``impute_volume`` hands the flow solver."""
+        """(pairs, h, w, from zero) of the finest level of every pyramid ``impute_volume`` hands the solver.
+
+        A run hands it each of its own levels at full or reduced size; a coarse group hands it all its
+        levels at once and, like a run without a coarse phase, starts from zero motion.
+        """
         shapes = []
-        solve = impute_module._solve_stack
+        refine = impute_module._refine
 
-        def recording_solve(ab, params, levels):
-            shapes.append((len(ab) // 2, *ab.shape[1:]))
-            return solve(ab, params, levels)
+        def recording_refine(pyramid, uv, params):
+            shapes.append((len(pyramid[0]) // 2, *pyramid[0].shape[1:], uv is None))
+            return refine(pyramid, uv, params)
 
-        monkeypatch.setattr(impute_module, "_solve_stack", recording_solve)
+        monkeypatch.setattr(impute_module, "_refine", recording_refine)
         return shapes
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_flow_output_bytes_do_not_depend_on_cpu_count(self, monkeypatch, pools, stacks, n):
         ph = moving_disk_phantom(dims=(32, 24, 16), radius=5.0, step=(0.75, 0.25), seed=4)
         cfg = ImputeConfig(n_slices=n, method="flow", hs=HsParams(iterations=10))
-        outputs, runs = [], []
+        outputs, runs, groups = [], [], []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave the workers as finely as the interpreter allows
         try:
@@ -445,31 +449,83 @@ class TestGapWorkers:
                 monkeypatch.setattr(impute_module, "_usable_cpus", lambda cpus=cpus: cpus)
                 image, labels = impute_volume(ph.volume, ph.labels, cfg)
                 outputs.append((image.data.tobytes(), labels.data.tobytes()))
-                runs.append(sorted(shape[0] // 2 for shape in stacks))
+                runs.append(sorted(pairs // 2 for pairs, h, w, _ in stacks if (w, h) == (32, 24)))
+                groups.append(sorted(pairs // 2 for pairs, *_, from_zero in stacks if from_zero))
                 stacks.clear()
         finally:
             sys.setswitchinterval(interval)
         assert runs == [[15], [7, 8], [5, 5, 5], [3, 4, 4, 4], [3] * 5]  # gaps per run
+        assert groups == [[15]] * 5  # gaps per coarse group: the 16x12 level of every run in one stack
         assert pools == [2, 3, 4, 5]  # one CPU starts no pool; 7 CPUs get 5 runs
         assert all(out == outputs[0] for out in outputs[1:])
 
     @pytest.mark.parametrize(
         ("size", "slices"),
         [
-            (64, [8, 8]),  # 8 gaps on 2 CPUs: one run of 4 gaps per worker
-            (256, [2] * 8),  # one gap (2 * 256 * 256 px) already exceeds the cap
+            # (pairs per run, (pairs, h, w) per coarse group at its finest level)
+            # 8 gaps on 2 CPUs: one run of 4 gaps per worker; the 16x16 and 8x8 levels of both in one stack
+            (64, ([8, 8], [(16, 16, 16)])),
+            # one gap (2 * 256 * 256 px) already exceeds the cap; 32x32 and below go in stacks of 4 runs
+            (256, ([2] * 8, [(8, 32, 32)] * 2)),
         ],
     )
     def test_each_worker_solves_its_gaps_as_one_stack(self, monkeypatch, stacks, size, slices):
+        slices, coarse = slices
         rng = np.random.default_rng(5)
         vol = Volume(rng.random((9, size, size), dtype=np.float32), UNIT)
         monkeypatch.setattr(impute_module, "_usable_cpus", lambda: 2)
         cfg = ImputeConfig(n_slices=1, method="flow", hs=HsParams(iterations=1, warps_per_level=1))
         impute_volume(vol, cfg=cfg)
-        assert sorted(shape[0] for shape in stacks) == slices
-        assert all(shape[1:] == (size, size) for shape in stacks)
+        runs = [(pairs, from_zero) for pairs, h, w, from_zero in stacks if (h, w) == (size, size)]
+        assert sorted(pairs for pairs, _ in runs) == slices
+        assert not any(from_zero for _, from_zero in runs)  # every run finishes from its group's coarse flows
+        assert sorted((pairs, h, w) for pairs, h, w, from_zero in stacks if from_zero) == coarse
         # Only a one-gap stack may exceed the cap: a gap's pair is never split.
-        assert all(shape[0] == 2 or np.prod(shape) <= impute_module._STACK_PIXELS for shape in stacks)
+        assert all(pairs == 2 or pairs * size * size <= impute_module._STACK_PIXELS for pairs, _ in runs)
+
+    @pytest.mark.parametrize(
+        ("size", "hs"),
+        [
+            (64, HsParams()),  # 8 gaps: two 4-gap runs on 2 CPUs, three runs on 3
+            # 4 gaps, one per run: with every level coarse, the cap splits the groups
+            (256, HsParams(iterations=2, warps_per_level=2)),
+        ],
+    )
+    def test_flow_output_bytes_do_not_depend_on_the_coarse_levels(self, monkeypatch, stacks, size, hs):
+        dense = 33 if size == 64 else 17
+        ph = moving_disk_phantom(dims=(size, size, dense), radius=size / 8, step=(size / 64, size / 256), seed=3)
+        image, labels = decimate(ph.volume, 4), decimate(ph.labels, 4)
+        cfg = ImputeConfig(n_slices=1, method="flow", hs=hs)
+        settings = (impute_module._COARSE_PIXELS, 1, 1 << 62)  # default, nothing merged, every level coarse
+        for cpus in (2, 3):
+            monkeypatch.setattr(impute_module, "_usable_cpus", lambda cpus=cpus: cpus)
+            outputs, solves = [], []
+            for coarse in settings:
+                monkeypatch.setattr(impute_module, "_COARSE_PIXELS", coarse)
+                out, out_labels = impute_volume(image, labels, cfg)
+                outputs.append((out.data.tobytes(), out_labels.data.tobytes()))
+                solves.append(tuple(sorted(stacks)))
+                stacks.clear()
+            assert len(set(solves)) == 3  # each setting splits the solve its own way
+            assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_flow_memory_follows_the_runs_not_the_gaps(self, monkeypatch):
+        """Between 9 and 33 slices only the coarse flows of the extra gaps are held at once, besides the output."""
+        monkeypatch.setattr(impute_module, "_usable_cpus", lambda: 1)  # runs of 8 gaps, one at a time, for both
+        cfg = ImputeConfig(n_slices=1, method="flow", hs=HsParams(iterations=1, warps_per_level=1))
+        excess = {}
+        for z in (9, 33):
+            vol = Volume(np.random.default_rng(z).random((z, 64, 64), dtype=np.float32), UNIT)
+            tracemalloc.start()
+            try:
+                out, _ = impute_volume(vol, cfg=cfg)
+                excess[z] = tracemalloc.get_traced_memory()[1] - out.data.nbytes
+            finally:
+                tracemalloc.stop()
+        # An 8-gap run's 16x16 and 8x8 levels are coarse (4 * 8 * 16 * 16 px < 2^14): each gap keeps
+        # its u and v both ways at 16x16 until its run is done.
+        coarse_flows = (33 - 9) * 4 * 16 * 16 * 8
+        assert excess[33] <= excess[9] + coarse_flows + (1 << 20)
 
     def test_each_run_synthesizes_each_t_as_one_stack(self, monkeypatch):
         # Plans and plan lists are kept alive, so their ids stay unique.
