@@ -13,30 +13,33 @@ the naive all-pairs computation lives in the test suite as the correctness
 oracle.
 
 ``evaluate`` takes every class's bounding box from one
-``ndimage.find_objects`` pass per volume and maps the surface distances of
-the classes present in both volumes over a thread pool of one worker per
-usable CPU (k-d tree builds and queries release the GIL).  Meanwhile the
-calling thread counts every class's voxels and overlap one z-slice at a
-time.  The scores do not depend on the worker count.  The public
-``surface_voxels``, ``assd`` and ``mssd`` find a class's box from one
-``any`` projection per axis of its whole-volume mask and run on the calling
-thread.
+``ndimage.find_objects`` pass per volume.  Each class present in either
+volume is one task on a thread pool of one worker per usable CPU: it counts
+the class's voxels inside its box in each volume and its overlap inside the
+intersection of the two boxes, and only when the class is in both volumes
+its surface distances (k-d tree builds and queries release the GIL).  The
+calling thread only waits, and the scores do not depend on the worker
+count.  The public ``surface_voxels``, ``assd`` and ``mssd`` find a class's
+box from one ``any`` projection per axis of its whole-volume mask and run
+on the calling thread.
 
 ``scipy.ndimage`` (``evaluate``'s box pass) and ``scipy.spatial`` (the k-d
 tree of ``_nearest``) are imported inside those functions on first use, not
 when this module is imported: every command imports this module, but only
-scoring needs them, and their first load took about 0.5 s on a 2-CPU Xeon
-VM.
+scoring needs them, and their first loads after ``import isoslice.cli``
+took 0.31-0.36 s and 0.08-0.13 s on a 2-CPU Xeon VM.
 
 The per-class functions refuse a class id that is not an integer in
-``0..classes-1`` with ``ParameterError``, and a spacing that takes a surface
-point or distance past the float64 range with ``DomainError``.
+``0..classes-1`` with ``ParameterError``.  They refuse with ``DomainError``
+a spacing that takes a surface point or distance past the float64 range,
+and one below about 1.49e-154 mm, where squared distances underflow.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from itertools import zip_longest
 
 import numpy as np
 
@@ -225,6 +228,10 @@ def _surface_distances(
             f"surface distances are undefined: class {class_id} has an empty surface"
         )
     scale = np.array(spacing.as_tuple(), dtype=np.float64)
+    # The k-d tree compares squared distances, and squares below the smallest
+    # normal float64 lose precision or vanish (2 voxels apart read 0.0 at 1e-170).
+    if scale.min() < np.sqrt(np.finfo(np.float64).tiny):
+        raise DomainError(f"class {class_id}: surface distances underflow at spacing {spacing.as_tuple()}")
     pts_gt, key_gt = _points(gt, class_id, boxes[0], scale)
     pts_pred, key_pred = _points(pred, class_id, boxes[1], scale)
     if not (np.isfinite(pts_gt).all() and np.isfinite(pts_pred).all()):
@@ -285,20 +292,6 @@ def _mean_or_none(values: list[float | None]) -> float | None:
     return float(np.mean(present))
 
 
-def _class_counts(gt: np.ndarray, pred: np.ndarray, classes: int) -> list[list[int]]:
-    """Per class: voxels in ``gt``, voxels in ``pred`` and voxels where both agree on it.
-
-    Counted one z-slice at a time; each slice's counts run only up to its
-    largest id, so the work follows the data, not ``classes``.
-    """
-    counts = np.zeros((3, classes), dtype=np.int64)
-    for g, p in zip(gt, pred):
-        for row, ids in zip(counts, (g.ravel(), p.ravel(), g[g == p])):
-            found = np.bincount(ids)
-            row[: len(found)] += found
-    return counts.tolist()
-
-
 def evaluate(gt: LabelVolume, pred: LabelVolume) -> MetricReport:
     """Score every non-background class and average the per-class results.
 
@@ -313,41 +306,38 @@ def evaluate(gt: LabelVolume, pred: LabelVolume) -> MetricReport:
     if gt.classes != pred.classes:
         raise ShapeError(f"class counts {gt.classes} and {pred.classes} differ")
 
-    # One pass per volume gives every present class's bounding box (entry
-    # cid - 1; zip stops at the lower top id, above which no class is in
-    # both), and so the classes present in both, which alone need surfaces.
-    # k-d tree builds and queries release the GIL, so their pool runs while
-    # this thread counts every class's voxels and overlap.  On one `score`
-    # bench input (2 CPUs, medians of 10 alternating rounds) a call took 167
-    # ms on two workers against 230 ms on one, and 179 ms against 199 ms
-    # with the counts taken before the pool starts.  Results come back in
-    # class order, so the first error in class order is raised.
-    boxes = list(zip(ndimage.find_objects(gt.data), ndimage.find_objects(pred.data)))
-    both = [cid for cid, pair in enumerate(boxes, 1) if None not in pair]
+    # One find_objects pass per volume gives every present class's bounding
+    # box (entry cid - 1, None where absent).  The passes, then one task per
+    # class in either volume, run on the pool: find_objects releases the GIL
+    # for part of its work, and k-d tree builds and queries release it too.
+    # Results come back in class order, so the first error in class order is
+    # raised.
+    def scores(cid: int) -> tuple[int, int, int, tuple[float, float] | None]:
+        """Voxels of ``cid`` in gt, in pred and in both, each counted inside
+        the class's boxes, and its (assd, mssd) if it is in both volumes."""
+        pair = boxes[cid - 1]
+        n_gt, n_pred = (
+            0 if box is None else int(np.count_nonzero(l.data[box] == cid)) for l, box in zip((gt, pred), pair)
+        )
+        if None in pair:
+            return n_gt, n_pred, 0, None
+        common = tuple(slice(max(a.start, b.start), min(a.stop, b.stop)) for a, b in zip(*pair))  # empty if apart
+        inter = int(np.count_nonzero((gt.data[common] == cid) & (pred.data[common] == cid)))
+        return n_gt, n_pred, inter, _surface_distances(gt, pred, cid, gt.spacing, pair)
 
-    def distances(cid: int) -> tuple[float, float]:
-        return _surface_distances(gt, pred, cid, gt.spacing, boxes[cid - 1])
-
-    with ThreadPoolExecutor(max(1, min(_usable_cpus(), len(both)))) as pool:
-        pending = pool.map(distances, both)
-        n_gt, n_pred, inter = _class_counts(gt.data, pred.data, gt.classes)
-        surface = dict(zip(both, pending))
+    with ThreadPoolExecutor(_usable_cpus()) as pool:
+        boxes = list(zip_longest(*pool.map(ndimage.find_objects, (gt.data, pred.data))))
+        present = [cid for cid, pair in enumerate(boxes, 1) if pair != (None, None)]
+        found = dict(zip(present, pool.map(scores, present)))
 
     per_class: dict[int, ClassScores] = {}
     for cid in range(1, gt.classes):
-        dice_val = _dice(inter[cid], n_gt[cid], n_pred[cid])
+        n_gt, n_pred, inter, surface = found.get(cid, (0, 0, 0, None))
         ravd_signed = ravd_abs = None
-        if n_gt[cid]:
-            ravd_signed, ravd_abs = _ravd(n_gt[cid], n_pred[cid], cid)
-        assd_val, mssd_val = surface.get(cid, (None, None))
-        per_class[cid] = ClassScores(dice_val, ravd_signed, ravd_abs, assd_val, mssd_val)
+        if n_gt:
+            ravd_signed, ravd_abs = _ravd(n_gt, n_pred, cid)
+        assd_val, mssd_val = surface or (None, None)
+        per_class[cid] = ClassScores(_dice(inter, n_gt, n_pred), ravd_signed, ravd_abs, assd_val, mssd_val)
 
-    scores = list(per_class.values())
-    mean = ClassScores(
-        _mean_or_none([s.dice for s in scores]),
-        _mean_or_none([s.ravd for s in scores]),
-        _mean_or_none([s.ravd_abs for s in scores]),
-        _mean_or_none([s.assd_mm for s in scores]),
-        _mean_or_none([s.mssd_mm for s in scores]),
-    )
-    return MetricReport(per_class, mean)
+    mean = {f.name: _mean_or_none([getattr(s, f.name) for s in per_class.values()]) for f in fields(ClassScores)}
+    return MetricReport(per_class, ClassScores(**mean))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import isoslice.cli
+import isoslice.losses
 import isoslice.metrics
 from isoslice import (
     LabelVolume,
@@ -642,6 +643,19 @@ class TestMetrics:
         assert not (tmp_path / "r.json").exists()
 
 
+    def test_underflowing_spacing_writes_no_report(self, tmp_path):
+        gt = np.zeros((4, 4, 4), np.uint8)
+        gt[1:3, 1:3, 1:3] = 1
+        pred = np.roll(gt, 1, axis=2)
+        pa, pb = tmp_path / "a.vvol", tmp_path / "b.vvol"
+        save_volume(LabelVolume(gt, Spacing(1e-170, 1e-170, 1e-170), 2), pa)
+        save_volume(LabelVolume(pred, Spacing(1e-170, 1e-170, 1e-170), 2), pb)
+        result = run_cli("metrics", "--gt", pa, "--pred", pb, "--out-json", tmp_path / "r.json")
+        assert_single_error(result)
+        assert "surface distances underflow" in result.stderr
+        assert not (tmp_path / "r.json").exists()
+
+
 class TestLoss:
     def test_constant_volume_tp_smooth_zero(self, tmp_path):
         path = tmp_path / "c.vvol"
@@ -747,6 +761,33 @@ class TestLoss:
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
             "a4bb3b14797d063f77e88ca4b66fbb8e57ca3de699688ba2cb47698210bc1611"
         )
+
+    def test_multi_block_stdout_matches_recorded_hash(self, tmp_path):
+        """The smoothness term over several blocks per slice family reproduces this stdout, recorded
+        from the per-slice loop it replaced, byte for byte."""
+        rng = np.random.default_rng(109)
+        spacing = Spacing(1.0, 1.0, 2.5)
+        synth = Volume(rng.random((40, 103, 150)).astype(np.float32), spacing)
+        real = Volume(rng.normal(0.5, 0.3, (40, 103, 150)).astype(np.float32), spacing)
+        ps, pr = tmp_path / "s.vvol", tmp_path / "r.vvol"
+        save_volume(synth, ps)
+        save_volume(real, pr)
+        # 150 sagittal slices of 40 x 103 pixels and 103 coronal ones of 40 x 150: several blocks each
+        for pixels, count in ((40 * 103, 150), (40 * 150, 103)):
+            assert 1 < isoslice.losses._BLOCK_PIXELS // pixels < count // 3
+        result = run_cli("loss", "--volume", ps, "--rec", ps, pr)
+        payload(result)
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+            "b7c91a1c3fd39665d740da0fcf363324732e1e23e1a43a02168db9d34c9ded72"
+        )
+
+    def test_successful_loss_leaves_no_thread_behind(self, tmp_path, capsys):
+        path = tmp_path / "v.vvol"
+        save_volume(Volume(np.random.default_rng(110).random((9, 40, 50)).astype(np.float32), Spacing(1, 1, 1)), path)
+        threads = threading.enumerate()
+        assert main(["loss", "--volume", str(path), "--rec", str(path), str(path)]) == 0
+        assert threading.enumerate() == threads
+        assert json.loads(capsys.readouterr().out)["l_rec"] == 0.0
 
     def test_each_distinct_file_is_read_once(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(108)

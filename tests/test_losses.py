@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
+import isoslice.losses
 import oracles
 from isoslice import (
     DataValidationError,
@@ -28,7 +31,7 @@ from isoslice import (
     tp_smooth_slice,
     warp_loss,
 )
-from isoslice.losses import _SAGITTAL_BLOCK
+from isoslice.losses import _BLOCK_PIXELS
 
 LN2 = math.log(2.0)
 
@@ -215,7 +218,7 @@ class TestTpSmooth:
             oracles.tp_smooth_slice(arr), rel=1e-6
         )
 
-    def test_volume_averages_both_slice_families(self):
+    def test_volume_averages_both_slice_families(self, monkeypatch):
         rng = np.random.default_rng(69)
         data = rng.random((3, 4, 5)).astype(np.float32)
         v = Volume(data, Spacing(1, 1, 1))
@@ -226,15 +229,43 @@ class TestTpSmooth:
         # Exactly the mean over Slice2D copies of the slices.
         slices = [Slice2D(data[:, :, i]) for i in range(5)] + [Slice2D(data[:, j, :]) for j in range(4)]
         assert tp_smooth_loss(v) == float(np.mean([tp_smooth_slice(s) for s in slices]))
-        # Sagittal slices are read in blocks; the mean stays exact for one
-        # partial block, a block plus one, and several blocks plus a remainder.
-        n = _SAGITTAL_BLOCK
+        # Slices are read in blocks of whole slices, here n sagittal slices
+        # per block; the mean stays exact for one partial block, a block plus
+        # one, and several blocks plus a remainder.
+        n = 8
         for x in (2, n - 1, n + 1, 3 * n + 2):
             for y in (2, n - 1, n + 1, 3 * n + 2):
+                monkeypatch.setattr(isoslice.losses, "_BLOCK_PIXELS", n * 2 * y)
                 data = rng.random((2, y, x)).astype(np.float32)
                 slices = [Slice2D(data[:, :, i]) for i in range(x)] + [Slice2D(data[:, j, :]) for j in range(y)]
                 want = float(np.mean([tp_smooth_slice(s) for s in slices]))
                 assert tp_smooth_loss(Volume(data, Spacing(1, 1, 1))) == want, (x, y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        extents=st.tuples(st.integers(2, 100), st.integers(2, 120), st.integers(2, 12)),
+        swap=st.booleans(),
+        block=st.none() | st.integers(1, 30_000),
+        cpus=st.sampled_from([1, 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(extents=(100, 120, 12), swap=False, block=None, cpus=3, seed=0)  # 12000-pixel sagittal slices
+    @example(extents=(100, 120, 12), swap=True, block=None, cpus=1, seed=1)  # 12000-pixel coronal slices
+    @example(extents=(3, 10, 11), swap=False, block=3 * 30 + 1, cpus=3, seed=2)  # 3 slices a block, remainders
+    def test_blocks_give_exactly_the_mean_over_slices(self, extents, swap, block, cpus, seed):
+        """Any volume, block size (None: the module's own) and worker count
+        gives exactly the mean of ``tp_smooth_slice`` over Slice2D copies,
+        also where one slice holds more than 8192 pixels."""
+        z, y, x = extents
+        if swap:
+            x, y = y, x
+        data = np.random.default_rng(seed).normal(0.0, 10.0, (z, y, x)).astype(np.float32)
+        slices = [Slice2D(data[:, :, i]) for i in range(x)] + [Slice2D(data[:, j, :]) for j in range(y)]
+        want = float(np.mean([tp_smooth_slice(s) for s in slices]))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(isoslice.losses, "_BLOCK_PIXELS", _BLOCK_PIXELS if block is None else block)
+            patch.setattr(isoslice.losses, "_usable_cpus", lambda: cpus)
+            assert tp_smooth_loss(Volume(data, Spacing(1, 1, 1))) == want
 
     def test_degenerate_extent_rejected(self):
         v = Volume(np.zeros((1, 3, 3), np.float32), Spacing(1, 1, 1))

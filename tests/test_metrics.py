@@ -199,6 +199,23 @@ class TestSurfaceDistances:
         with pytest.raises(DomainError, match=f"surface {what} overflow"):
             evaluate(a, b)
 
+    def test_underflowing_spacing_is_domain_error(self):
+        # Squared distances below the smallest normal float64 would lose
+        # precision or vanish: these two voxels read 0.0 apart at 1e-170.
+        for spacing in (Spacing(1e-170, 1e-170, 1e-170), Spacing(1.0, 1e-155, 1.0)):
+            a = single_voxel((0, 0, 0), (4, 4, 4), spacing)
+            b = single_voxel((2, 0, 0), (4, 4, 4), spacing)
+            for score in (assd, mssd):
+                with pytest.raises(DomainError, match="surface distances underflow"):
+                    score(a, b, 1)
+            with pytest.raises(DomainError, match="surface distances underflow"):
+                evaluate(a, b)
+        small = Spacing(1e-150, 1e-150, 1e-150)
+        a = single_voxel((0, 0, 0), (4, 4, 4), small)
+        b = single_voxel((2, 0, 0), (4, 4, 4), small)
+        assert assd(a, b, 1) == mssd(a, b, 1) == 2e-150
+        assert evaluate(a, b).classes[1].assd_mm == 2e-150
+
     def test_empty_surface_undefined(self):
         empty = lv(np.zeros((4, 4, 4), np.uint8), classes=2)
         with pytest.raises(UndefinedMetricError):
@@ -362,6 +379,42 @@ class TestEvaluate:
         monkeypatch.setattr(isoslice.metrics, "_usable_cpus", lambda: cpus)
         with pytest.raises(DomainError, match="^class 1: surface points overflow"):
             evaluate(lv(data, spacing, 4), lv(data, spacing, 4))
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["disjoint-boxes", "all-six-faces", "in-one-volume", "sparse-high-id"])
+    def test_entries_match_composition_on_any_worker_count(self, monkeypatch, cpus, case):
+        """Each class is counted inside its own boxes on the pool; every entry
+        still equals the per-metric functions."""
+        spacing = Spacing(0.8, 1.3, 3.0)
+        gt = np.zeros((6, 7, 8), np.uint16)
+        pred = np.zeros_like(gt)
+        classes, checked = 6, range(1, 6)
+        if case == "disjoint-boxes":
+            gt[:2, :3, :3] = pred[3:, 4:, 5:] = 1  # the boxes meet on no axis
+            gt[4:, :2, :3] = pred[4:, :2, 4:7] = 2  # they meet in z and y, not in x
+        elif case == "all-six-faces":
+            gt[:] = pred[:] = 1
+            gt[2:4, 2:5, 2:6] = 2
+            pred[1:3, 3:6, 3:7] = 2
+            flips = np.random.default_rng(95).random(gt.shape) < 0.2
+            pred[flips] = 3
+        elif case == "in-one-volume":
+            gt[1:3, 1:3, 1:3] = 1  # only in gt
+            pred[0:2, 4:7, 4:8] = 2  # only in pred
+            gt[4:6, 5:7, 0:4] = pred[3:6, 4:7, 1:5] = 3
+            pred[5, 0, 0] = 4  # only in pred, one voxel; class 5 is declared but absent from both
+        else:
+            classes, checked = 5000, (1, 17, 3999, 4000, 4999)
+            gt[1:5, 2:6, 1:7] = 4000
+            pred[2:6, 1:5, 2:8] = 4000
+            gt[0, 0, 0] = 3999  # only in gt
+            pred[5, 6, 7] = 17  # only in pred
+        gt, pred = (LabelVolume(a, spacing, classes) for a in (gt, pred))
+        monkeypatch.setattr(isoslice.metrics, "_usable_cpus", lambda: cpus)
+        report = evaluate(gt, pred)
+        assert sorted(report.classes) == list(range(1, classes))
+        for cid in checked:
+            assert report.classes[cid] == composed_scores(gt, pred, cid), cid
 
     def test_cost_does_not_grow_with_declared_classes(self):
         rng = np.random.default_rng(91)
