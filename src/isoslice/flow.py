@@ -5,18 +5,18 @@ over an image pyramid with incremental warping.  After every warp's Jacobi
 sweeps a 5x5 median filter is applied to both flow components, the step Sun,
 Roth and Black ("Secrets of Optical Flow Estimation and Their Principles",
 CVPR 2010) found essential: without it the estimate diverges across warps on
-deeper pyramids.  With it 25 sweeps per warp suffice, and the default pyramid
-depth follows the slice size, ``max(1, min(W, H).bit_length() - 3)`` levels,
-so the coarsest level's short side is about 8-16 px (4 levels at 64x64, 6 at
-256x256, 1 below 16 px).  Every sweep and filter has a fixed order, so
-repeated runs on the same inputs are bit-identical.  The solver
-works on (B, H, W) stacks of independent pairs, so ``impute`` solves the
-forward and backward flows of many gaps as one stack per level; each pair's
-result is bit-identical to solving it alone, and ``estimate_flow`` is the
-one-pair case.  The caller hands the solver ``a`` over ``b`` as one (2B, H,
-W) array, which it normalizes in place, and ``u`` over ``v`` is one such
-array too, so each pyramid level is one ``_downsample`` and each Jacobi
-sweep and median filter one pass over both.
+deeper pyramids, and with it 25 sweeps per warp suffice.  Every sweep and
+filter has a fixed order, so repeated runs on the same inputs are
+bit-identical.
+
+The solver works on (2B, H, W) stacks of B independent pairs, sources over
+targets, and on their flows ``u`` over ``v``, so each pyramid level is one
+``_downsample`` and each sweep and median filter one pass over both.  Each
+pair's result is bit-identical to solving it alone, so ``impute`` solves the
+flows of many gaps as one stack and ``estimate_flow`` is the one-pair case.
+``_pyramid`` builds the levels and ``_refine`` solves any run of them, so
+``impute`` solves levels too small to overlap across threads once for
+several runs (268630b).
 
 Flow semantics are forward for estimation: the field returned by
 ``estimate_flow(i0, i1)`` maps a pixel ``(x, y)`` of ``i0`` to
@@ -28,27 +28,8 @@ The solver runs on numpy alone.  Its three filters (the pyramid's binomial
 blur, the sweeps' 8-neighbour mean and the 5x5 median, all with
 edge-replicated borders) repeat the arithmetic of ``scipy.ndimage``'s
 ``correlate1d``, ``correlate`` and ``median_filter`` in mode "nearest" bit
-for bit, so their outputs are the bytes those calls gave; the tests hold
-them to that.  So a flow solve never loads scipy; only ``metrics`` does.
-A warp's Jacobi sweeps keep every operand in one flat layout with a
-one-pixel border, so each step of a sweep is one contiguous pass over whole
-buffers, and each of the mean's eight taps is a constant offset into one of
-two scaled copies of the flow: 21 numpy calls per sweep where shifted
-per-tap products took 27.  Every view those calls touch (the eight taps,
-the span, the four border copies and the ``u``/``v`` halves) is built once
-per warp, so a sweep runs no Python beyond its 21 calls.  What the gap
-threads lose is the GIL they hand each other between calls, not arithmetic
-or memory bandwidth.  On 2 CPUs (medians of 30 calls, seven rounds), 25
-sweeps of an 8-pair 64x64 stack took 14.6-24.2 ms on one thread and
-14.9-25.1 ms as two copies in two processes; as two copies in two threads
-they took 16.5-39.0 ms with the views built per sweep and 15.8-23.6 ms with
-them built per warp.  Calls on fewer than about 2^14 elements do not
-overlap across threads at all, so ``impute`` solves small pyramid levels
-once for several runs (``_pyramid`` builds the levels, ``_refine`` solves
-any run of them).
-Loading ``scipy.ndimage`` costs a fresh process about 0.25 s and 24 MB of
-peak RSS: a cold 64x64x9 ``impute --method flow`` took 0.67 s and 69 MB
-with it and takes 0.42 s and 45 MB without (2-CPU Xeon VM).
+for bit, as the tests check, so a flow solve never pays scipy's load time
+and memory (baabf5e); only ``metrics`` loads it.
 
 The on-disk container ("VFLO") is the volume container with its own magic::
 
@@ -91,19 +72,17 @@ _AVG_KERNEL = np.array(
 )
 # Its non-zero taps as (row offset, column offset, weight) into a slice
 # padded by one pixel, in the kernel's C order: ndimage.correlate's order.
-# ``_neighbour_mean`` adds them in this order, reading each tap's product
-# from one of two whole-buffer products, by 1/12 or by 1/6, picked by its
-# weight.  The weights are Python floats: with numpy scalar weights, two
-# threads' neighbour-mean loops took about 1.9x one thread's time (1.07x
-# with floats), so ``_BINOMIAL5``'s weights are taken as floats too.
+# ``_add_taps`` adds them in this order, reading each tap's product from one
+# of two whole-buffer products, by 1/12 or by 1/6, picked by its weight.  The
+# weights, and ``_BINOMIAL5``'s where they are used, are Python floats: numpy
+# scalar weights keep two threads' loops from overlapping (baabf5e).
 _AVG_TAPS = tuple((dy, dx, float(w)) for (dy, dx), w in np.ndenumerate(_AVG_KERNEL) if w)
 
 _BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
 # Output pixels per block of ``_median``: whole slices of a stack or rows of
-# one slice.  A block's 25 window values per pixel then take 1.6 MB per
-# thread whatever the slice size, where whole-stack temporaries raised a
-# threaded ``disk-flow`` job's peak RSS from 84.6 to 106 MB.
+# one slice, so a block's 25 window values per pixel take 1.6 MB per thread
+# whatever the slice size; whole-stack temporaries raised peak RSS (3d84590).
 _MEDIAN_BLOCK = 1 << 13
 
 
@@ -266,7 +245,7 @@ def _blur_halve(arr: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _resize_bilinear(arr: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    h2, w2 = shape  # at least 4 px each: ``_pyramid_depth`` keeps min(W, H) >= 2**levels
+    h2, w2 = shape  # at least 4 px each: ``_pyramid_shapes`` keeps min(W, H) >= 2**levels
     h1, w1 = arr.shape[1:]
     xs = np.arange(w2) * ((w1 - 1) / (w2 - 1))
     ys = np.arange(h2) * ((h1 - 1) / (h2 - 1))
@@ -293,28 +272,20 @@ def _normalize(ab: np.ndarray) -> None:
     pairs *= gain[:, None]
 
 
-def _neighbour_mean(padded: np.ndarray, twelfths: np.ndarray, sixths: np.ndarray) -> np.ndarray:
-    """The ``_AVG_KERNEL`` mean of each interior pixel's neighbours, written over the interior of ``padded``.
+def _tap_views(padded: np.ndarray, twelfths: np.ndarray, sixths: np.ndarray) -> tuple:
+    """The flat operands of the ``_AVG_KERNEL`` mean: ``padded``, the two scratch buffers, the eight taps and the span.
 
     ``padded`` is a C-contiguous (K, H+2, W+2) stack with edge-replicated
     borders.  ``twelfths`` and ``sixths`` are scratch of its shape that take
     ``padded`` times 1/12 and times 1/6, so each tap's products sit at a
-    constant offset in one of them, flat.  They are added in ``_AVG_TAPS``
-    order over one flat span that covers every interior pixel, then ``+=
-    0.0`` (ndimage's start, which only turns a sum of eight -0.0 products
-    into +0.0): the interior holds the bytes of ``ndimage.correlate(stack,
-    _AVG_KERNEL[None], mode="nearest")``.  The span crosses the border
-    pixels between rows and slices, which are left holding sums of no use.
-    Returns the interior, a view.
-    """
-    _add_taps(*_tap_views(padded, twelfths, sixths))
-    return padded[:, 1:-1, 1:-1]
-
-
-def _tap_views(padded: np.ndarray, twelfths: np.ndarray, sixths: np.ndarray) -> tuple:
-    """The flat operands of ``_neighbour_mean``: ``padded``, the two scratch buffers, the eight taps and the span.
-
-    Views only, so a warp builds them once and its sweeps reuse them.
+    constant offset in one of them, flat.  ``_add_taps`` adds them in
+    ``_AVG_TAPS`` order over one flat span that covers every interior pixel,
+    then ``+= 0.0`` (ndimage's start, which only turns a sum of eight -0.0
+    products into +0.0): the interior ``padded[:, 1:-1, 1:-1]`` then holds
+    the bytes of ``ndimage.correlate(stack, _AVG_KERNEL[None],
+    mode="nearest")``.  The span crosses the border pixels between rows and
+    slices, which are left holding sums of no use.  Views only, so a warp
+    builds them once and its sweeps reuse them.
     """
     width = padded.shape[2]
     flat, flat12, flat6 = padded.reshape(-1), twelfths.reshape(-1), sixths.reshape(-1)
@@ -326,7 +297,7 @@ def _tap_views(padded: np.ndarray, twelfths: np.ndarray, sixths: np.ndarray) -> 
 
 
 def _add_taps(flat: np.ndarray, flat12: np.ndarray, flat6: np.ndarray, taps: tuple, span: np.ndarray) -> None:
-    """``_neighbour_mean``'s ten numpy calls on the views ``_tap_views`` built."""
+    """The mean's ten numpy calls on the views ``_tap_views`` built, written over the span."""
     np.multiply(flat, 1.0 / 12.0, out=flat12)
     np.multiply(flat, 1.0 / 6.0, out=flat6)
     np.add(taps[0], taps[1], out=span)
@@ -362,7 +333,7 @@ def _hs_sweeps(a: np.ndarray, b: np.ndarray, uv0: np.ndarray, params: HsParams) 
     with a one-pixel border, so each step of a sweep is one pass over whole
     contiguous buffers and the neighbour mean needs no copy.  The border of
     ``uv`` is re-replicated before each sweep; between sweeps it holds sums
-    of no use (see ``_neighbour_mean``).  The borders of ``uv0``, the
+    of no use (see ``_tap_views``).  The borders of ``uv0``, the
     gradients and ``it`` are 0, so ``denom``'s is ``alpha ** 2``, never 0,
     and every border step stays finite.  The two scaled copies the mean
     takes are then reused as the sweep's ``step`` and ``shared``.  Every
@@ -398,15 +369,21 @@ def _hs_sweeps(a: np.ndarray, b: np.ndarray, uv0: np.ndarray, params: HsParams) 
     return uv[:, 1:-1, 1:-1]
 
 
-def _pyramid_depth(dims: tuple[int, int], levels: int | str) -> int:
-    """Pyramid levels for (W, H) slices: ``levels`` resolved ("auto") and checked."""
+def _pyramid_shapes(dims: tuple[int, int], levels: int | str) -> list[tuple[int, int]]:
+    """The (h, w) of each pyramid level for (W, H) slices, finest first, with ``levels`` resolved ("auto") and checked.
+
+    Each ``_downsample`` keeps samples 0, 2, 4, ... of both sides.
+    """
     w, h = dims
     short = min(w, h).bit_length()
     if levels == "auto":
         levels = max(1, short - 3)
     if short <= levels:  # i.e. min(w, h) < 2**levels
         raise ParameterError(f"dims {dims} too small for {levels} pyramid levels")
-    return levels
+    shapes = [(h, w)]
+    for _ in range(levels - 1):
+        shapes.append(tuple((side + 1) // 2 for side in shapes[-1]))
+    return shapes
 
 
 def _median(arr: np.ndarray) -> np.ndarray:
@@ -435,22 +412,11 @@ def _median(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve_stack(ab: np.ndarray, params: HsParams, levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Forward flows ``(u, v)`` from each source slice of ``ab`` toward its target.
-
-    ``ab`` is a (2B, H, W) float64 stack of B pairs, the B sources over the
-    B targets (pair ``k`` is slices ``k`` and ``B + k``), already checked against the resolved pyramid depth ``levels``
-    (see ``_pyramid_depth``); it is normalized in place, so the caller hands
-    it over.  Slice ``k`` of the result is bit-identical to solving pair
-    ``k`` alone.
-    """
-    n = len(ab) // 2
-    uv = _refine(_pyramid(ab, levels), None, params)
-    return uv[:n], uv[n:]
-
-
 def _pyramid(ab: np.ndarray, levels: int) -> list[np.ndarray]:
-    """``levels`` levels of the (2B, H, W) pair stack ``ab``, finest first: ``ab`` normalized in place, then halved."""
+    """``levels`` levels of the (2B, H, W) pair stack ``ab``, finest first: ``ab`` normalized in place, then halved.
+
+    ``levels`` is a depth that ``_pyramid_shapes`` accepts for these slices.
+    """
     _normalize(ab)
     pyramid = [ab]
     for _ in range(levels - 1):
@@ -495,9 +461,9 @@ def estimate_flow(i0: Slice2D, i1: Slice2D, params: HsParams | None = None) -> F
     params = params or HsParams()
     if i0.dims != i1.dims:
         raise ShapeError(f"slice dims {i0.dims} and {i1.dims} differ")
-    levels = _pyramid_depth(i0.dims, params.pyramid_levels)
-    u, v = _solve_stack(np.stack((i0.data, i1.data)), params, levels)
-    return _adopted(FlowField, u=u[0], v=v[0])
+    levels = len(_pyramid_shapes(i0.dims, params.pyramid_levels))
+    u, v = _refine(_pyramid(np.stack((i0.data, i1.data)), levels), None, params)
+    return _adopted(FlowField, u=u, v=v)
 
 
 def compose_intermediate_flow(

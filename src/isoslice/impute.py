@@ -17,26 +17,18 @@ the corners scores 0.0 there and can never beat one that is at a corner.
 
 The gaps are split into contiguous runs of at most ``_STACK_PIXELS // (2 *
 W * H)`` gaps (at least one), with ``method="flow"`` also spread over the
-usable CPUs.  A flow run solves every pair ``(a -> b, b -> a)`` of its g gaps
-in one solve per pyramid level, as ``(fore, aft, aft, fore)``, a (4g, h, w)
-array of 2g sources over 2g targets; its pyramid is built from the 2g
-distinct endpoints ``(fore, aft)``, since a pair's joint range is symmetric.
-Every run synthesizes all its gaps at one ``t`` as one (g, H, W) stack.
+usable CPUs.  A flow run solves both directions of its g gaps as one stack
+per pyramid level (see ``_pairs``), and every run synthesizes all its gaps
+at one ``t`` as one (g, H, W) stack.
 
-Flow runs go to a thread pool (the solver spends most of its time in numpy
-calls that release the GIL), and fewer, larger solves cut the per-call work
-that holds it.  Pyramid levels too small to overlap across threads are the
-coarse phase: below the finest level, a level whose (4g, h, w) stack holds
-fewer than ``_COARSE_PIXELS`` is solved once for a group of consecutive runs,
-as one stack on one worker, before the runs fan out; each run then rebuilds
-its own finer levels from its endpoints and finishes from its coarse flows.
-On 2 CPUs the bench's 8-gap 64x64 disk solves its 16x16 and 8x8 levels as
-one 16-pair stack and its 32x32 and 64x64 levels as two 4-gap runs; that
-took a flow impute from 163-185 to 146-165 ms (medians of three
-alternating rounds of 40 jobs).  Only the coarse flows of all gaps are held
-at once, so memory follows the runs in flight, not the gap count.  Output
-bytes do not depend on the run split, the coarse groups or the CPU count.
-Linear runs go serially (see ``impute_volume``).
+Flow runs go to a thread pool, as the solver spends most of its time in
+numpy calls that release the GIL.  Levels below the finest on which a run's
+stack is under ``_COARSE_PIXELS`` are the coarse phase: they are solved once
+for a group of runs (``_groups``) before the runs fan out, and each run then
+finishes its own finer levels from its coarse flows.  Only the coarse flows
+of all gaps are held at once, so memory follows the runs in flight, not the
+gap count.  Output bytes do not depend on the run split, the coarse groups
+or the CPU count.  Linear runs go serially (see ``impute_volume``).
 """
 
 from __future__ import annotations
@@ -49,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientSlicesError, ParameterError, ShapeError
-from .flow import FlowField, HsParams, _check_t, _compose, _pyramid, _pyramid_depth, _refine, _warp_by
+from .flow import FlowField, HsParams, _check_t, _compose, _pyramid, _pyramid_shapes, _refine, _warp_by
 from .flow import _bilerp, _displaced, _plan
 from .volume import LabelVolume, Slice2D, Spacing, Volume, _adopted, _as_float, _is_int, _usable_cpus
 
@@ -81,22 +73,14 @@ METHOD_LINEAR = "linear"
 # hostile header spacing or slice count fails before any allocation.
 MAX_OUTPUT_VOXELS = 1 << 30
 
-# Most pixels in a run's (2g, H, W) stack of gap endpoints, for both methods.
-# Measured for flow on 2 CPUs with the default HsParams: gate 8's 64x64x9
-# disk imputed with --n 3 and labels took 218 ms as two 4-gap stacks and 402
-# ms as 1-gap stacks (median of 12 alternating rounds).  One thread's cost
-# per pixel is lowest from 2^14 to 2^16 px and rises beyond (4.8 to 5.3
-# us/px at 2^20), while a larger stack only holds more memory.
+# Most pixels in a run's (2g, H, W) stack of gap endpoints, for both methods:
+# fewer, larger stacks cut the per-call work up to about this size, and beyond
+# it a flow stack costs more per pixel and only holds more memory (90efd32).
 _STACK_PIXELS = 1 << 16
 
 # Fewest pixels in a run's (4g, h, w) flow stack for a pyramid level below
-# the finest to be solved per run; smaller levels are solved once for a
-# group of runs (``_groups``) on one worker.  Measured on the disk above
-# with nothing merged (2 CPUs, medians of 20 jobs): one worker solving all 8
-# gaps as one run took 5.6, 12.9, 41 and 200 ms at 8x8, 16x16, 32x32 and
-# 64x64, while two workers, each on a 4-gap run at the same time, took 12.2,
-# 17.4, 32 and 87 ms each.  Threads lose below a 2^14 px run stack (16x16)
-# and gain from there up (32x32).
+# the finest to be solved per run; smaller levels, on which threads lose,
+# are solved once for a group of runs (``_groups``) on one worker (268630b).
 _COARSE_PIXELS = 1 << 14
 
 
@@ -219,13 +203,13 @@ def _pairs(ends: list[np.ndarray]) -> np.ndarray:
 def _groups(runs: list[range], pixels: int) -> list[list[range]]:
     """Consecutive runs grouped for the coarse phase, given ``pixels`` per slice of its finest level.
 
-    A group is the fewest runs whose (4G, h, w) flow stack there reaches
-    ``_COARSE_PIXELS``, or the most whose (2G, h, w) endpoints stay within
-    ``_STACK_PIXELS``, whichever is fewer; but never less than one run.
+    A group takes runs until its (4G, h, w) flow stack there reaches
+    ``_COARSE_PIXELS``.  One run's stack on a coarse level is under that, so
+    a group's (2G, h, w) endpoints are too, well within ``_STACK_PIXELS``.
     """
     groups, held = [], 0
     for run in runs:
-        if not groups or 4 * held * pixels >= _COARSE_PIXELS or 2 * (held + len(run)) * pixels > _STACK_PIXELS:
+        if not groups or 4 * held * pixels >= _COARSE_PIXELS:
             groups.append([])
             held = 0
         groups[-1].append(run)
@@ -292,7 +276,7 @@ def impute_volume(
         )
     use_flow = cfg.method == METHOD_FLOW
     if use_flow:
-        levels = _pyramid_depth((x, y), cfg.hs.pyramid_levels)
+        shapes = _pyramid_shapes((x, y), cfg.hs.pyramid_levels)
     out = np.empty((z_out, y, x), dtype=np.float32)
     out[:: n + 1] = v.data
     out_labels = None
@@ -331,7 +315,7 @@ def impute_volume(
     def solve_coarse(group: list[range]) -> list[np.ndarray]:
         """The flows after the coarse levels of each run in ``group``, from one solve of all their pairs."""
         # Each run's full pyramid lives only until its coarse levels are taken.
-        coarse = [_pyramid(endpoints(run), levels)[fine:] for run in group]
+        coarse = [_pyramid(endpoints(run), len(shapes))[fine:] for run in group]
         uv = _refine([_pairs(level) for level in zip(*coarse)], None, cfg.hs)
         pairs = len(uv) // 2
         bounds = np.cumsum([0] + [2 * len(run) for run in group])
@@ -339,12 +323,9 @@ def impute_volume(
 
     # Runs share no state and write disjoint rows, and a pair's flow and
     # synthesis do not depend on its stack, so neither the run split, the
-    # coarse groups nor the CPU count can change a byte of the output.  The
-    # disk above took 167 ms on two flow workers and 253 ms on one (medians
-    # of 40 jobs).  Linear runs stay serial: on a 117-class 256x256 label
-    # volume (2 CPUs) threading them saved no time (0.018-0.020 s per job,
-    # serial 0.016-0.019) and raised peak RSS from 110 to 116 MB, over three
-    # 30 s `organs-linear` bench runs each.
+    # coarse groups nor the CPU count can change a byte of the output.  Linear
+    # runs stay serial: threading them saved no time on `organs-linear` and
+    # raised its peak RSS (610d15d).
     gaps = z - 1
     workers = min(_usable_cpus(), gaps) if use_flow else 1
     per_run = max(1, min(math.ceil(gaps / workers), _STACK_PIXELS // (2 * x * y)))
@@ -352,14 +333,10 @@ def impute_volume(
     workers = min(workers, len(runs))
     groups = []
     if use_flow:
-        shapes = [(y, x)]
-        for _ in range(levels - 1):  # each _downsample keeps samples 0, 2, 4, ...
-            shapes.append(tuple((side + 1) // 2 for side in shapes[-1]))
         # The finest level is always a run's own, so a gap's full-size flows
-        # exist only while its run is in flight.  Below it a level is coarse
-        # when a full run's (4g, h, w) flow stack there is under _COARSE_PIXELS.
+        # exist only while its run is in flight; below it, see _COARSE_PIXELS.
         fine = 1 + sum(4 * per_run * h * w >= _COARSE_PIXELS for h, w in shapes[1:])
-        if fine < levels:
+        if fine < len(shapes):
             groups = _groups(runs, math.prod(shapes[fine]))
 
     def solve(each) -> None:

@@ -157,11 +157,8 @@ def _tp_smooth(arr: np.ndarray) -> float:
     return (horizontal + vertical) / arr.size
 
 
-# Pixels per block of whole slices (a block holds one slice where a slice is
-# larger).  On the five 256x256x65 `score` bench volumes (2 CPUs, in process,
-# alternating rounds) a call took 33 ms against 39-41 ms for a per-slice loop
-# on one thread; 2**17-pixel blocks tied, and single-slice blocks were too
-# small for the two workers to overlap.
+# Pixels per block of whole slices: single-slice blocks are too small for the
+# workers to overlap, and larger blocks gained nothing (b83059b).
 _BLOCK_PIXELS = 1 << 16
 
 
@@ -196,11 +193,9 @@ def tp_smooth_loss(v: Volume) -> float:
     x, y, z = v.dims
     if min(x, y, z) < 2:
         raise ParameterError(f"volume extents {v.dims} must all be at least 2")
-    # The volume is already validated, so slices need no Slice2D check.  The
-    # sagittal ([x, z, y]) and coronal ([y, z, x]) slices are cut into
-    # blocks of at most _BLOCK_PIXELS, dealt in turn to one worker per
-    # usable CPU: numpy releases the GIL inside each call, and a block is
-    # large enough that the workers overlap.
+    # The volume is already validated, so slices need no Slice2D check.  Blocks
+    # of the sagittal ([x, z, y]) and coronal ([y, z, x]) slices are dealt in
+    # turn to the workers: numpy releases the GIL inside each call.
     blocks = []
     for family in (v.data.transpose(2, 0, 1), v.data.transpose(1, 0, 2)):
         n, rows, cols = family.shape
@@ -293,14 +288,18 @@ def multitask_loss(
 
 
 def total_loss(parts: Mapping[str, float], weights: LossWeights | None = None) -> float:
-    """Weighted sum of the six named terms; missing terms count as 0."""
+    """Weighted sum of the six named terms; missing terms count as 0.
+
+    A term whose value is not a finite real number raises ParameterError.
+    """
     weights = weights or LossWeights()
     total = 0.0
     for term, value in parts.items():
         weight = weights.for_term(term)
-        if not math.isfinite(value):
-            raise ParameterError(f"{term}={value!r} must be finite")
-        total += weight * float(value)
+        number = _as_float(value)
+        if not math.isfinite(number):
+            raise ParameterError(f"{term}={value!r} must be a finite real number")
+        total += weight * number
     if not math.isfinite(total):
         raise ParameterError(f"the weighted total overflows: {total!r}")
     return total
@@ -308,6 +307,5 @@ def total_loss(parts: Mapping[str, float], weights: LossWeights | None = None) -
 
 def loss_report(parts: Mapping[str, float], weights: LossWeights | None = None) -> dict[str, float]:
     """Flat report of the given terms plus their weighted total."""
-    report = {term: float(value) for term, value in parts.items()}
-    report["total"] = total_loss(parts, weights)
-    return report
+    total = total_loss(parts, weights)  # checks every value before the report reads it
+    return {**{term: float(value) for term, value in parts.items()}, "total": total}

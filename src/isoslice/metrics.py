@@ -1,33 +1,23 @@
 """Overlap and surface-distance scores between label volumes.
 
 Surfaces are foreground voxels with at least one non-foreground
-6-neighbour, the volume boundary counting as background.  Each surface's
-neighbour test (``_surface``) runs inside the class's own bounding box,
-padded with background: voxels outside the box are not in the class, and
-where the box meets the volume edge the pad plays the volume boundary, so
-the crop gives exactly the full-volume surface.  Distances are Euclidean in
-millimetres over the anisotropic grid and come from a k-d tree over the
-mm-scaled surface points, which is exact (a point on both surfaces is at 0.0
-without a query, and the others are queried in blocks of ``_QUERY_BLOCK``);
-the naive all-pairs computation lives in the test suite as the correctness
-oracle.
+6-neighbour, the volume boundary counting as background; each class's
+surface is found inside its own bounding box, which is exact (see
+``surface_voxels``).  Distances are Euclidean in millimetres over the
+anisotropic grid and come from a k-d tree over the mm-scaled surface
+points, which is exact; the naive all-pairs computation lives in the test
+suite as the correctness oracle.
 
 ``evaluate`` takes every class's bounding box from one
-``ndimage.find_objects`` pass per volume.  Each class present in either
-volume is one task on a thread pool of one worker per usable CPU: it counts
-the class's voxels inside its box in each volume and its overlap inside the
-intersection of the two boxes, and only when the class is in both volumes
-its surface distances (k-d tree builds and queries release the GIL).  The
-calling thread only waits, and the scores do not depend on the worker
-count.  The public ``surface_voxels``, ``assd`` and ``mssd`` find a class's
-box from one ``any`` projection per axis of its whole-volume mask and run
-on the calling thread.
+``ndimage.find_objects`` pass per volume and scores each class present in
+either volume as one task on a thread pool of one worker per usable CPU;
+the scores do not depend on the worker count.  The public
+``surface_voxels``, ``assd`` and ``mssd`` run on the calling thread.
 
 ``scipy.ndimage`` (``evaluate``'s box pass) and ``scipy.spatial`` (the k-d
 tree of ``_nearest``) are imported inside those functions on first use, not
 when this module is imported: every command imports this module, but only
-scoring needs them, and their first loads after ``import isoslice.cli``
-took 0.31-0.36 s and 0.08-0.13 s on a 2-CPU Xeon VM.
+scoring needs them, and their first loads cost a command time (b83059b).
 
 The per-class functions refuse a class id that is not an integer in
 ``0..classes-1`` with ``ParameterError``.  They refuse with ``DomainError``
@@ -188,8 +178,8 @@ def _nearest(ref: np.ndarray, pts: np.ndarray, shared: np.ndarray) -> np.ndarray
     from scipy.spatial import cKDTree
 
     d = np.zeros(len(pts))
-    # Sliding-midpoint splits suit grid points: on the `score` bench inputs
-    # they built and queried in 0.23 s against 0.30 s for median splits.
+    # Sliding-midpoint splits suit grid points: they build and query faster
+    # than median splits on the `score` bench inputs (a1d59ea).
     tree = cKDTree(ref, balanced_tree=False)
     off = np.flatnonzero(~shared)
     for start in range(0, len(off), _QUERY_BLOCK):
@@ -237,10 +227,9 @@ def _surface_distances(
     if not (np.isfinite(pts_gt).all() and np.isfinite(pts_pred).all()):
         raise DomainError(f"class {class_id}: surface points overflow at spacing {spacing.as_tuple()}")
     # A point on both surfaces is at distance 0.0, so only the others are
-    # queried: ``evaluate`` on the five `score` bench inputs took 0.76 s
-    # against 0.86 s querying all (2 CPUs).  Keys are sorted (see
-    # ``_points``), so one searchsorted finds the shared rows.  Each array is
-    # dropped once used, so that two classes in flight stay small.
+    # queried, which is faster than querying all (90efd32).  Keys are sorted
+    # (see ``_points``), so one searchsorted finds the shared rows.  Each
+    # array is dropped once used, so that two classes in flight stay small.
     at = np.minimum(np.searchsorted(key_pred, key_gt), len(key_pred) - 1)
     shared_gt = key_pred[at] == key_gt
     shared_pred = np.zeros(len(key_pred), dtype=bool)

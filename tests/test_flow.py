@@ -32,11 +32,13 @@ from isoslice.flow import (
     _central_gradients,
     _downsample,
     _hs_sweeps,
+    _add_taps,
     _median,
-    _neighbour_mean,
     _normalize,
-    _pyramid_depth,
-    _solve_stack,
+    _pyramid,
+    _pyramid_shapes,
+    _refine,
+    _tap_views,
     _warp_by,
     sample_bilinear,
 )
@@ -129,8 +131,21 @@ class TestEstimate:
         [((4, 4), 1), ((6, 4), 1), ((32, 32), 3), ((64, 64), 4), ((256, 96), 4), ((256, 256), 6)],
     )
     def test_auto_pyramid_depth_follows_the_short_side(self, dims, levels):
-        assert _pyramid_depth(dims, "auto") == levels
-        assert _pyramid_depth(dims, levels) == levels
+        assert len(_pyramid_shapes(dims, "auto")) == levels
+        assert len(_pyramid_shapes(dims, levels)) == levels
+
+    def test_pyramid_shapes_are_the_shapes_pyramid_builds(self):
+        sides = [*range(2, 40), 63, 64, 65, 255, 257]
+        for w in sides:
+            for h in sides:
+                deepest = min(w, h).bit_length() - 1  # min(W, H) >= 2**levels
+                built = [level.shape[1:] for level in _pyramid(np.zeros((2, h, w)), deepest)]
+                for levels in range(1, deepest + 1):
+                    assert _pyramid_shapes((w, h), levels) == built[:levels]
+                auto = _pyramid_shapes((w, h), "auto")
+                assert auto == built[: len(auto)]
+                with pytest.raises(ParameterError, match="too small"):
+                    _pyramid_shapes((w, h), deepest + 1)
 
     def test_defaults_fit_tiny_slices(self):
         rng = np.random.default_rng(8)
@@ -223,7 +238,9 @@ class TestStackedSolver:
     def test_stack_equals_separate_solves_bit_for_bit(self, case):
         a, b, hs = case
         h, w = a.shape[1:]
-        u, v = _solve_stack(np.concatenate((a, b)), hs, _pyramid_depth((w, h), hs.pyramid_levels))
+        levels = len(_pyramid_shapes((w, h), hs.pyramid_levels))
+        uv = _refine(_pyramid(np.concatenate((a, b)), levels), None, hs)
+        u, v = uv[: len(a)], uv[len(a) :]
         for k in range(len(a)):
             alone = estimate_flow(Slice2D(a[k]), Slice2D(b[k]), hs)
             assert u[k].tobytes() == alone.u.tobytes()
@@ -325,15 +342,15 @@ class TestFiltersMatchNdimage:
     @settings(max_examples=80, deadline=None)
     @given(filter_stacks())
     def test_neighbour_mean_is_correlate(self, x):
-        got = _neighbour_mean(p := np.pad(x, ((0, 0), (1, 1), (1, 1)), mode="edge"), np.empty_like(p), np.empty_like(p))
-        assert got.tobytes() == ndimage.correlate(x, _AVG_KERNEL[None], mode="nearest").tobytes()
+        _add_taps(*_tap_views(p := np.pad(x, ((0, 0), (1, 1), (1, 1)), mode="edge"), np.empty_like(p), np.empty_like(p)))
+        assert p[:, 1:-1, 1:-1].tobytes() == ndimage.correlate(x, _AVG_KERNEL[None], mode="nearest").tobytes()
 
     def test_neighbour_mean_of_negative_zeros_is_positive_zero(self):
         x = np.full((1, 3, 4), -0.0)
-        got = _neighbour_mean(p := np.pad(x, ((0, 0), (1, 1), (1, 1)), mode="edge"), np.empty_like(p), np.empty_like(p))
+        _add_taps(*_tap_views(p := np.pad(x, ((0, 0), (1, 1), (1, 1)), mode="edge"), np.empty_like(p), np.empty_like(p)))
         want = ndimage.correlate(x, _AVG_KERNEL[None], mode="nearest")
         assert not np.signbit(want).any()
-        assert got.tobytes() == want.tobytes()
+        assert p[:, 1:-1, 1:-1].tobytes() == want.tobytes()
 
     @settings(max_examples=80, deadline=None)
     @given(filter_stacks())

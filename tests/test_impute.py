@@ -487,7 +487,7 @@ class TestGapWorkers:
         ("size", "hs"),
         [
             (64, HsParams()),  # 8 gaps: two 4-gap runs on 2 CPUs, three runs on 3
-            # 4 gaps, one per run: with every level coarse, the cap splits the groups
+            # 4 gaps, one per run: with every level below the finest coarse, all four runs form one group
             (256, HsParams(iterations=2, warps_per_level=2)),
         ],
     )

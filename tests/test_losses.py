@@ -452,6 +452,14 @@ class TestTotalLoss:
         with pytest.raises(ParameterError):
             LossWeights(lambda_rec=-1.0)
 
+    @pytest.mark.parametrize("loss", [total_loss, loss_report])
+    @pytest.mark.parametrize(
+        "value", [True, "1", None, [1.0], 10**400], ids=["bool", "str", "null", "list", "huge-int"]
+    )
+    def test_terms_reject_non_numbers(self, loss, value):
+        with pytest.raises(ParameterError, match=r"^l_rec=.* must be a finite real number$"):
+            loss({"l_adv": 1.0, "l_rec": value})
+
     def test_report_includes_total(self):
         report = loss_report({"l_rec": 2.0, "l_adv": 1.0})
         assert report == {"l_rec": 2.0, "l_adv": 1.0, "total": pytest.approx(2.05)}
