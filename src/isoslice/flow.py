@@ -12,11 +12,11 @@ bit-identical.
 The solver works on (2B, H, W) stacks of B independent pairs, sources over
 targets, and on their flows ``u`` over ``v``, so each pyramid level is one
 ``_downsample`` and each sweep and median filter one pass over both.  Each
-pair's result is bit-identical to solving it alone, so ``impute`` solves the
-flows of many gaps as one stack and ``estimate_flow`` is the one-pair case.
-``_pyramid`` builds the levels and ``_refine`` solves any run of them, so
-``impute`` solves levels too small to overlap across threads once for
-several runs (268630b).
+pair's result is bit-identical to solving it alone, so ``_gap_flows`` solves
+the flows of many gaps of a volume as one stack and ``estimate_flow`` is the
+one-pair case.  ``_pyramid`` builds the levels and ``_refine`` solves any run
+of them, so ``_gap_flows`` solves levels too small to overlap across threads
+once for several runs (268630b).
 
 Flow semantics are forward for estimation: the field returned by
 ``estimate_flow(i0, i1)`` maps a pixel ``(x, y)`` of ``i0`` to
@@ -41,6 +41,7 @@ The on-disk container ("VFLO") is the volume container with its own magic::
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -84,6 +85,11 @@ _BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 # one slice, so a block's 25 window values per pixel take 1.6 MB per thread
 # whatever the slice size; whole-stack temporaries raised peak RSS (3d84590).
 _MEDIAN_BLOCK = 1 << 13
+
+# Fewest pixels in a run's (4g, h, w) flow stack for a pyramid level below
+# the finest to be solved per run in ``_gap_flows``; smaller levels, on which
+# threads lose, are solved once for a group of runs on one worker (268630b).
+_COARSE_PIXELS = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -458,12 +464,86 @@ def estimate_flow(i0: Slice2D, i1: Slice2D, params: HsParams | None = None) -> F
     The pair's joint range is scaled to 0..255 first: a range, or 255 over it, that
     overflows float64 (1e308 against -1e308, 0 against 1e-310) raises DomainError.
     """
-    params = params or HsParams()
+    params = HsParams() if params is None else params
+    if not isinstance(params, HsParams):
+        raise ParameterError(f"params must be an HsParams, got {params!r}")
     if i0.dims != i1.dims:
         raise ShapeError(f"slice dims {i0.dims} and {i1.dims} differ")
     levels = len(_pyramid_shapes(i0.dims, params.pyramid_levels))
     u, v = _refine(_pyramid(np.stack((i0.data, i1.data)), levels), None, params)
     return _adopted(FlowField, u=u, v=v)
+
+
+def _pairs(ends: list[np.ndarray]) -> np.ndarray:
+    """Every gap's pair both ways, sources over targets, as one stack.
+
+    ``ends`` holds one (2g, h, w) stack of endpoints per run, fore over aft,
+    normalized per gap.  A pair's joint range is symmetric, so a run's stack
+    is ``(fore, aft, aft, fore)``, several runs' all sources over all targets.
+    """
+    halves = [(e[: len(e) // 2], e[len(e) // 2 :]) for e in ends]
+    return np.concatenate([*ends, *(half for fore, aft in halves for half in (aft, fore))])
+
+
+def _gap_flows(slices: np.ndarray, runs: list[range], params: HsParams, workers: int, finish) -> None:
+    """Solve both flows of every gap (k, k+1) of the (Z, H, W) ``slices`` and hand them to ``finish`` run by run.
+
+    ``runs`` split the gaps into contiguous ranges of one length, the last
+    maybe shorter.  ``finish(run, f01, f10)`` is called once per run, on the
+    worker that solved it, with the ``(u, v)`` stacks of ``estimate_flow``
+    from each gap's slice k to k+1 and back, bit for bit.  Up to ``workers``
+    threads solve, as the solver's numpy calls mostly release the GIL.
+
+    A run solves both directions of its g gaps as one stack per pyramid
+    level (see ``_pairs``).  Levels below the finest on which its stack is
+    under ``_COARSE_PIXELS`` are the coarse phase: they are solved once for
+    a group of runs before the runs fan out, and each run then finishes its
+    own finer levels from its coarse flows.  Only the coarse flows of all
+    gaps are held at once, so memory follows the runs in flight, not the gap
+    count.  A pair's flow does not depend on its stack, so neither the run
+    split, the coarse groups nor the worker count can change a byte.
+    """
+    shapes = _pyramid_shapes(slices.shape[:0:-1], params.pyramid_levels)
+    per_run = max(map(len, runs))
+    # The finest level is always a run's own, so a gap's full-size flows
+    # exist only while its run is in flight.
+    fine = 1 + sum(4 * per_run * h * w >= _COARSE_PIXELS for h, w in shapes[1:])
+
+    def endpoints(run: range) -> np.ndarray:
+        """A new (2g, H, W) float64 stack of the endpoints of ``run``, fore over aft, for a pyramid to normalize."""
+        return np.concatenate((slices[run.start : run.stop], slices[run.start + 1 : run.stop + 1]), dtype=np.float64)
+
+    def solve_coarse(group: list[range]) -> list[np.ndarray]:
+        """The flows after the coarse levels of each run in ``group``, from one solve of all their pairs."""
+        # Each run's full pyramid lives only until its coarse levels are taken.
+        coarse = [_pyramid(endpoints(run), len(shapes))[fine:] for run in group]
+        uv = _refine([_pairs(level) for level in zip(*coarse)], None, params)
+        cuts = np.cumsum([2 * len(run) for run in group[:-1]])  # uv is u over v, each run after run
+        return [np.concatenate(run) for run in zip(*(np.split(half, cuts) for half in np.split(uv, 2)))]
+
+    def solve_run(gaps: range, uv: np.ndarray | None) -> None:
+        """Finish the solve of ``gaps`` from its coarse flows ``uv`` (None without them), then ``finish`` it."""
+        pyramid = _pyramid(endpoints(gaps), fine)
+        while pyramid:  # coarsest first, each level dropped once its pair stack is built
+            uv = _refine([_pairs([pyramid.pop()])], uv, params)
+        # uv is u over v, each the run's forward flows over its backward ones.
+        finish(gaps, *zip(*(np.split(half, 2) for half in np.split(uv, 2))))
+
+    def solve(each) -> None:
+        """The coarse phase, then every run, through the map ``each``."""
+        starts = [None] * len(runs)
+        if fine < len(shapes):  # a group's (4G, h, w) stack reaches _COARSE_PIXELS on its finest coarse level
+            size = math.ceil(_COARSE_PIXELS / (4 * per_run * math.prod(shapes[fine])))
+            groups = [runs[first : first + size] for first in range(0, len(runs), size)]
+            starts = [uv for flows in each(solve_coarse, groups) for uv in flows]
+        list(each(solve_run, runs, starts))
+
+    workers = min(workers, len(runs))
+    if workers > 1:
+        with ThreadPoolExecutor(workers) as pool:
+            solve(pool.map)
+    else:
+        solve(map)
 
 
 def compose_intermediate_flow(

@@ -17,31 +17,22 @@ the corners scores 0.0 there and can never beat one that is at a corner.
 
 The gaps are split into contiguous runs of at most ``_STACK_PIXELS // (2 *
 W * H)`` gaps (at least one), with ``method="flow"`` also spread over the
-usable CPUs.  A flow run solves both directions of its g gaps as one stack
-per pyramid level (see ``_pairs``), and every run synthesizes all its gaps
-at one ``t`` as one (g, H, W) stack.
-
-Flow runs go to a thread pool, as the solver spends most of its time in
-numpy calls that release the GIL.  Levels below the finest on which a run's
-stack is under ``_COARSE_PIXELS`` are the coarse phase: they are solved once
-for a group of runs (``_groups``) before the runs fan out, and each run then
-finishes its own finer levels from its coarse flows.  Only the coarse flows
-of all gaps are held at once, so memory follows the runs in flight, not the
-gap count.  Output bytes do not depend on the run split, the coarse groups
-or the CPU count.  Linear runs go serially (see ``impute_volume``).
+usable CPUs.  Every run synthesizes all its gaps at one ``t`` as one (g, H,
+W) stack.  ``flow._gap_flows`` solves the flow runs, on a thread pool, and
+hands each run's flows to its synthesis on the same worker; linear runs go
+serially (see ``impute_volume``).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InsufficientSlicesError, ParameterError, ShapeError
-from .flow import FlowField, HsParams, _check_t, _compose, _pyramid, _pyramid_shapes, _refine, _warp_by
+from .flow import FlowField, HsParams, _check_t, _compose, _gap_flows, _pyramid_shapes, _warp_by
 from .flow import _bilerp, _displaced, _plan
 from .volume import LabelVolume, Slice2D, Spacing, Volume, _adopted, _as_float, _is_int, _usable_cpus
 
@@ -78,11 +69,6 @@ MAX_OUTPUT_VOXELS = 1 << 30
 # it a flow stack costs more per pixel and only holds more memory (90efd32).
 _STACK_PIXELS = 1 << 16
 
-# Fewest pixels in a run's (4g, h, w) flow stack for a pyramid level below
-# the finest to be solved per run; smaller levels, on which threads lose,
-# are solved once for a group of runs (``_groups``) on one worker (268630b).
-_COARSE_PIXELS = 1 << 14
-
 
 @dataclass(frozen=True)
 class ImputeConfig:
@@ -102,6 +88,8 @@ class ImputeConfig:
                 raise ParameterError(f'n_slices must be "auto" or an integer >= 0, got {self.n_slices!r}')
         if self.method not in (METHOD_FLOW, METHOD_LINEAR):
             raise ParameterError(f"method must be {METHOD_FLOW!r} or {METHOD_LINEAR!r}, got {self.method!r}")
+        if not isinstance(self.hs, HsParams):
+            raise ParameterError(f"hs must be an HsParams, got {self.hs!r}")
 
 
 def backward_warp(img: Slice2D, flow: FlowField) -> Slice2D:
@@ -188,35 +176,6 @@ def synth_intermediate_label(
     return _vote(l0.astype(np.intp), l1.astype(np.intp), _plans(l0.shape, ((ft0.u, ft0.v), (ft1.u, ft1.v))), t)
 
 
-def _pairs(ends: list[np.ndarray]) -> np.ndarray:
-    """Every gap's pair both ways, sources over targets, as one stack.
-
-    ``ends`` holds one (2g, h, w) stack of endpoints per run, fore over aft,
-    normalized per gap.  A pair's joint range is symmetric, so ``(aft,
-    fore)`` targets are those same slices: a run's stack is ``(fore, aft,
-    aft, fore)``, several runs' is all their sources over all their targets.
-    """
-    halves = [(e[: len(e) // 2], e[len(e) // 2 :]) for e in ends]
-    return np.concatenate([*ends, *(half for fore, aft in halves for half in (aft, fore))])
-
-
-def _groups(runs: list[range], pixels: int) -> list[list[range]]:
-    """Consecutive runs grouped for the coarse phase, given ``pixels`` per slice of its finest level.
-
-    A group takes runs until its (4G, h, w) flow stack there reaches
-    ``_COARSE_PIXELS``.  One run's stack on a coarse level is under that, so
-    a group's (2G, h, w) endpoints are too, well within ``_STACK_PIXELS``.
-    """
-    groups, held = [], 0
-    for run in runs:
-        if not groups or 4 * held * pixels >= _COARSE_PIXELS:
-            groups.append([])
-            held = 0
-        groups[-1].append(run)
-        held += len(run)
-    return groups
-
-
 def auto_slice_count(inter_mm: float, intra_mm: float) -> int:
     """Slices to insert per gap so inter-slice spacing matches in-plane spacing.
 
@@ -275,8 +234,8 @@ def impute_volume(
             f"limit of {MAX_OUTPUT_VOXELS} voxels"
         )
     use_flow = cfg.method == METHOD_FLOW
-    if use_flow:
-        shapes = _pyramid_shapes((x, y), cfg.hs.pyramid_levels)
+    if use_flow:  # the pyramid's size rule, before anything is allocated
+        _pyramid_shapes((x, y), cfg.hs.pyramid_levels)
     out = np.empty((z_out, y, x), dtype=np.float32)
     out[:: n + 1] = v.data
     out_labels = None
@@ -284,71 +243,32 @@ def impute_volume(
         out_labels = np.empty((z_out, y, x), dtype=labels.data.dtype)
         out_labels[:: n + 1] = labels.data
 
-    def endpoints(gaps: range) -> np.ndarray:
-        """A new (2g, H, W) float64 stack of the endpoints of ``gaps``, fore over aft, for a pyramid to normalize."""
-        ends = v.data[gaps.start : gaps.stop + 1]
-        return np.concatenate((ends[:-1], ends[1:]), dtype=np.float64)
-
-    def fill_run(gaps: range, uv: np.ndarray | None) -> None:
-        """Write the n synthetic slices of every gap (k, k+1) in ``gaps``, one (g, H, W) stack per t.
-
-        A flow run finishes its solve from ``uv``, its flows after the
-        coarse levels (None when there are none), level by level.
-        """
-        g = len(gaps)
-        if use_flow:  # every (a -> b) and (b -> a) pair of the run in one solve per level
-            pyramid = _pyramid(endpoints(gaps), fine)
-            while pyramid:  # coarsest first, each level dropped once its pair stack is built
-                uv = _refine([_pairs([pyramid.pop()])], uv, cfg.hs)
-            us, vs = uv[: 2 * g], uv[2 * g :]
+    def synthesize(gaps: range, f01: tuple | None = None, f10: tuple | None = None) -> None:
+        """Write the n synthetic slices of each gap in ``gaps``, one (g, H, W) stack per t, warped along ``f01``
+        and ``f10``, the ``(u, v)`` stacks that ``_gap_flows`` hands over, or blended in place without them."""
         ends = v.data[gaps.start : gaps.stop + 1].astype(np.float64)
         fore, aft = ends[:-1], ends[1:]
         for i in range(1, n + 1):
             t = i / (n + 1)
-            plans = _plans(fore.shape, _compose((us[:g], vs[:g]), (us[g:], vs[g:]), t)) if use_flow else None
+            plans = None if f01 is None else _plans(fore.shape, _compose(f01, f10, t))
             rows = slice(gaps.start * (n + 1) + i, gaps.stop * (n + 1), n + 1)
             out[rows] = _blend(fore, aft, plans, t)
             if labels is not None:
                 ids = labels.data[gaps.start : gaps.stop + 1]
                 out_labels[rows] = _vote(ids[:-1], ids[1:], plans, t)
 
-    def solve_coarse(group: list[range]) -> list[np.ndarray]:
-        """The flows after the coarse levels of each run in ``group``, from one solve of all their pairs."""
-        # Each run's full pyramid lives only until its coarse levels are taken.
-        coarse = [_pyramid(endpoints(run), len(shapes))[fine:] for run in group]
-        uv = _refine([_pairs(level) for level in zip(*coarse)], None, cfg.hs)
-        pairs = len(uv) // 2
-        bounds = np.cumsum([0] + [2 * len(run) for run in group])
-        return [np.concatenate((uv[lo:hi], uv[pairs + lo : pairs + hi])) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-    # Runs share no state and write disjoint rows, and a pair's flow and
-    # synthesis do not depend on its stack, so neither the run split, the
-    # coarse groups nor the CPU count can change a byte of the output.  Linear
-    # runs stay serial: threading them saved no time on `organs-linear` and
-    # raised its peak RSS (610d15d).
+    # Runs write disjoint rows, and a pair's flow and synthesis do not depend
+    # on its stack, so neither the run split nor the CPU count can change a
+    # byte of the output.  Linear runs stay serial: threading them saved no
+    # time on `organs-linear` and raised its peak RSS (610d15d).
     gaps = z - 1
     workers = min(_usable_cpus(), gaps) if use_flow else 1
     per_run = max(1, min(math.ceil(gaps / workers), _STACK_PIXELS // (2 * x * y)))
     runs = [range(s, min(s + per_run, gaps)) for s in range(0, gaps, per_run)]
-    workers = min(workers, len(runs))
-    groups = []
     if use_flow:
-        # The finest level is always a run's own, so a gap's full-size flows
-        # exist only while its run is in flight; below it, see _COARSE_PIXELS.
-        fine = 1 + sum(4 * per_run * h * w >= _COARSE_PIXELS for h, w in shapes[1:])
-        if fine < len(shapes):
-            groups = _groups(runs, math.prod(shapes[fine]))
-
-    def solve(each) -> None:
-        """The coarse phase, then every run, through the map ``each``."""
-        starts = [uv for flows in each(solve_coarse, groups) for uv in flows] if groups else [None] * len(runs)
-        list(each(fill_run, runs, starts))
-
-    if workers > 1:
-        with ThreadPoolExecutor(workers) as pool:
-            solve(pool.map)
+        _gap_flows(v.data, runs, cfg.hs, workers, synthesize)
     else:
-        solve(map)
+        list(map(synthesize, runs))
 
     spacing = Spacing(v.spacing.sx, v.spacing.sy, v.spacing.sz / (n + 1))
     # Both outputs are adopted as built: a blend of finite slices is finite,

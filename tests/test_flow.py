@@ -16,6 +16,7 @@ from isoslice import (
     FileFormatError,
     FlowField,
     HsParams,
+    ImputeConfig,
     ParameterError,
     ShapeError,
     Slice2D,
@@ -31,6 +32,7 @@ from isoslice.flow import (
     _BINOMIAL5,
     _central_gradients,
     _downsample,
+    _gap_flows,
     _hs_sweeps,
     _add_taps,
     _median,
@@ -101,6 +103,15 @@ class TestEstimate:
         f = estimate_flow(i0, i1)
         support = img > 0.1
         assert abs(float(np.median(f.v[support])) - 2.0) < 0.5
+
+    @pytest.mark.parametrize("hs", [None, {"alpha": 1.0}, "fast", HsParams])
+    def test_params_must_be_hs_params(self, hs):
+        with pytest.raises(ParameterError, match="must be an HsParams"):
+            ImputeConfig(hs=hs)
+        if hs is not None:  # estimate_flow's default
+            s = Slice2D(gaussian_blob(30.0, 30.0, size=16))
+            with pytest.raises(ParameterError, match="must be an HsParams"):
+                estimate_flow(s, s, hs)
 
     def test_deterministic_bit_identical(self):
         i0 = Slice2D(gaussian_blob(30.0, 33.0))
@@ -272,6 +283,34 @@ class TestStackedSolver:
             for got, pixels in ((ab[k], a[k]), (ab[len(a) + k], b[k])):
                 want = pixels if gain is None else (pixels - lo) * gain
                 assert got.tobytes() == want.tobytes()
+
+
+class TestGapFlows:
+    @pytest.mark.parametrize(("dims", "per_run"), [((32, 24), 3), ((64, 64), 2)])  # 2 and 4 pyramid levels
+    def test_each_run_gets_each_pairs_flows_once(self, monkeypatch, dims, per_run):
+        w, h = dims
+        slices = np.random.default_rng(w).random((8, h, w), dtype=np.float32)
+        hs = HsParams(iterations=3, warps_per_level=1)
+        assert len(_pyramid_shapes(dims, hs.pyramid_levels)) >= 2
+        runs = [range(s, min(s + per_run, 7)) for s in range(0, 7, per_run)]  # the last run is short
+        want = []
+        for k in range(7):
+            a, b = Slice2D(slices[k]), Slice2D(slices[k + 1])
+            want.append([(f.u.tobytes(), f.v.tobytes()) for f in (estimate_flow(a, b, hs), estimate_flow(b, a, hs))])
+        for coarse in (flow_module._COARSE_PIXELS, 1, 1 << 62):  # default, no coarse phase, every level coarse
+            monkeypatch.setattr(flow_module, "_COARSE_PIXELS", coarse)
+            for workers in (1, 2, 3):
+                got = []
+
+                def finish(run, f01, f10):
+                    flows = [[(u[i].tobytes(), v[i].tobytes()) for u, v in (f01, f10)] for i in range(len(run))]
+                    got.append((run, flows))
+
+                _gap_flows(slices, runs, hs, workers, finish)
+                assert sorted(run.start for run, _ in got) == [run.start for run in runs]
+                assert all(runs[run.start // per_run] == run for run, _ in got)
+                for run, flows in got:
+                    assert flows == want[run.start : run.stop], (coarse, workers, run)
 
 
 @st.composite

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import isoslice.flow as flow_module
 import isoslice.impute as impute_module
 import isoslice.volume as volume_module
 import oracles
@@ -368,7 +369,7 @@ class TestImputeVolume:
         def solve(*args):
             raise AssertionError("a gap was solved before the size check")
 
-        monkeypatch.setattr(impute_module, "_pyramid", solve)  # every solve, coarse or per run, starts there
+        monkeypatch.setattr(flow_module, "_pyramid", solve)  # every solve, coarse or per run, starts there
         v = Volume(np.zeros((3, 4, 6), np.float32), UNIT)
         hs = HsParams(pyramid_levels=3)
         with pytest.raises(ParameterError) as from_volume:
@@ -411,13 +412,13 @@ class TestGapWorkers:
     def pools(self, monkeypatch):
         """Worker counts of the pools ``impute_volume`` starts."""
         started = []
-        pool = impute_module.ThreadPoolExecutor
+        pool = flow_module.ThreadPoolExecutor
 
         def recording_pool(workers):
             started.append(workers)
             return pool(workers)
 
-        monkeypatch.setattr(impute_module, "ThreadPoolExecutor", recording_pool)
+        monkeypatch.setattr(flow_module, "ThreadPoolExecutor", recording_pool)
         return started
 
     @pytest.fixture()
@@ -428,13 +429,13 @@ class TestGapWorkers:
         levels at once and, like a run without a coarse phase, starts from zero motion.
         """
         shapes = []
-        refine = impute_module._refine
+        refine = flow_module._refine
 
         def recording_refine(pyramid, uv, params):
             shapes.append((len(pyramid[0]) // 2, *pyramid[0].shape[1:], uv is None))
             return refine(pyramid, uv, params)
 
-        monkeypatch.setattr(impute_module, "_refine", recording_refine)
+        monkeypatch.setattr(flow_module, "_refine", recording_refine)
         return shapes
 
     @pytest.mark.parametrize("n", [1, 3])
@@ -496,12 +497,12 @@ class TestGapWorkers:
         ph = moving_disk_phantom(dims=(size, size, dense), radius=size / 8, step=(size / 64, size / 256), seed=3)
         image, labels = decimate(ph.volume, 4), decimate(ph.labels, 4)
         cfg = ImputeConfig(n_slices=1, method="flow", hs=hs)
-        settings = (impute_module._COARSE_PIXELS, 1, 1 << 62)  # default, nothing merged, every level coarse
+        settings = (flow_module._COARSE_PIXELS, 1, 1 << 62)  # default, nothing merged, every level coarse
         for cpus in (2, 3):
             monkeypatch.setattr(impute_module, "_usable_cpus", lambda cpus=cpus: cpus)
             outputs, solves = [], []
             for coarse in settings:
-                monkeypatch.setattr(impute_module, "_COARSE_PIXELS", coarse)
+                monkeypatch.setattr(flow_module, "_COARSE_PIXELS", coarse)
                 out, out_labels = impute_volume(image, labels, cfg)
                 outputs.append((out.data.tobytes(), out_labels.data.tobytes()))
                 solves.append(tuple(sorted(stacks)))
