@@ -14,9 +14,11 @@ targets, and on their flows ``u`` over ``v``, so each pyramid level is one
 ``_downsample`` and each sweep and median filter one pass over both.  Each
 pair's result is bit-identical to solving it alone, so ``_gap_flows`` solves
 the flows of many gaps of a volume as one stack and ``estimate_flow`` is the
-one-pair case.  ``_pyramid`` builds the levels and ``_refine`` solves any run
-of them, so ``_gap_flows`` solves levels too small to overlap across threads
-once for several runs (268630b).
+one-pair case.  ``_gap_flows`` picks its own runs of gaps and workers, by
+the package's one block budget and pool rule (``volume._slabs`` and
+``volume._pool``).  ``_pyramid`` builds the levels and ``_refine`` solves any
+run of them, so ``_gap_flows`` solves levels too small to overlap across
+threads once for several runs (268630b).
 
 Flow semantics are forward for estimation: the field returned by
 ``estimate_flow(i0, i1)`` maps a pixel ``(x, y)`` of ``i0`` to
@@ -41,7 +43,6 @@ The on-disk container ("VFLO") is the volume container with its own magic::
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,7 +58,10 @@ from .volume import (
     _header_dims,
     _is_int,
     _is_number,
+    _pool,
     _read_container,
+    _slabs,
+    _usable_cpus,
     _write_container,
 )
 
@@ -485,14 +489,16 @@ def _pairs(ends: list[np.ndarray]) -> np.ndarray:
     return np.concatenate([*ends, *(half for fore, aft in halves for half in (aft, fore))])
 
 
-def _gap_flows(slices: np.ndarray, runs: list[range], params: HsParams, workers: int, finish) -> None:
+def _gap_flows(slices: np.ndarray, params: HsParams, finish) -> None:
     """Solve both flows of every gap (k, k+1) of the (Z, H, W) ``slices`` and hand them to ``finish`` run by run.
 
-    ``runs`` split the gaps into contiguous ranges of one length, the last
-    maybe shorter.  ``finish(run, f01, f10)`` is called once per run, on the
+    The gaps are split into contiguous runs of one length, the last maybe
+    shorter: ``ceil(gaps / usable CPUs)`` gaps each, but few enough that a
+    run's endpoint stack holds at most ``_BLOCK_PIXELS`` unless one gap
+    alone is larger (see ``_slabs``).  ``finish(run, f01, f10)`` is called once per run, on the
     worker that solved it, with the ``(u, v)`` stacks of ``estimate_flow``
-    from each gap's slice k to k+1 and back, bit for bit.  Up to ``workers``
-    threads solve, as the solver's numpy calls mostly release the GIL.
+    from each gap's slice k to k+1 and back, bit for bit.  The runs go to
+    ``_pool``, as the solver's numpy calls mostly release the GIL.
 
     A run solves both directions of its g gaps as one stack per pyramid
     level (see ``_pairs``).  Levels below the finest on which its stack is
@@ -503,8 +509,9 @@ def _gap_flows(slices: np.ndarray, runs: list[range], params: HsParams, workers:
     count.  A pair's flow does not depend on its stack, so neither the run
     split, the coarse groups nor the worker count can change a byte.
     """
+    runs = _slabs(len(slices) - 1, 2 * slices[0].size, _usable_cpus())
     shapes = _pyramid_shapes(slices.shape[:0:-1], params.pyramid_levels)
-    per_run = max(map(len, runs))
+    per_run = len(runs[0])
     # The finest level is always a run's own, so a gap's full-size flows
     # exist only while its run is in flight.
     fine = 1 + sum(4 * per_run * h * w >= _COARSE_PIXELS for h, w in shapes[1:])
@@ -529,21 +536,13 @@ def _gap_flows(slices: np.ndarray, runs: list[range], params: HsParams, workers:
         # uv is u over v, each the run's forward flows over its backward ones.
         finish(gaps, *zip(*(np.split(half, 2) for half in np.split(uv, 2))))
 
-    def solve(each) -> None:
-        """The coarse phase, then every run, through the map ``each``."""
+    with _pool(len(runs)) as each:
         starts = [None] * len(runs)
         if fine < len(shapes):  # a group's (4G, h, w) stack reaches _COARSE_PIXELS on its finest coarse level
             size = math.ceil(_COARSE_PIXELS / (4 * per_run * math.prod(shapes[fine])))
             groups = [runs[first : first + size] for first in range(0, len(runs), size)]
             starts = [uv for flows in each(solve_coarse, groups) for uv in flows]
         list(each(solve_run, runs, starts))
-
-    workers = min(workers, len(runs))
-    if workers > 1:
-        with ThreadPoolExecutor(workers) as pool:
-            solve(pool.map)
-    else:
-        solve(map)
 
 
 def compose_intermediate_flow(

@@ -15,12 +15,12 @@ blended indicator maps, so its cost and memory follow the slice size, not
 the number of classes present or declared.  This is exact: an id at none of
 the corners scores 0.0 there and can never beat one that is at a corner.
 
-The gaps are split into contiguous runs of at most ``_STACK_PIXELS // (2 *
-W * H)`` gaps (at least one), with ``method="flow"`` also spread over the
-usable CPUs.  Every run synthesizes all its gaps at one ``t`` as one (g, H,
-W) stack.  ``flow._gap_flows`` solves the flow runs, on a thread pool, and
-hands each run's flows to its synthesis on the same worker; linear runs go
-serially (see ``impute_volume``).
+The gaps are split into contiguous runs, and every run synthesizes all its
+gaps at one ``t`` as one (g, H, W) stack.  With ``method="flow"``,
+``flow._gap_flows`` picks the runs and their workers, solves them and hands
+each run's flows to its synthesis on the same worker.  Linear runs are cut
+by the block budget alone (``volume._slabs``) and go serially (see
+``impute_volume``).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from .errors import InsufficientSlicesError, ParameterError, ShapeError
 from .flow import FlowField, HsParams, _check_t, _compose, _gap_flows, _pyramid_shapes, _warp_by
 from .flow import _bilerp, _displaced, _plan
-from .volume import LabelVolume, Slice2D, Spacing, Volume, _adopted, _as_float, _is_int, _usable_cpus
+from .volume import MAX_OUTPUT_VOXELS, LabelVolume, Slice2D, Spacing, Volume, _adopted, _as_float, _is_int, _slabs
 
 # Not called here (gaps solve both directions as one stack, synthesis warps
 # through flow._plan and labels vote on id slices), but bench/tracing.py
@@ -59,15 +59,6 @@ def one_hot_stack(labels: np.ndarray, classes: int) -> np.ndarray:
 
 METHOD_FLOW = "flow"
 METHOD_LINEAR = "linear"
-
-# Largest output volume ``impute_volume`` will allocate, in voxels, so a
-# hostile header spacing or slice count fails before any allocation.
-MAX_OUTPUT_VOXELS = 1 << 30
-
-# Most pixels in a run's (2g, H, W) stack of gap endpoints, for both methods:
-# fewer, larger stacks cut the per-call work up to about this size, and beyond
-# it a flow stack costs more per pixel and only holds more memory (90efd32).
-_STACK_PIXELS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -261,14 +252,10 @@ def impute_volume(
     # on its stack, so neither the run split nor the CPU count can change a
     # byte of the output.  Linear runs stay serial: threading them saved no
     # time on `organs-linear` and raised its peak RSS (610d15d).
-    gaps = z - 1
-    workers = min(_usable_cpus(), gaps) if use_flow else 1
-    per_run = max(1, min(math.ceil(gaps / workers), _STACK_PIXELS // (2 * x * y)))
-    runs = [range(s, min(s + per_run, gaps)) for s in range(0, gaps, per_run)]
     if use_flow:
-        _gap_flows(v.data, runs, cfg.hs, workers, synthesize)
+        _gap_flows(v.data, cfg.hs, synthesize)
     else:
-        list(map(synthesize, runs))
+        list(map(synthesize, _slabs(z - 1, 2 * x * y)))
 
     spacing = Spacing(v.spacing.sx, v.spacing.sy, v.spacing.sz / (n + 1))
     # Both outputs are adopted as built: a blend of finite slices is finite,

@@ -5,9 +5,11 @@ L1 terms are normalized to per-pixel means so values are resolution
 independent; logs are natural.  Each evaluator is pure and reentrant.
 Array inputs are checked finite through their min and max, with no
 full-size temporary.  ``tp_smooth_loss`` reads the sagittal and coronal
-slices in blocks of at most ``_BLOCK_PIXELS`` pixels (one slice where a
-slice is larger) on one worker per usable CPU, so its extra memory stays
-two blocks' worth of float64 per worker however large the volume.
+slices in blocks of whole slices cut by the package's one block budget
+(``volume._slabs``: at most 2^16 pixels, or one slice where a slice is
+larger) and deals them to the workers of its one pool rule
+(``volume._pool``), so its extra memory stays two blocks' worth of float64
+per worker however large the volume.
 
 Term vocabulary (also the JSON report keys): ``l_rec``, ``l_per``,
 ``l_warp``, ``l_smooth``, ``l_adv``, ``l_tp_smooth``.  ``l_per`` needs an
@@ -18,7 +20,6 @@ scalar (or 0).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import DataValidationError, DomainError, ParameterError, ShapeError
 from .flow import FlowField
 from .impute import backward_warp
-from .volume import Slice2D, Volume, _all_finite, _as_float, _is_number, _usable_cpus
+from .volume import Slice2D, Volume, _all_finite, _as_float, _is_number, _pool, _slabs, _usable_cpus
 
 LOSS_TERMS = ("l_rec", "l_per", "l_warp", "l_smooth", "l_adv", "l_tp_smooth")
 
@@ -55,7 +56,7 @@ class LossWeights:
         """Defaults with selected lambdas replaced; unknown keys are rejected."""
         unknown = set(overrides) - set(cls.__dataclass_fields__)
         if unknown:
-            raise ParameterError(f"unknown weight keys: {sorted(unknown)}")
+            raise ParameterError(f"unknown weight keys: {sorted(unknown, key=repr)}")
         return cls(**overrides)
 
     def for_term(self, term: str) -> float:
@@ -157,11 +158,6 @@ def _tp_smooth(arr: np.ndarray) -> float:
     return (horizontal + vertical) / arr.size
 
 
-# Pixels per block of whole slices: single-slice blocks are too small for the
-# workers to overlap, and larger blocks gained nothing (b83059b).
-_BLOCK_PIXELS = 1 << 16
-
-
 def _tp_smooth_blocks(stacks: list[np.ndarray]) -> list[np.ndarray]:
     """``_tp_smooth`` of every slice of each (k, rows, cols) stack, one float64 array per stack.
 
@@ -198,12 +194,10 @@ def tp_smooth_loss(v: Volume) -> float:
     # turn to the workers: numpy releases the GIL inside each call.
     blocks = []
     for family in (v.data.transpose(2, 0, 1), v.data.transpose(1, 0, 2)):
-        n, rows, cols = family.shape
-        step = max(1, _BLOCK_PIXELS // (rows * cols))
-        blocks += [family[i : i + step] for i in range(0, n, step)]
+        blocks += [family[run.start : run.stop] for run in _slabs(len(family), family[0].size)]
     workers = min(_usable_cpus(), len(blocks))
-    with ThreadPoolExecutor(workers) as pool:
-        shares = list(pool.map(_tp_smooth_blocks, (blocks[i::workers] for i in range(workers))))
+    with _pool(workers) as each:
+        shares = list(each(_tp_smooth_blocks, (blocks[i::workers] for i in range(workers))))
     values = [None] * len(blocks)
     for i, share in enumerate(shares):
         values[i::workers] = share

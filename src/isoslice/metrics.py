@@ -10,9 +10,11 @@ suite as the correctness oracle.
 
 ``evaluate`` takes every class's bounding box from one
 ``ndimage.find_objects`` pass per volume and scores each class present in
-either volume as one task on a thread pool of one worker per usable CPU;
-the scores do not depend on the worker count.  The public
-``surface_voxels``, ``assd`` and ``mssd`` run on the calling thread.
+either volume as one task on the package's one pool rule
+(``volume._pool``); the scores do not depend on the worker count.  Every
+count, ``dice`` and ``ravd`` included, is taken inside the class's boxes
+(``_counts``).  The public ``surface_voxels``, ``dice``, ``ravd``, ``assd``
+and ``mssd`` run on the calling thread.
 
 ``scipy.ndimage`` (``evaluate``'s box pass) and ``scipy.spatial`` (the k-d
 tree of ``_nearest``) are imported inside those functions on first use, not
@@ -27,14 +29,13 @@ and one below about 1.49e-154 mm, where squared distances underflow.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from itertools import zip_longest
 
 import numpy as np
 
 from .errors import DomainError, ParameterError, ShapeError, UndefinedMetricError
-from .volume import LabelVolume, Spacing, _is_int, _usable_cpus
+from .volume import LabelVolume, Spacing, _is_int, _pool
 
 # Rows per k-d tree query: the query's own arrays stay this small.
 _QUERY_BLOCK = 4096
@@ -102,19 +103,26 @@ def dice(gt: LabelVolume, pred: LabelVolume, class_id: int) -> float:
     Two empty masks agree vacuously (100); one empty mask overlaps nothing (0).
     """
     _check_dims(gt, pred)
-    _check_class(class_id, gt, pred)
-    a = gt.data == class_id
-    b = pred.data == class_id
-    return _dice(int(np.count_nonzero(a & b)), int(np.count_nonzero(a)), int(np.count_nonzero(b)))
+    return _dice(*_counts(gt, pred, class_id, (_box(gt, class_id), _box(pred, class_id))))
 
 
 def ravd(gt: LabelVolume, pred: LabelVolume, class_id: int) -> tuple[float, float]:
     """Relative volume difference (|pred| - |gt|) / |gt| as (signed %, absolute %)."""
     _check_dims(gt, pred)
-    _check_class(class_id, gt, pred)
-    n_gt = int(np.count_nonzero(gt.data == class_id))
-    n_pred = int(np.count_nonzero(pred.data == class_id))
+    _, n_gt, n_pred = _counts(gt, pred, class_id, (_box(gt, class_id), _box(pred, class_id)))
     return _ravd(n_gt, n_pred, class_id)
+
+
+def _counts(gt: LabelVolume, pred: LabelVolume, cid: int, pair: tuple) -> tuple[int, int, int]:
+    """Voxels of ``cid`` in both volumes, in gt and in pred, each counted inside the class's boxes.
+
+    ``pair`` holds the class's bounding box in gt and in pred, None where it is absent.
+    """
+    n_gt, n_pred = (0 if box is None else int(np.count_nonzero(l.data[box] == cid)) for l, box in zip((gt, pred), pair))
+    if None in pair:
+        return 0, n_gt, n_pred
+    common = tuple(slice(max(a.start, b.start), min(a.stop, b.stop)) for a, b in zip(*pair))  # empty if apart
+    return int(np.count_nonzero((gt.data[common] == cid) & (pred.data[common] == cid))), n_gt, n_pred
 
 
 def _box(l: LabelVolume, class_id: int) -> _Box | None:
@@ -300,28 +308,22 @@ def evaluate(gt: LabelVolume, pred: LabelVolume) -> MetricReport:
     # class in either volume, run on the pool: find_objects releases the GIL
     # for part of its work, and k-d tree builds and queries release it too.
     # Results come back in class order, so the first error in class order is
-    # raised.
-    def scores(cid: int) -> tuple[int, int, int, tuple[float, float] | None]:
-        """Voxels of ``cid`` in gt, in pred and in both, each counted inside
-        the class's boxes, and its (assd, mssd) if it is in both volumes."""
+    # raised.  The pool is sized for the most tasks of either phase: two
+    # passes, then at most ``classes - 1`` classes.
+    def scores(cid: int) -> tuple[tuple[int, int, int], tuple[float, float] | None]:
+        """``_counts`` of ``cid`` and its (assd, mssd) if it is in both volumes."""
         pair = boxes[cid - 1]
-        n_gt, n_pred = (
-            0 if box is None else int(np.count_nonzero(l.data[box] == cid)) for l, box in zip((gt, pred), pair)
-        )
-        if None in pair:
-            return n_gt, n_pred, 0, None
-        common = tuple(slice(max(a.start, b.start), min(a.stop, b.stop)) for a, b in zip(*pair))  # empty if apart
-        inter = int(np.count_nonzero((gt.data[common] == cid) & (pred.data[common] == cid)))
-        return n_gt, n_pred, inter, _surface_distances(gt, pred, cid, gt.spacing, pair)
+        surface = None if None in pair else _surface_distances(gt, pred, cid, gt.spacing, pair)
+        return _counts(gt, pred, cid, pair), surface
 
-    with ThreadPoolExecutor(_usable_cpus()) as pool:
-        boxes = list(zip_longest(*pool.map(ndimage.find_objects, (gt.data, pred.data))))
+    with _pool(max(2, gt.classes - 1)) as each:
+        boxes = list(zip_longest(*each(ndimage.find_objects, (gt.data, pred.data))))
         present = [cid for cid, pair in enumerate(boxes, 1) if pair != (None, None)]
-        found = dict(zip(present, pool.map(scores, present)))
+        found = dict(zip(present, each(scores, present)))
 
     per_class: dict[int, ClassScores] = {}
     for cid in range(1, gt.classes):
-        n_gt, n_pred, inter, surface = found.get(cid, (0, 0, 0, None))
+        (inter, n_gt, n_pred), surface = found.get(cid, ((0, 0, 0), None))
         ravd_signed = ravd_abs = None
         if n_gt:
             ravd_signed, ravd_abs = _ravd(n_gt, n_pred, cid)

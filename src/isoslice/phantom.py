@@ -7,8 +7,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError
-from .impute import MAX_OUTPUT_VOXELS
-from .volume import LabelVolume, Spacing, Volume, _adopted, _as_float, _is_int
+from .volume import MAX_OUTPUT_VOXELS, LabelVolume, Spacing, Volume, _adopted, _as_float, _is_int
 
 
 class MovingDiskPhantom(NamedTuple):
@@ -33,12 +32,13 @@ def moving_disk_phantom(
     radius and 0 outside; the label marks the analytic support ``d < r``.
     ``seed`` picks the start position inside a box that keeps the whole path
     (plus a 2 px margin) in bounds, so equal seeds give identical volumes.
-    Voxels are unit-spaced.  A non-finite step or more than
-    ``MAX_OUTPUT_VOXELS`` voxels is refused.
+    Voxels are unit-spaced.  ``dims`` other than three integers of at least
+    16, a non-finite step or more than ``MAX_OUTPUT_VOXELS`` voxels is
+    refused.
     """
-    x, y, z = dims
-    if min(x, y, z) < 16:
-        raise ParameterError(f"phantom dims {dims} must all be at least 16")
+    if not (isinstance(dims, (tuple, list)) and len(dims) == 3 and all(_is_int(d) and d >= 16 for d in dims)):
+        raise ParameterError(f"phantom dims={dims!r} must be three integers of at least 16")
+    x, y, z = map(int, dims)
     if x * y * z > MAX_OUTPUT_VOXELS:
         raise ParameterError(f"phantom dims {dims} exceed the limit of {MAX_OUTPUT_VOXELS} voxels")
     if not 2.0 <= _as_float(radius) < np.inf:

@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from numbers import Real
@@ -44,6 +46,18 @@ MAGIC = b"VVOL\n"
 
 _DTYPE_TAGS = {"f32": np.dtype("<f4"), "u8": np.dtype("u1"), "u16": np.dtype("<u2")}
 _MAX_HEADER_BYTES = 1 << 20
+
+# Largest volume ``impute_volume`` or ``moving_disk_phantom`` will allocate,
+# in voxels, so a hostile header spacing or slice count fails before any
+# allocation.
+MAX_OUTPUT_VOXELS = 1 << 30
+
+# Most pixels in a block of whole slices that one numpy call handles: fewer,
+# larger blocks cut the per-call work up to about this size, and beyond it a
+# flow stack costs more per pixel and only holds more memory (90efd32), while
+# single-slice blocks of the smoothness term are too small for two workers to
+# overlap (b83059b).
+_BLOCK_PIXELS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -94,13 +108,36 @@ def _as_float(value) -> float:
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on (all of them where affinity is unknown).
-
-    The worker-count rule of every thread pool in the package.
-    """
+    """CPUs this process may run on (all of them where affinity is unknown)."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+@contextmanager
+def _pool(tasks: int) -> Iterator[Callable]:
+    """The ``map`` that runs ``tasks`` independent tasks: the package's one thread-pool rule.
+
+    A pool of one thread per usable CPU, but no more threads than tasks; where
+    that is one thread, the builtin ``map`` on the calling thread.  The pool's
+    threads are joined when the block exits.
+    """
+    workers = min(_usable_cpus(), tasks)
+    if workers <= 1:
+        yield map
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            yield pool.map
+
+
+def _slabs(count: int, pixels: int, parts: int = 1) -> list[range]:
+    """``range(count)`` cut into contiguous runs of one length, the last maybe shorter: the package's one splitter.
+
+    Each item holds ``pixels`` pixels.  A run holds ``ceil(count / parts)``
+    items, but no more than fit in ``_BLOCK_PIXELS`` pixels, and at least one.
+    """
+    per = max(1, min(math.ceil(count / parts), _BLOCK_PIXELS // pixels))
+    return [range(start, min(start + per, count)) for start in range(0, count, per)]
 
 
 def _bytes_backed(data, dtype) -> bool:
@@ -417,7 +454,11 @@ def extract_slice(v: AnyVolume, axis: Axis, index: int) -> Slice2D:
 
     Slice dims follow a fixed order: axial gives (X, Y), sagittal (Y, Z),
     coronal (X, Z).  Label ids are cast to float for display / export use.
+    An ``axis`` that is not an ``Axis`` or an ``index`` that is not an
+    integer raises ParameterError, one outside the volume BoundsError.
     """
+    if not (isinstance(axis, Axis) and _is_int(index)):
+        raise ParameterError(f"axis must be an Axis and index an integer, got {axis!r} and {index!r}")
     np_axis = _SLICE_AXIS[axis]
     extent = v.data.shape[np_axis]
     if not 0 <= index < extent:

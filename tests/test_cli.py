@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 import isoslice.cli
-import isoslice.losses
-import isoslice.metrics
+import isoslice.volume
 from isoslice import (
     LabelVolume,
     Spacing,
@@ -585,7 +584,7 @@ class TestMetrics:
         assert digest == "33619ddc0e3c923bd19b5b25b3c84093e4346ea44dbabc756ab1e93f77528c95"
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_report_bytes_do_not_depend_on_cpu_count(self, tmp_path, monkeypatch, capsys, cpus):
+    def test_report_bytes_do_not_depend_on_cpu_count(self, tmp_path, monkeypatch, usable_cpus, capsys, cpus):
         """The recorded report hash above holds however many workers score the classes."""
         rng = np.random.default_rng(105)
         shape = (9, 20, 24)
@@ -605,17 +604,17 @@ class TestMetrics:
         save_volume(LabelVolume(pred, spacing, 8), pp)
         out_json = tmp_path / "report.json"
         pools = []
-        real_pool = isoslice.metrics.ThreadPoolExecutor
+        real_pool = isoslice.volume.ThreadPoolExecutor
 
         def pool(workers):
             pools.append(workers)
             return real_pool(workers)
 
-        monkeypatch.setattr(isoslice.metrics, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(isoslice.metrics, "ThreadPoolExecutor", pool)
+        usable_cpus(cpus)
+        monkeypatch.setattr(isoslice.volume, "ThreadPoolExecutor", pool)
         assert main(["metrics", "--gt", str(pg), "--pred", str(pp), "--out-json", str(out_json)]) == 0
         capsys.readouterr()
-        assert pools == [cpus]
+        assert pools == ([] if cpus == 1 else [cpus])  # one CPU starts no pool
         digest = hashlib.sha256(out_json.read_bytes()).hexdigest()
         assert digest == "33619ddc0e3c923bd19b5b25b3c84093e4346ea44dbabc756ab1e93f77528c95"
 
@@ -774,7 +773,7 @@ class TestLoss:
         save_volume(real, pr)
         # 150 sagittal slices of 40 x 103 pixels and 103 coronal ones of 40 x 150: several blocks each
         for pixels, count in ((40 * 103, 150), (40 * 150, 103)):
-            assert 1 < isoslice.losses._BLOCK_PIXELS // pixels < count // 3
+            assert 1 < isoslice.volume._BLOCK_PIXELS // pixels < count // 3
         result = run_cli("loss", "--volume", ps, "--rec", ps, pr)
         payload(result)
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == (

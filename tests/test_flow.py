@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 import isoslice.flow as flow_module
+import isoslice.volume as volume_module
 import oracles
 from isoslice import (
     DataValidationError,
@@ -287,7 +288,7 @@ class TestStackedSolver:
 
 class TestGapFlows:
     @pytest.mark.parametrize(("dims", "per_run"), [((32, 24), 3), ((64, 64), 2)])  # 2 and 4 pyramid levels
-    def test_each_run_gets_each_pairs_flows_once(self, monkeypatch, dims, per_run):
+    def test_each_run_gets_each_pairs_flows_once(self, monkeypatch, usable_cpus, dims, per_run):
         w, h = dims
         slices = np.random.default_rng(w).random((8, h, w), dtype=np.float32)
         hs = HsParams(iterations=3, warps_per_level=1)
@@ -297,16 +298,18 @@ class TestGapFlows:
         for k in range(7):
             a, b = Slice2D(slices[k]), Slice2D(slices[k + 1])
             want.append([(f.u.tobytes(), f.v.tobytes()) for f in (estimate_flow(a, b, hs), estimate_flow(b, a, hs))])
+        monkeypatch.setattr(volume_module, "_BLOCK_PIXELS", per_run * 2 * w * h)  # runs of per_run gaps on 1-3 CPUs
         for coarse in (flow_module._COARSE_PIXELS, 1, 1 << 62):  # default, no coarse phase, every level coarse
             monkeypatch.setattr(flow_module, "_COARSE_PIXELS", coarse)
             for workers in (1, 2, 3):
+                usable_cpus(workers)
                 got = []
 
                 def finish(run, f01, f10):
                     flows = [[(u[i].tobytes(), v[i].tobytes()) for u, v in (f01, f10)] for i in range(len(run))]
                     got.append((run, flows))
 
-                _gap_flows(slices, runs, hs, workers, finish)
+                _gap_flows(slices, hs, finish)
                 assert sorted(run.start for run, _ in got) == [run.start for run in runs]
                 assert all(runs[run.start // per_run] == run for run, _ in got)
                 for run, flows in got:

@@ -154,6 +154,8 @@ class TestSynthLabel:
             synth_intermediate_label(np.zeros((1, 1), int), np.zeros((1, 2), int), zeros, zeros, 0.5)
         with pytest.raises(ShapeError):
             synth_intermediate_label(np.zeros((1, 1, 1), int), np.zeros((1, 1, 1), int), zeros, zeros, 0.5)
+        with pytest.raises(ShapeError, match="flow dims"):
+            synth_intermediate_label(np.zeros((1, 1), int), np.zeros((1, 1), int), zeros, FlowField.zeros((1, 2)), 0.5)
 
     @pytest.mark.parametrize("dtype", [np.float64, bool])
     def test_ids_must_be_integers(self, dtype):
@@ -412,13 +414,13 @@ class TestGapWorkers:
     def pools(self, monkeypatch):
         """Worker counts of the pools ``impute_volume`` starts."""
         started = []
-        pool = flow_module.ThreadPoolExecutor
+        pool = volume_module.ThreadPoolExecutor
 
         def recording_pool(workers):
             started.append(workers)
             return pool(workers)
 
-        monkeypatch.setattr(flow_module, "ThreadPoolExecutor", recording_pool)
+        monkeypatch.setattr(volume_module, "ThreadPoolExecutor", recording_pool)
         return started
 
     @pytest.fixture()
@@ -439,7 +441,7 @@ class TestGapWorkers:
         return shapes
 
     @pytest.mark.parametrize("n", [1, 3])
-    def test_flow_output_bytes_do_not_depend_on_cpu_count(self, monkeypatch, pools, stacks, n):
+    def test_flow_output_bytes_do_not_depend_on_cpu_count(self, usable_cpus, pools, stacks, n):
         ph = moving_disk_phantom(dims=(32, 24, 16), radius=5.0, step=(0.75, 0.25), seed=4)
         cfg = ImputeConfig(n_slices=n, method="flow", hs=HsParams(iterations=10))
         outputs, runs, groups = [], [], []
@@ -447,7 +449,7 @@ class TestGapWorkers:
         sys.setswitchinterval(1e-6)  # interleave the workers as finely as the interpreter allows
         try:
             for cpus in (1, 2, 3, 4, 7):
-                monkeypatch.setattr(impute_module, "_usable_cpus", lambda cpus=cpus: cpus)
+                usable_cpus(cpus)
                 image, labels = impute_volume(ph.volume, ph.labels, cfg)
                 outputs.append((image.data.tobytes(), labels.data.tobytes()))
                 runs.append(sorted(pairs // 2 for pairs, h, w, _ in stacks if (w, h) == (32, 24)))
@@ -470,11 +472,11 @@ class TestGapWorkers:
             (256, ([2] * 8, [(8, 32, 32)] * 2)),
         ],
     )
-    def test_each_worker_solves_its_gaps_as_one_stack(self, monkeypatch, stacks, size, slices):
+    def test_each_worker_solves_its_gaps_as_one_stack(self, usable_cpus, stacks, size, slices):
         slices, coarse = slices
         rng = np.random.default_rng(5)
         vol = Volume(rng.random((9, size, size), dtype=np.float32), UNIT)
-        monkeypatch.setattr(impute_module, "_usable_cpus", lambda: 2)
+        usable_cpus(2)
         cfg = ImputeConfig(n_slices=1, method="flow", hs=HsParams(iterations=1, warps_per_level=1))
         impute_volume(vol, cfg=cfg)
         runs = [(pairs, from_zero) for pairs, h, w, from_zero in stacks if (h, w) == (size, size)]
@@ -482,7 +484,7 @@ class TestGapWorkers:
         assert not any(from_zero for _, from_zero in runs)  # every run finishes from its group's coarse flows
         assert sorted((pairs, h, w) for pairs, h, w, from_zero in stacks if from_zero) == coarse
         # Only a one-gap stack may exceed the cap: a gap's pair is never split.
-        assert all(pairs == 2 or pairs * size * size <= impute_module._STACK_PIXELS for pairs, _ in runs)
+        assert all(pairs == 2 or pairs * size * size <= volume_module._BLOCK_PIXELS for pairs, _ in runs)
 
     @pytest.mark.parametrize(
         ("size", "hs"),
@@ -492,14 +494,14 @@ class TestGapWorkers:
             (256, HsParams(iterations=2, warps_per_level=2)),
         ],
     )
-    def test_flow_output_bytes_do_not_depend_on_the_coarse_levels(self, monkeypatch, stacks, size, hs):
+    def test_flow_output_bytes_do_not_depend_on_the_coarse_levels(self, monkeypatch, usable_cpus, stacks, size, hs):
         dense = 33 if size == 64 else 17
         ph = moving_disk_phantom(dims=(size, size, dense), radius=size / 8, step=(size / 64, size / 256), seed=3)
         image, labels = decimate(ph.volume, 4), decimate(ph.labels, 4)
         cfg = ImputeConfig(n_slices=1, method="flow", hs=hs)
         settings = (flow_module._COARSE_PIXELS, 1, 1 << 62)  # default, nothing merged, every level coarse
         for cpus in (2, 3):
-            monkeypatch.setattr(impute_module, "_usable_cpus", lambda cpus=cpus: cpus)
+            usable_cpus(cpus)
             outputs, solves = [], []
             for coarse in settings:
                 monkeypatch.setattr(flow_module, "_COARSE_PIXELS", coarse)
@@ -510,9 +512,9 @@ class TestGapWorkers:
             assert len(set(solves)) == 3  # each setting splits the solve its own way
             assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
-    def test_flow_memory_follows_the_runs_not_the_gaps(self, monkeypatch):
+    def test_flow_memory_follows_the_runs_not_the_gaps(self, usable_cpus):
         """Between 9 and 33 slices only the coarse flows of the extra gaps are held at once, besides the output."""
-        monkeypatch.setattr(impute_module, "_usable_cpus", lambda: 1)  # runs of 8 gaps, one at a time, for both
+        usable_cpus(1)  # runs of 8 gaps, one at a time, for both
         cfg = ImputeConfig(n_slices=1, method="flow", hs=HsParams(iterations=1, warps_per_level=1))
         excess = {}
         for z in (9, 33):
@@ -528,7 +530,7 @@ class TestGapWorkers:
         coarse_flows = (33 - 9) * 4 * 16 * 16 * 8
         assert excess[33] <= excess[9] + coarse_flows + (1 << 20)
 
-    def test_each_run_synthesizes_each_t_as_one_stack(self, monkeypatch):
+    def test_each_run_synthesizes_each_t_as_one_stack(self, monkeypatch, usable_cpus):
         # Plans and plan lists are kept alive, so their ids stay unique.
         calls, built, handed = [], [], {"_blend": [], "_vote": []}
         for name in ("_blend", "_vote", "_compose", "_plan"):
@@ -544,7 +546,7 @@ class TestGapWorkers:
                 return result
 
             monkeypatch.setattr(impute_module, name, recording)
-        monkeypatch.setattr(impute_module, "_usable_cpus", lambda: 2)
+        usable_cpus(2)
         rng = np.random.default_rng(6)
         vol = Volume(rng.random((9, 64, 64), dtype=np.float32), UNIT)
         labels = LabelVolume((vol.data > 0.5).astype(np.uint8), UNIT, 2)
@@ -561,18 +563,18 @@ class TestGapWorkers:
         impute_volume(ph.volume, cfg=ImputeConfig(n_slices=2, method="linear"))
         assert calls == ["_blend"] * 2  # 15 small gaps make one run
 
-    def test_linear_gaps_stay_serial(self, monkeypatch, pools):
+    def test_linear_gaps_stay_serial(self, usable_cpus, pools):
         ph = moving_disk_phantom(dims=(32, 24, 16), radius=5.0, seed=4)
-        monkeypatch.setattr(impute_module, "_usable_cpus", lambda: 3)
+        usable_cpus(3)
         impute_volume(ph.volume, ph.labels, ImputeConfig(n_slices=2, method="linear"))
         assert pools == []
 
     def test_usable_cpus_falls_back_to_cpu_count(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert impute_module._usable_cpus() == 3
+        assert volume_module._usable_cpus() == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert impute_module._usable_cpus() == 1
+        assert volume_module._usable_cpus() == 1
 
 
 @st.composite

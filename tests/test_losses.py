@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-import isoslice.losses
+import isoslice.volume
 import oracles
 from isoslice import (
     DataValidationError,
@@ -31,7 +32,7 @@ from isoslice import (
     tp_smooth_slice,
     warp_loss,
 )
-from isoslice.losses import _BLOCK_PIXELS
+from isoslice.volume import _BLOCK_PIXELS
 
 LN2 = math.log(2.0)
 
@@ -195,6 +196,10 @@ class TestSmoothLoss:
         )
         assert smooth_loss(f01, f10) == pytest.approx(expected, rel=1e-6)
 
+    def test_dims_mismatch_rejected(self):
+        with pytest.raises(ShapeError, match="flow dims"):
+            smooth_loss(FlowField.zeros((2, 3)), FlowField.zeros((3, 2)))
+
 
 class TestTpSmooth:
     def test_constant_volume_zero(self):
@@ -235,7 +240,7 @@ class TestTpSmooth:
         n = 8
         for x in (2, n - 1, n + 1, 3 * n + 2):
             for y in (2, n - 1, n + 1, 3 * n + 2):
-                monkeypatch.setattr(isoslice.losses, "_BLOCK_PIXELS", n * 2 * y)
+                monkeypatch.setattr(isoslice.volume, "_BLOCK_PIXELS", n * 2 * y)
                 data = rng.random((2, y, x)).astype(np.float32)
                 slices = [Slice2D(data[:, :, i]) for i in range(x)] + [Slice2D(data[:, j, :]) for j in range(y)]
                 want = float(np.mean([tp_smooth_slice(s) for s in slices]))
@@ -263,8 +268,8 @@ class TestTpSmooth:
         slices = [Slice2D(data[:, :, i]) for i in range(x)] + [Slice2D(data[:, j, :]) for j in range(y)]
         want = float(np.mean([tp_smooth_slice(s) for s in slices]))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(isoslice.losses, "_BLOCK_PIXELS", _BLOCK_PIXELS if block is None else block)
-            patch.setattr(isoslice.losses, "_usable_cpus", lambda: cpus)
+            patch.setattr(isoslice.volume, "_BLOCK_PIXELS", _BLOCK_PIXELS if block is None else block)
+            patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
             assert tp_smooth_loss(Volume(data, Spacing(1, 1, 1))) == want
 
     def test_degenerate_extent_rejected(self):
@@ -342,6 +347,11 @@ class TestProbabilisticLosses:
     def test_multitask_perfect_limit(self):
         value = multitask_loss([1e-9], [1.0 - 1e-9], [0.5], [0.5], [0], [0])
         assert value < 1e-6
+
+    @pytest.mark.parametrize("loss", [adv_loss, global_disc_loss])
+    def test_pair_rejects_length_mismatch(self, loss):
+        with pytest.raises(ShapeError, match="lengths 2 and 1"):
+            loss([0.5, 0.5], [0.5])
 
     def test_multitask_rejects_length_mismatch(self):
         with pytest.raises(ShapeError):
@@ -436,6 +446,8 @@ class TestTotalLoss:
     def test_weights_reject_unknown_key(self):
         with pytest.raises(ParameterError):
             LossWeights.from_dict({"lambda_nope": 1.0})
+        with pytest.raises(ParameterError, match=r"unknown weight keys: \['x', 1\]"):
+            LossWeights.from_dict({1: 0.5, "x": 1.0})
 
     def test_weights_accept_numpy_scalars(self):
         weights = LossWeights.from_dict({"lambda_rec": np.float32(2.0), "lambda_adv": np.int64(1)})

@@ -370,19 +370,19 @@ class TestEvaluate:
         assert trees == [2, 2]
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_first_error_in_class_order_is_raised(self, monkeypatch, cpus):
+    def test_first_error_in_class_order_is_raised(self, usable_cpus, cpus):
         data = np.zeros((12, 12, 12), np.uint8)
         data[2:11, 2:11, 2:11] = 1  # the largest surface, so its worker tends to finish last
         data[0, 0, 5] = 2
         data[0, 0, 8] = 3
         spacing = Spacing(1e308, 1e308, 1e308)  # every point of classes 1-3 overflows
-        monkeypatch.setattr(isoslice.metrics, "_usable_cpus", lambda: cpus)
+        usable_cpus(cpus)
         with pytest.raises(DomainError, match="^class 1: surface points overflow"):
             evaluate(lv(data, spacing, 4), lv(data, spacing, 4))
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("case", ["disjoint-boxes", "all-six-faces", "in-one-volume", "sparse-high-id"])
-    def test_entries_match_composition_on_any_worker_count(self, monkeypatch, cpus, case):
+    def test_entries_match_composition_on_any_worker_count(self, usable_cpus, cpus, case):
         """Each class is counted inside its own boxes on the pool; every entry
         still equals the per-metric functions."""
         spacing = Spacing(0.8, 1.3, 3.0)
@@ -410,7 +410,7 @@ class TestEvaluate:
             gt[0, 0, 0] = 3999  # only in gt
             pred[5, 6, 7] = 17  # only in pred
         gt, pred = (LabelVolume(a, spacing, classes) for a in (gt, pred))
-        monkeypatch.setattr(isoslice.metrics, "_usable_cpus", lambda: cpus)
+        usable_cpus(cpus)
         report = evaluate(gt, pred)
         assert sorted(report.classes) == list(range(1, classes))
         for cid in checked:

@@ -64,6 +64,9 @@ class TestMovingDisk:
     def test_size_validation(self):
         with pytest.raises(ParameterError):
             moving_disk_phantom(dims=(8, 64, 64))
+        for dims in [(64.5, 64, 33), (64, 64), (64, 64, 33, 1), (64, 64, True), "64x64x33", None]:
+            with pytest.raises(ParameterError, match="three integers"):
+                moving_disk_phantom(dims=dims)
 
     @pytest.mark.parametrize("step", [(float("nan"), 0.0), (0.75, float("inf"))])
     def test_non_finite_step_rejected(self, step):

@@ -348,6 +348,14 @@ class TestTypes:
     def test_volume_rejects_wrong_rank(self):
         with pytest.raises(ParameterError):
             Volume(np.zeros((2, 2), np.float32), UNIT)
+        with pytest.raises(ParameterError, match="3D"):
+            LabelVolume(np.zeros((2, 2), np.uint8), UNIT)
+
+    def test_labels_reject_float_ids_and_classes_past_16_bits(self):
+        with pytest.raises(DataValidationError, match="integer"):
+            LabelVolume(np.zeros((1, 1, 1), np.float32), UNIT)
+        with pytest.raises(ParameterError, match="16-bit"):
+            LabelVolume(np.zeros((1, 1, 1), np.int64), UNIT, classes=65537)
 
     def test_labels_reject_negative_ids(self):
         with pytest.raises(DataValidationError):
@@ -360,6 +368,10 @@ class TestTypes:
     def test_labels_infer_classes(self):
         lv = LabelVolume(np.array([[[0, 3]]], np.uint8), UNIT)
         assert lv.classes == 4
+        # Other integer ids are stored in the narrowest payload dtype that holds the classes.
+        for top, dtype in ((255, np.uint8), (256, np.uint16), (65535, np.uint16)):
+            lv = LabelVolume(np.array([[[0, top]]], np.int64), UNIT)
+            assert (lv.classes, lv.data.dtype) == (top + 1, dtype)
 
     def test_volumes_are_immutable(self):
         v = enumerated_volume()
@@ -470,6 +482,11 @@ class TestExtractSlice:
             s = extract_slice(v, axis, 0)
             assert s.dims == (1, 1)
             assert s.data[0, 0] == 7.0
+
+    @pytest.mark.parametrize(("axis", "index"), [(Axis.AXIAL, 1.5), (Axis.AXIAL, True), ("axial", 0)])
+    def test_non_integer_index_or_non_axis_refused(self, axis, index):
+        with pytest.raises(ParameterError, match="must be an Axis and index an integer"):
+            extract_slice(enumerated_volume(), axis, index)
 
     def test_out_of_range(self):
         v = enumerated_volume()
