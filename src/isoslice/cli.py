@@ -134,7 +134,8 @@ def _add_hs_flags(parser: argparse.ArgumentParser) -> None:
         "--iterations",
         type=_int_at_least(1),
         default=hs.iterations,
-        help="Jacobi sweeps per warp, each warp followed by a 5x5 median filter (default: %(default)s)",
+        help="Jacobi sweeps per warp; each warp of a coarser level and the last of the finest end with a 5x5 median"
+        " filter (default: %(default)s)",
     )
     parser.add_argument(
         "--pyramid-levels",

@@ -2,11 +2,14 @@
 
 ``estimate_flow`` is a classical Horn-Schunck estimator run coarse-to-fine
 over an image pyramid with incremental warping.  After every warp's Jacobi
-sweeps a 5x5 median filter is applied to both flow components, the step Sun,
-Roth and Black ("Secrets of Optical Flow Estimation and Their Principles",
-CVPR 2010) found essential: without it the estimate diverges across warps on
-deeper pyramids, and with it 25 sweeps per warp suffice.  Every sweep and
-filter has a fixed order, so repeated runs on the same inputs are
+sweeps on a level coarser than the slices a 5x5 median filter is applied to
+both flow components, the step Sun, Roth and Black ("Secrets of Optical Flow
+Estimation and Their Principles", CVPR 2010) found essential: without it the
+estimate diverges across warps on deeper pyramids, and with it 25 sweeps per
+warp suffice.  The full-resolution level filters once, after its last warp:
+that is cheaper, and the sweeps in between keep the zero flow of a small
+static structure, which a median after each warp there would erase.  Every
+sweep and filter has a fixed order, so repeated runs on the same inputs are
 bit-identical.
 
 The solver works on (2B, H, W) stacks of B independent pairs, sources over
@@ -134,10 +137,12 @@ class HsParams:
     1e202 at that floor but overflows float64 below about 1e-153 and turns
     the flow into NaN.
 
-    ``iterations`` is the number of Jacobi sweeps per warp; each warp ends
-    with a 5x5 median filter of the flow.  ``pyramid_levels`` may be "auto",
-    which gives ``max(1, min(W, H).bit_length() - 3)`` levels for (W, H)
-    slices; an explicit depth needs ``min(W, H) >= 2 ** pyramid_levels``.
+    ``iterations`` is the number of Jacobi sweeps per warp.  Each warp of a
+    coarser level ends with a 5x5 median filter of the flow; on the
+    full-resolution level only the last of ``warps_per_level`` warps does.
+    ``pyramid_levels`` may be "auto", which gives
+    ``max(1, min(W, H).bit_length() - 3)`` levels for (W, H) slices; an
+    explicit depth needs ``min(W, H) >= 2 ** pyramid_levels``.
     """
 
     alpha: float = 15.0
@@ -434,27 +439,32 @@ def _pyramid(ab: np.ndarray, levels: int) -> list[np.ndarray]:
     return pyramid
 
 
-def _refine(pyramid: list[np.ndarray], uv: np.ndarray | None, params: HsParams) -> np.ndarray:
+def _refine(pyramid: list[np.ndarray], uv: np.ndarray | None, params: HsParams, finest: bool = True) -> np.ndarray:
     """The (2B, h, w) flows ``u`` over ``v`` after the warps of every level of ``pyramid``.
 
     ``pyramid`` lists (2B, h, w) stacks of sources over targets, finest
     first, as ``_pyramid`` builds them; they are solved coarsest first.  The
     warps start from ``uv``, a coarser level's flows that are resized and
     rescaled to the coarsest level given, or from zero motion when ``uv`` is
-    None.
+    None.  Each warp of a level ends with ``_median``, except on the
+    full-resolution level, ``pyramid[0]`` when ``finest``: its warps share
+    one median, after the last.
     """
     n = len(pyramid[0]) // 2
     if uv is None:
         uv = np.zeros((2 * n, *pyramid[-1].shape[1:]))
-    for ab in reversed(pyramid):
+    for level, ab in reversed(list(enumerate(pyramid))):
         if uv.shape[1:] != ab.shape[1:]:
             scale_x = ab.shape[2] / uv.shape[2]
             scale_y = ab.shape[1] / uv.shape[1]
             uv = _resize_bilinear(uv, ab.shape[1:])
             uv[:n] *= scale_x
             uv[n:] *= scale_y
-        for _ in range(params.warps_per_level):
-            uv = _median(_hs_sweeps(ab[:n], ab[n:], uv, params))
+        full = finest and level == 0
+        for left in range(params.warps_per_level, 0, -1):  # warps left, this one included
+            uv = _hs_sweeps(ab[:n], ab[n:], uv, params)
+            if left == 1 or not full:
+                uv = _median(uv)
     return uv
 
 
@@ -463,8 +473,9 @@ def estimate_flow(i0: Slice2D, i1: Slice2D, params: HsParams | None = None) -> F
 
     Coarse-to-fine: the images are repeatedly binomial-blurred and halved,
     the coarsest level starts from zero motion, and each finer level warps
-    ``i1`` by the upsampled estimate before re-solving; every warp ends with
-    a median filter of the flow.  Deterministic for fixed inputs and params.
+    ``i1`` by the upsampled estimate before re-solving.  Every warp ends with
+    a median filter of the flow, except on the full-resolution level, where
+    only the last does.  Deterministic for fixed inputs and params.
     The pair's joint range is scaled to 0..255 first: a range, or 255 over it, that
     overflows float64 (1e308 against -1e308, 0 against 1e-310) raises DomainError.
     """
@@ -524,7 +535,7 @@ def _gap_flows(slices: np.ndarray, params: HsParams, finish) -> None:
         """The flows after the coarse levels of each run in ``group``, from one solve of all their pairs."""
         # Each run's full pyramid lives only until its coarse levels are taken.
         coarse = [_pyramid(endpoints(run), len(shapes))[fine:] for run in group]
-        uv = _refine([_pairs(level) for level in zip(*coarse)], None, params)
+        uv = _refine([_pairs(level) for level in zip(*coarse)], None, params, finest=False)
         cuts = np.cumsum([2 * len(run) for run in group[:-1]])  # uv is u over v, each run after run
         return [np.concatenate(run) for run in zip(*(np.split(half, cuts) for half in np.split(uv, 2)))]
 
@@ -532,7 +543,7 @@ def _gap_flows(slices: np.ndarray, params: HsParams, finish) -> None:
         """Finish the solve of ``gaps`` from its coarse flows ``uv`` (None without them), then ``finish`` it."""
         pyramid = _pyramid(endpoints(gaps), fine)
         while pyramid:  # coarsest first, each level dropped once its pair stack is built
-            uv = _refine([_pairs([pyramid.pop()])], uv, params)
+            uv = _refine([_pairs([pyramid.pop()])], uv, params, finest=not pyramid)
         # uv is u over v, each the run's forward flows over its backward ones.
         finish(gaps, *zip(*(np.split(half, 2) for half in np.split(uv, 2))))
 

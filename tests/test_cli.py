@@ -230,10 +230,10 @@ class TestImpute:
             "--method", "flow", "--n", 3,
         ))
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "d747b72b2ad8a17e0259fefe6789a58f71e8466a03557f81170035db8f172b90"
+            "964cb87a5a2677252b826d310dc3177773da70e6cd1924e7787ca08299f02058"
         )
         assert hashlib.sha256(out_labels.read_bytes()).hexdigest() == (
-            "5e400b787c0821eb5c0bc85a394b54e48c51517ce6e65babba44126042dfa288"
+            "34d0ee266b2ac12b7a4b07f7a4be4e97991197c1a38a16151a2d022753bec315"
         )
 
     def test_flow_output_bytes_match_recorded_hash_when_every_gap_is_its_own_run(self, tmp_path):
@@ -252,7 +252,7 @@ class TestImpute:
             "--method", "flow", "--n", 2, "--iterations", 8,
         ))
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "c9affc7386464eb3c5fab02847c3b5583ef4d129f6ec5c4f32fd884c76e1b2b5"
+            "7b68b6c43ced07ccdfb589ce75da1430442128d8813f2c5ac002f7bbc1ab1291"
         )
         assert hashlib.sha256(out_labels.read_bytes()).hexdigest() == (
             "1dbdafd4bff068e4d7f167c075ecf645899da0aded4ac15d2187b6fd88f0a2ad"
@@ -282,10 +282,10 @@ class TestImpute:
             "--method", "flow", "--n", 3, "--iterations", 5,
         ))
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "85fe743d26e831fdd6b884f3a8ec558e9015d5d98c393412f7f23b0dfb33b6c7"
+            "6a46682cc88b1019cd1dc51f67a51bd328ddac658b2caafcac11ff6e2f243ac6"
         )
         assert hashlib.sha256(out_labels.read_bytes()).hexdigest() == (
-            "e4943b31636322c3887281eb3e883b5d11f10918a136b93f4d04391413bd0546"
+            "3ae8ebebe0b1121e96c514d5076fb75e3a3f4217efcda98584d147953efd0615"
         )
 
     def test_failing_run_keeps_an_existing_out(self, tmp_path):
@@ -490,11 +490,11 @@ class TestFlow:
         "dims, radius, step, seed, flags, digest",
         [
             ((64, 64, 33), 8.0, (0.75, 0.0), 7, [],
-             "881aa01c75de016ed9775dd770ac3fe23b58a3f1ded66e2dbf4b84a31c37640d"),
+             "12acf39d5e895ae1e31956ecea4ab3b1033408c6664f3eed7c65f7aadf51b1cf"),
             ((256, 256, 16), 40.0, (0.75, 0.5), 3, [],
-             "09e6d13a7926999e68881b36899ec1d95bf74e457fecc5f1fe657df6a8875a2e"),
+             "40b558fea61b32823981857b25c731e87876b32ac1b106d7c894db22461b03ca"),
             ((64, 64, 33), 8.0, (0.75, 0.0), 7, ["--alpha", "1e-100"],
-             "a5469462db72c831e88782f328d6d5cb7088ecde1bca3abe16439429baa79631"),
+             "ec3865f338343cd40e7848ef3fc28547084ce79aefb3ef27f075820f70e2ccbe"),
         ],
         ids=["gate8-pair", "256x256-pair", "alpha-floor"],
     )

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import re
+from collections import Counter
 import tracemalloc
 
 import numpy as np
@@ -21,11 +23,16 @@ from isoslice import (
     ParameterError,
     ShapeError,
     Slice2D,
+    Spacing,
     TruncatedPayloadError,
+    Volume,
     compose_intermediate_flow,
+    decimate,
     estimate_flow,
     flow_magnitude_stats,
+    impute_volume,
     load_flow,
+    moving_disk_phantom,
     save_flow,
 )
 from isoslice.flow import (
@@ -314,6 +321,67 @@ class TestGapFlows:
                 assert all(runs[run.start // per_run] == run for run, _ in got)
                 for run, flows in got:
                     assert flows == want[run.start : run.stop], (coarse, workers, run)
+
+
+class TestMedianSchedule:
+    """Every warp of a coarser level ends with the 5x5 median; the full-resolution level's warps share one."""
+
+    @pytest.fixture()
+    def medians(self, monkeypatch):
+        """How many times each (h, w) level's flow slices were median-filtered, summed over the slices."""
+        filtered = Counter()
+        median = flow_module._median
+
+        def counting_median(arr):
+            filtered[arr.shape[1:]] += len(arr)
+            return median(arr)
+
+        monkeypatch.setattr(flow_module, "_median", counting_median)
+        return filtered
+
+    @pytest.mark.parametrize("warps", [1, 3])
+    def test_estimate_flow(self, medians, warps):
+        estimate_flow(Slice2D(gaussian_blob(30, 32)), Slice2D(gaussian_blob(32, 31)), HsParams(iterations=2, warps_per_level=warps))
+        finest, *coarser = _pyramid_shapes((64, 64), "auto")
+        assert medians == {finest: 2, **{shape: 2 * warps for shape in coarser}}  # u and v of the one pair
+
+    @pytest.mark.parametrize("coarse", [flow_module._COARSE_PIXELS, 1, 1 << 62])  # default, none coarse, all coarse
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_impute_volume(self, monkeypatch, usable_cpus, medians, cpus, coarse):
+        monkeypatch.setattr(flow_module, "_COARSE_PIXELS", coarse)
+        usable_cpus(cpus)
+        vol = Volume(np.random.default_rng(cpus).random((9, 48, 64), dtype=np.float32), Spacing(1.0, 1.0, 1.0))
+        impute_volume(vol, cfg=ImputeConfig(n_slices=1, method="flow", hs=HsParams(iterations=2)))
+        finest, *coarser = _pyramid_shapes((64, 48), "auto")
+        flows = 8 * 2 * 2  # u and v of each of the 8 gaps' two flows
+        assert medians == {finest: flows, **{shape: 3 * flows for shape in coarser}}
+
+    def test_one_warp_per_level_keeps_the_earlier_bytes(self):
+        """With one warp per level every warp still ends with a median: these digests predate the shared one."""
+        ph = moving_disk_phantom(dims=(64, 64, 33), radius=8.0, step=(0.75, 0.0), seed=7)
+        thinned, labels = decimate(ph.volume, 4), decimate(ph.labels, 4)
+        hs = HsParams(warps_per_level=1)
+        f = estimate_flow(Slice2D(thinned.data[0]), Slice2D(thinned.data[1]), hs)
+        assert hashlib.sha256(f.u.tobytes() + f.v.tobytes()).hexdigest() == (
+            "261f317e3be940edff43ca06365a894d048fc693e3e39675670f33a6a0ae4a84"
+        )
+        out, out_labels = impute_volume(thinned, labels, ImputeConfig(n_slices=3, method="flow", hs=hs))
+        assert hashlib.sha256(out.data.tobytes() + out_labels.data.tobytes()).hexdigest() == (
+            "b64211eb0e203bc477e299433f397c51217a4bd0649c872f2280a1417fb193bd"
+        )
+
+    def test_gate8_endpoint_error_inside_the_disk(self):
+        """Each gap of the gate-8 phantom moves the disk 3 px along x; the mean error inside it stays under 0.07 px."""
+        epe = {}
+        for seed in (7, 0, 11):
+            ph = moving_disk_phantom(dims=(64, 64, 33), radius=8.0, step=(0.75, 0.0), seed=seed)
+            slices, disk = decimate(ph.volume, 4).data, decimate(ph.labels, 4).data > 0
+            errors = []
+            for k in range(len(slices) - 1):
+                f = estimate_flow(Slice2D(slices[k]), Slice2D(slices[k + 1]))
+                errors.append(np.hypot(f.u - 3.0, f.v)[disk[k]].mean())
+            epe[seed] = round(float(np.mean(errors)), 4)
+        assert all(error <= 0.07 for error in epe.values()), f"mean endpoint error per seed: {epe}"
 
 
 @st.composite
