@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .errors import IsosliceError, ParameterError
 from .flow import HsParams, estimate_flow, flow_magnitude_stats, save_flow
-from .impute import ImputeConfig, impute_volume
+from .impute import METHOD_FLOW, METHOD_LINEAR, ImputeConfig, impute_volume
 from .losses import LossWeights, adv_loss, global_disc_loss, loss_report, multitask_loss, rec_loss, tp_smooth_loss
 from .metrics import evaluate
 from .phantom import moving_disk_phantom
@@ -80,28 +80,26 @@ def _auto_or(parse_int):
     return parse
 
 
-def _size(text: str) -> tuple[int, int, int]:
+def _comma_list(text: str, what: str, fields: str, convert: Callable[[str], float], noun: str) -> tuple:
+    """The comma-separated ``fields`` of ``what`` in ``text``, each read by ``convert``."""
     parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"size must be X,Y,Z, got {text!r}")
+    if len(parts) != len(fields.split(",")):
+        raise argparse.ArgumentTypeError(f"{what} must be {fields}, got {text!r}")
     try:
-        x, y, z = (int(p) for p in parts)
+        return tuple(convert(p) for p in parts)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"size must be three integers, got {text!r}") from exc
-    if min(x, y, z) < 16:
+        raise argparse.ArgumentTypeError(f"{what} must be {noun}, got {text!r}") from exc
+
+
+def _size(text: str) -> tuple[int, int, int]:
+    size = _comma_list(text, "size", "X,Y,Z", int, "three integers")
+    if min(size) < 16:
         raise argparse.ArgumentTypeError("each phantom extent must be at least 16")
-    return x, y, z
+    return size
 
 
 def _window(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"window must be LO,HI, got {text!r}")
-    try:
-        lo, hi = (float(p) for p in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"window must be two numbers, got {text!r}") from exc
-    return lo, hi
+    return _comma_list(text, "window", "LO,HI", float, "two numbers")
 
 
 def _load(path: str, kind: type[Volume] | type[LabelVolume]):
@@ -289,8 +287,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels")
     p.add_argument("--out", required=True)
     p.add_argument("--out-labels")
-    p.add_argument("--n", type=_auto_or(_int_at_least(0)), default="auto")
-    p.add_argument("--method", choices=("flow", "linear"), default="flow")
+    impute = ImputeConfig()
+    p.add_argument("--n", type=_auto_or(_int_at_least(0)), default=impute.n_slices)
+    p.add_argument("--method", choices=(METHOD_FLOW, METHOD_LINEAR), default=impute.method)
     _add_hs_flags(p)
     p.set_defaults(handler=cmd_impute)
 
@@ -325,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="write one slice as a binary PGM")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--axis", choices=("axial", "sagittal", "coronal"), required=True)
+    p.add_argument("--axis", choices=[axis.value for axis in Axis], required=True)
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument(

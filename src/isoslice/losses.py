@@ -4,12 +4,13 @@ These are evaluators, not training objectives: no gradients, just numbers.
 L1 terms are normalized to per-pixel means so values are resolution
 independent; logs are natural.  Each evaluator is pure and reentrant.
 Array inputs are checked finite through their min and max, with no
-full-size temporary.  ``tp_smooth_loss`` reads the sagittal and coronal
-slices in blocks of whole slices cut by the package's one block budget
-(``volume._slabs``: at most 2^16 pixels, or one slice where a slice is
-larger) and deals them to the workers of its one pool rule
-(``volume._pool``), so its extra memory stays two blocks' worth of float64
-per worker however large the volume.
+full-size temporary.  ``tp_smooth_slice`` and ``tp_smooth_loss`` share one
+kernel; ``tp_smooth_slice`` runs it on its slice as a one-slice block.
+``tp_smooth_loss`` reads the sagittal and coronal slices in blocks of whole
+slices cut by the package's one block budget (``volume._slabs``: at most
+2^16 pixels, or one slice where a slice is larger) and deals them to the
+workers of its one pool rule (``volume._pool``), so its extra memory stays
+two blocks' worth of float64 per worker however large the volume.
 
 Term vocabulary (also the JSON report keys): ``l_rec``, ``l_per``,
 ``l_warp``, ``l_smooth``, ``l_adv``, ``l_tp_smooth``.  ``l_per`` needs an
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -147,25 +148,21 @@ def tp_smooth_slice(s: Slice2D) -> float:
 
     Column terms pair each pixel with its left neighbour, row terms with the
     pixel below; terms that would index outside the slice are skipped while
-    the 1/(rows*cols) normalization stays put.
+    the 1/(rows*cols) normalization stays put.  The slice runs through
+    ``tp_smooth_loss``'s kernel as a one-slice stack.
     """
-    return _tp_smooth(s.data)
-
-
-def _tp_smooth(arr: np.ndarray) -> float:
-    horizontal = float(np.sum((arr[:, 1:] - arr[:, :-1]) ** 2))
-    vertical = float(np.sum((arr[1:, :] - arr[:-1, :]) ** 2))
-    return (horizontal + vertical) / arr.size
+    return float(_tp_smooth_blocks([s.data[None]])[0][0])
 
 
 def _tp_smooth_blocks(stacks: list[np.ndarray]) -> list[np.ndarray]:
-    """``_tp_smooth`` of every slice of each (k, rows, cols) stack, one float64 array per stack.
+    """``tp_smooth_slice`` of every slice of each (k, rows, cols) stack, one float64 array per stack.
 
     Each stack is copied into one C-ordered float64 buffer and its
     differences into another, so each slice's differences are one
-    contiguous run and ``sum(axis=(1, 2))`` adds them in the order that
-    ``np.sum`` adds one slice's: the values are equal, not just close.  The
-    two buffers serve every stack: freeing and reallocating them per stack
+    contiguous run and ``sum(axis=(1, 2))`` adds them in the same order
+    however many slices share the stack: every slice's value equals
+    ``tp_smooth_slice`` of that slice, not just closely.  The two buffers
+    serve every stack: freeing and reallocating them per stack
     made the allocator hand their pages back to the system and fault them
     in again, which cost more than the arithmetic.
     """
@@ -191,7 +188,9 @@ def tp_smooth_loss(v: Volume) -> float:
         raise ParameterError(f"volume extents {v.dims} must all be at least 2")
     # The volume is already validated, so slices need no Slice2D check.  Blocks
     # of the sagittal ([x, z, y]) and coronal ([y, z, x]) slices are dealt in
-    # turn to the workers: numpy releases the GIL inside each call.
+    # turn to the workers: numpy releases the GIL inside each call.  Sagittal
+    # slices copy from strided memory and cost more, so contiguous shares
+    # would leave one worker with the slow family (ROADMAP, dead ends).
     blocks = []
     for family in (v.data.transpose(2, 0, 1), v.data.transpose(1, 0, 2)):
         blocks += [family[run.start : run.stop] for run in _slabs(len(family), family[0].size)]
@@ -204,52 +203,53 @@ def tp_smooth_loss(v: Volume) -> float:
     return float(np.mean(np.concatenate(values)))
 
 
-def _float_series(name: str, values: Sequence[float]) -> np.ndarray:
-    try:
-        items = list(values)
-        if not all(_is_number(v) for v in items):
-            raise TypeError("entries must be real numbers, not booleans, strings or containers")
-        arr = np.array(items, dtype=np.float64)
-    except (TypeError, OverflowError) as exc:
-        raise ParameterError(f"{name} must be a series of numbers: {exc}") from exc
-    if arr.size == 0:
-        raise ParameterError(f"{name} must be a non-empty series")
-    return arr
+def _series(ok: Callable[[np.ndarray], np.ndarray], fault: str, **named: Sequence[float]) -> list[np.ndarray]:
+    """Each named series in turn as a non-empty float64 array whose entries all pass ``ok``.
+
+    The first entry that fails raises DomainError naming ``name[i]``, its
+    value and ``fault``; NaN fails every test.
+    """
+    arrays = []
+    for name, values in named.items():
+        try:
+            items = list(values)
+            if not all(_is_number(v) for v in items):
+                raise TypeError("entries must be real numbers, not booleans, strings or containers")
+            arr = np.array(items, dtype=np.float64)
+        except (TypeError, OverflowError) as exc:
+            raise ParameterError(f"{name} must be a series of numbers: {exc}") from exc
+        if arr.size == 0:
+            raise ParameterError(f"{name} must be a non-empty series")
+        bad = np.flatnonzero(~ok(arr))
+        if bad.size:
+            raise DomainError(f"{name}[{bad[0]}] = {arr[bad[0]]!r} {fault}")
+        arrays.append(arr)
+    return arrays
 
 
-def _prob_series(name: str, values: Sequence[float]) -> np.ndarray:
-    arr = _float_series(name, values)
-    bad = np.nonzero(~((arr > 0.0) & (arr < 1.0)))[0]
-    if bad.size:
-        i = int(bad[0])
-        raise DomainError(f"{name}[{i}] = {arr[i]!r} is outside the open interval (0, 1)")
-    return arr
+def _probabilities(**named: Sequence[float]) -> list[np.ndarray]:
+    """``_series`` of probabilities: each entry lies in the open interval (0, 1)."""
+    return _series(lambda a: (a > 0.0) & (a < 1.0), "is outside the open interval (0, 1)", **named)
 
 
-def _binary_series(name: str, values: Sequence[float]) -> np.ndarray:
-    arr = _float_series(name, values)
-    bad = np.nonzero((arr != 0.0) & (arr != 1.0))[0]
-    if bad.size:
-        i = int(bad[0])
-        raise DomainError(f"{name}[{i}] = {arr[i]!r} is not 0 or 1")
-    return arr
+def _same_length(*series: np.ndarray) -> None:
+    """ShapeError naming every length unless all the series share one."""
+    *head, last = [arr.size for arr in series]
+    if any(n != last for n in head):
+        raise ShapeError(f"series lengths {', '.join(map(str, head))} and {last} differ")
 
 
 def adv_loss(ld_fake: Sequence[float], gd_fake: Sequence[float]) -> float:
     """Cross-entropy pushing both discriminator outputs on fakes toward 1."""
-    ld = _prob_series("ld_fake", ld_fake)
-    gd = _prob_series("gd_fake", gd_fake)
-    if ld.size != gd.size:
-        raise ShapeError(f"series lengths {ld.size} and {gd.size} differ")
+    ld, gd = _probabilities(ld_fake=ld_fake, gd_fake=gd_fake)
+    _same_length(ld, gd)
     return float(-np.mean(np.log(ld)) - np.mean(np.log(gd)))
 
 
 def global_disc_loss(gd_fake: Sequence[float], gd_real: Sequence[float]) -> float:
     """Discriminator cross-entropy: fakes toward 0, reals toward 1."""
-    fake = _prob_series("gd_fake", gd_fake)
-    real = _prob_series("gd_real", gd_real)
-    if fake.size != real.size:
-        raise ShapeError(f"series lengths {fake.size} and {real.size} differ")
+    fake, real = _probabilities(gd_fake=gd_fake, gd_real=gd_real)
+    _same_length(fake, real)
     return float(-np.mean(np.log1p(-fake)) - np.mean(np.log(real)))
 
 
@@ -267,15 +267,9 @@ def multitask_loss(
     presence label, so absent objects (label 0) contribute nothing; there is
     deliberately no (1 - y) * log(1 - p) counterpart.
     """
-    lf = _prob_series("ld_fake", ld_fake)
-    lr = _prob_series("ld_real", ld_real)
-    of = _prob_series("oc_fake", oc_fake)
-    orr = _prob_series("oc_real", oc_real)
-    yf = _binary_series("y_fake", y_fake)
-    yr = _binary_series("y_real", y_real)
-    sizes = {arr.size for arr in (lf, lr, of, orr, yf, yr)}
-    if len(sizes) != 1:
-        raise ShapeError(f"all six series must share one length, got {sorted(sizes)}")
+    lf, lr, of, orr = _probabilities(ld_fake=ld_fake, ld_real=ld_real, oc_fake=oc_fake, oc_real=oc_real)
+    yf, yr = _series(lambda a: (a == 0.0) | (a == 1.0), "is not 0 or 1", y_fake=y_fake, y_real=y_real)
+    _same_length(lf, lr, of, orr, yf, yr)
     disc = -np.mean(np.log1p(-lf)) - np.mean(np.log(lr))
     cls = -np.mean(yf * np.log(of)) - np.mean(yr * np.log(orr))
     return float(disc + cls)

@@ -1,7 +1,10 @@
-"""Count the total and the code lines of each ``src/isoslice`` module.
+"""Count each kind of line in each ``src/isoslice`` module.
 
-A code line is any line left once docstrings (module, class and function),
-comment-only lines and blank lines are taken out.  Run from anywhere::
+Every line is of exactly one kind, so the four kinds sum to the file's line
+count.  A docstring line lies inside a module, class or function docstring.
+A code line holds a token that is not a comment, outside docstrings.  A
+comment line holds a comment and nothing else.  A blank line holds only
+whitespace.  Run from anywhere::
 
     python tests/code_lines.py
 """
@@ -14,6 +17,7 @@ import tokenize
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "isoslice"
+KINDS = ("code", "docstring", "comment", "blank")
 
 
 def docstring_lines(tree: ast.Module) -> set[int]:
@@ -28,25 +32,31 @@ def docstring_lines(tree: ast.Module) -> set[int]:
     return lines
 
 
-def code_lines(source: str) -> int:
-    """Lines holding a token that is not a comment, outside docstrings."""
-    skip = docstring_lines(ast.parse(source))
-    lines = set()
-    quiet = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER)
+def line_kinds(source: str) -> dict[str, int]:
+    """How many lines of ``source`` are of each of ``KINDS``."""
+    docstring = docstring_lines(ast.parse(source))
+    code, comment = set(), set()
+    quiet = (tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER)
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-        if tok.type not in quiet:
-            lines.update(n for n in range(tok.start[0], tok.end[0] + 1) if n not in skip)
-    return len(lines)
+        if tok.type == tokenize.COMMENT:
+            comment.add(tok.start[0])
+        elif tok.type not in quiet:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    code -= docstring
+    comment -= code | docstring
+    blank = {n for n, line in enumerate(source.splitlines(), 1) if not line.strip()} - docstring - code
+    return {"code": len(code), "docstring": len(docstring), "comment": len(comment), "blank": len(blank)}
 
 
 def main() -> None:
-    total = code = 0
+    rows = []
     for path in sorted(SRC.glob("*.py")):
         source = path.read_text()
-        lines, kept = len(source.splitlines()), code_lines(source)
-        total, code = total + lines, code + kept
-        print(f"{path.name:16} {lines:6} {kept:6}")
-    print(f"{'total':16} {total:6} {code:6}")
+        rows.append((path.name, {"lines": len(source.splitlines()), **line_kinds(source)}))
+    rows.append(("total", {key: sum(counts[key] for _, counts in rows) for key in rows[0][1]}))
+    print(f"{'module':16}" + "".join(f" {key:>9}" for key in rows[0][1]))
+    for name, counts in rows:
+        print(f"{name:16}" + "".join(f" {n:9}" for n in counts.values()))
 
 
 if __name__ == "__main__":

@@ -13,10 +13,12 @@ import pytest
 import isoslice.cli
 import isoslice.volume
 from isoslice import (
+    Axis,
     LabelVolume,
     Spacing,
     Volume,
     evaluate,
+    extract_slice,
     load_volume,
     moving_disk_phantom,
     save_volume,
@@ -1009,6 +1011,16 @@ class TestExport:
         )
         assert_single_error(result)
         assert out.read_bytes() == b"kept"
+
+    @pytest.mark.parametrize("axis", list(Axis), ids=lambda axis: axis.value)
+    def test_every_axis_is_accepted(self, tmp_path, capsys, axis):
+        path, out = tmp_path / "v.vvol", tmp_path / "s.pgm"
+        v = Volume(np.arange(24, dtype=np.float32).reshape(2, 3, 4), Spacing(1, 1, 1))
+        save_volume(v, path)
+        assert main(["export", "--in", str(path), "--axis", axis.value, "--index", "1", "--out", str(out)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["width"], report["height"]) == extract_slice(v, axis, 1).dims
+        assert out.exists()
 
     def test_bad_axis_is_usage_error(self, tmp_path, ramp_volume):
         in_path, _ = ramp_volume

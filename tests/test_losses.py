@@ -223,6 +223,15 @@ class TestTpSmooth:
             oracles.tp_smooth_slice(arr), rel=1e-6
         )
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (1, 7), (2, 1), (7, 1), (3, 5)])
+    def test_thin_slices_match_oracle(self, shape):
+        arr = np.random.default_rng(sum(shape)).normal(0.0, 10.0, shape)
+        assert tp_smooth_slice(Slice2D(arr)) == pytest.approx(oracles.tp_smooth_slice(arr), rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 4), (4, 1), (3, 5)])
+    def test_single_pixel_or_constant_slice_is_exactly_zero(self, shape):
+        assert tp_smooth_slice(Slice2D(np.full(shape, 7.25))) == 0.0
+
     def test_volume_averages_both_slice_families(self, monkeypatch):
         rng = np.random.default_rng(69)
         data = rng.random((3, 4, 5)).astype(np.float32)
@@ -356,6 +365,27 @@ class TestProbabilisticLosses:
     def test_multitask_rejects_length_mismatch(self):
         with pytest.raises(ShapeError):
             multitask_loss([0.5], [0.5], [0.5], [0.5], [1, 1], [1])
+
+    def test_multitask_length_mismatch_names_every_length(self):
+        with pytest.raises(ShapeError, match=r"series lengths 1, 2, 1, 3, 1 and 2 differ"):
+            multitask_loss([0.5], [0.5] * 2, [0.5], [0.5] * 3, [1], [0, 1])
+
+    @pytest.mark.parametrize("edge", [0.0, 1.0])
+    def test_interval_ends_are_labels_not_probabilities(self, edge):
+        with pytest.raises(DomainError, match=r"oc_real\[2\] = .* is outside the open interval \(0, 1\)"):
+            multitask_loss([0.5] * 4, [0.5] * 4, [0.5] * 4, [0.5, 0.5, edge, edge], [edge] * 4, [edge] * 4)
+        labels = [edge, 1.0 - edge, edge]
+        value = multitask_loss([0.5] * 3, [0.5] * 3, [0.25] * 3, [0.75] * 3, labels, labels)
+        assert value == pytest.approx(oracles.multitask([0.5] * 3, [0.5] * 3, [0.25] * 3, [0.75] * 3, labels, labels))
+
+    def test_nan_is_neither_probability_nor_label_and_the_first_is_named(self):
+        nan = float("nan")
+        with pytest.raises(DomainError, match=r"ld_fake\[1\] = .*nan.* is outside the open interval"):
+            adv_loss([0.5, nan, nan], [0.5, 0.5, 0.5])
+        with pytest.raises(DomainError, match=r"gd_real\[0\] = .*nan.* is outside the open interval"):
+            global_disc_loss([0.5, 0.5], [nan, 2.0])
+        with pytest.raises(DomainError, match=r"y_real\[2\] = .*nan.* is not 0 or 1"):
+            multitask_loss([0.5] * 4, [0.5] * 4, [0.5] * 4, [0.5] * 4, [1, 0, 1, 0], [1, 0, nan, 0.5])
 
     def test_multitask_rejects_nonbinary_labels(self):
         with pytest.raises(DomainError, match=r"y_fake\[0\]"):
