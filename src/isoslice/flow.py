@@ -57,6 +57,7 @@ from .volume import (
     _ArrayValue,
     _adopted,
     _as_float,
+    _config,
     _frozen,
     _header_dims,
     _is_int,
@@ -479,9 +480,7 @@ def estimate_flow(i0: Slice2D, i1: Slice2D, params: HsParams | None = None) -> F
     The pair's joint range is scaled to 0..255 first: a range, or 255 over it, that
     overflows float64 (1e308 against -1e308, 0 against 1e-310) raises DomainError.
     """
-    params = HsParams() if params is None else params
-    if not isinstance(params, HsParams):
-        raise ParameterError(f"params must be an HsParams, got {params!r}")
+    params = _config("params", params, HsParams, HsParams())
     if i0.dims != i1.dims:
         raise ShapeError(f"slice dims {i0.dims} and {i1.dims} differ")
     levels = len(_pyramid_shapes(i0.dims, params.pyramid_levels))

@@ -34,7 +34,8 @@ import numpy as np
 from .errors import InsufficientSlicesError, ParameterError, ShapeError
 from .flow import FlowField, HsParams, _check_t, _compose, _gap_flows, _pyramid_shapes, _warp_by
 from .flow import _bilerp, _displaced, _plan
-from .volume import MAX_OUTPUT_VOXELS, LabelVolume, Slice2D, Spacing, Volume, _adopted, _as_float, _is_int, _slabs
+from .volume import MAX_OUTPUT_VOXELS, LabelVolume, Slice2D, Spacing, Volume, _adopted, _as_float, _config, _is_int
+from .volume import _slabs
 
 # Not called here (gaps solve both directions as one stack, synthesis warps
 # through flow._plan and labels vote on id slices), but bench/tracing.py
@@ -79,8 +80,7 @@ class ImputeConfig:
                 raise ParameterError(f'n_slices must be "auto" or an integer >= 0, got {self.n_slices!r}')
         if self.method not in (METHOD_FLOW, METHOD_LINEAR):
             raise ParameterError(f"method must be {METHOD_FLOW!r} or {METHOD_LINEAR!r}, got {self.method!r}")
-        if not isinstance(self.hs, HsParams):
-            raise ParameterError(f"hs must be an HsParams, got {self.hs!r}")
+        _config("hs", self.hs, HsParams)
 
 
 def backward_warp(img: Slice2D, flow: FlowField) -> Slice2D:
@@ -192,10 +192,11 @@ def impute_volume(
     through-plane spacing shrinks to ``sz / (N + 1)``.  Original slices land
     unchanged at output index ``k * (N + 1)``.  With ``method="linear"`` the
     flows are identically zero, so each synthetic slice is the plain blend
-    of its neighbours.  An output of more than ``MAX_OUTPUT_VOXELS`` voxels
-    raises ``ParameterError`` before anything is allocated.
+    of its neighbours.  ``cfg`` is an ``ImputeConfig``, or None for the
+    defaults.  Any other ``cfg`` raises ``ParameterError``, as does an output
+    of more than ``MAX_OUTPUT_VOXELS`` voxels, before anything is allocated.
     """
-    cfg = cfg or ImputeConfig()
+    cfg = _config("cfg", cfg, ImputeConfig, ImputeConfig())
     x, y, z = v.dims
     if z < 2:
         raise InsufficientSlicesError(f"imputation needs Z >= 2, got Z={z}")

@@ -10,7 +10,7 @@ kernel; ``tp_smooth_slice`` runs it on its slice as a one-slice block.
 slices cut by the package's one block budget (``volume._slabs``: at most
 2^16 pixels, or one slice where a slice is larger) and deals them to the
 workers of its one pool rule (``volume._pool``), so its extra memory stays
-two blocks' worth of float64 per worker however large the volume.
+a few blocks' worth of float64 per worker however large the volume.
 
 Term vocabulary (also the JSON report keys): ``l_rec``, ``l_per``,
 ``l_warp``, ``l_smooth``, ``l_adv``, ``l_tp_smooth``.  ``l_per`` needs an
@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DataValidationError, DomainError, ParameterError, ShapeError
 from .flow import FlowField
 from .impute import backward_warp
-from .volume import Slice2D, Volume, _all_finite, _as_float, _is_number, _pool, _slabs, _usable_cpus
+from .volume import Slice2D, Volume, _all_finite, _as_float, _config, _is_number, _pool, _slabs, _usable_cpus
 
 LOSS_TERMS = ("l_rec", "l_per", "l_warp", "l_smooth", "l_adv", "l_tp_smooth")
 
@@ -157,24 +157,18 @@ def tp_smooth_slice(s: Slice2D) -> float:
 def _tp_smooth_blocks(stacks: list[np.ndarray]) -> list[np.ndarray]:
     """``tp_smooth_slice`` of every slice of each (k, rows, cols) stack, one float64 array per stack.
 
-    Each stack is copied into one C-ordered float64 buffer and its
-    differences into another, so each slice's differences are one
+    Each stack is copied into a C-ordered float64 array and its differences
+    are new arrays in the same order, so each slice's differences are one
     contiguous run and ``sum(axis=(1, 2))`` adds them in the same order
     however many slices share the stack: every slice's value equals
-    ``tp_smooth_slice`` of that slice, not just closely.  The two buffers
-    serve every stack: freeing and reallocating them per stack
-    made the allocator hand their pages back to the system and fault them
-    in again, which cost more than the arithmetic.
+    ``tp_smooth_slice`` of that slice, not just closely.
     """
-    size = max(s.size for s in stacks)
-    buf, diff = np.empty(size), np.empty(size)
     values = []
     for s in stacks:
-        block = buf[: s.size].reshape(s.shape)
-        np.copyto(block, s)
+        block = np.ascontiguousarray(s, dtype=np.float64)
         total = np.zeros(len(s))
         for a, b in ((block[:, :, 1:], block[:, :, :-1]), (block[:, 1:], block[:, :-1])):
-            d = np.subtract(a, b, out=diff[: a.size].reshape(a.shape))
+            d = a - b
             d *= d
             total += d.sum(axis=(1, 2))
         values.append(total / (s.shape[1] * s.shape[2]))
@@ -278,9 +272,11 @@ def multitask_loss(
 def total_loss(parts: Mapping[str, float], weights: LossWeights | None = None) -> float:
     """Weighted sum of the six named terms; missing terms count as 0.
 
-    A term whose value is not a finite real number raises ParameterError.
+    ``weights`` is a ``LossWeights``, or None for the defaults.  Any other
+    ``weights``, or a term whose value is not a finite real number, raises
+    ParameterError.
     """
-    weights = weights or LossWeights()
+    weights = _config("weights", weights, LossWeights, LossWeights())
     total = 0.0
     for term, value in parts.items():
         weight = weights.for_term(term)

@@ -21,8 +21,9 @@ tree of ``_nearest``) are imported inside those functions on first use, not
 when this module is imported: every command imports this module, but only
 scoring needs them, and their first loads cost a command time (b83059b).
 
-The per-class functions refuse a class id that is not an integer in
-``0..classes-1`` with ``ParameterError``.  They refuse with ``DomainError``
+The per-class functions refuse with ``ParameterError`` a class id that is
+not an integer in ``0..classes-1``, and ``assd`` and ``mssd`` a ``spacing``
+that is neither a ``Spacing`` nor None.  They refuse with ``DomainError``
 a spacing that takes a surface point or distance past the float64 range,
 and one below about 1.49e-154 mm, where squared distances underflow.
 """
@@ -35,10 +36,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .errors import DomainError, ParameterError, ShapeError, UndefinedMetricError
-from .volume import LabelVolume, Spacing, _is_int, _pool
-
-# Rows per k-d tree query: the query's own arrays stay this small.
-_QUERY_BLOCK = 4096
+from .volume import LabelVolume, Spacing, _config, _is_int, _pool
 
 # A bounding box as the ``[z, y, x]`` slices that crop it out of a volume.
 _Box = tuple[slice, slice, slice]
@@ -179,9 +177,7 @@ def surface_voxels(l: LabelVolume, class_id: int) -> np.ndarray:
 def _nearest(ref: np.ndarray, pts: np.ndarray, shared: np.ndarray) -> np.ndarray:
     """Distance from every row of ``pts`` to the nearest row of ``ref``; 0.0 where ``shared``.
 
-    The others are queried in blocks of ``_QUERY_BLOCK`` rows, so the
-    query's own arrays stay small; each query is independent of the rest,
-    so the distances do not depend on the block size.
+    The other rows are queried together, in one query.
     """
     from scipy.spatial import cKDTree
 
@@ -189,10 +185,8 @@ def _nearest(ref: np.ndarray, pts: np.ndarray, shared: np.ndarray) -> np.ndarray
     # Sliding-midpoint splits suit grid points: they build and query faster
     # than median splits on the `score` bench inputs (a1d59ea).
     tree = cKDTree(ref, balanced_tree=False)
-    off = np.flatnonzero(~shared)
-    for start in range(0, len(off), _QUERY_BLOCK):
-        rows = off[start : start + _QUERY_BLOCK]
-        d[rows] = tree.query(pts[rows])[0]
+    off = ~shared
+    d[off] = tree.query(pts[off])[0]
     return d
 
 
@@ -260,6 +254,7 @@ def _checked_distances(
         if gt.spacing != pred.spacing:
             raise ShapeError("label spacings differ; pass an explicit spacing to override")
         spacing = gt.spacing
+    spacing = _config("spacing", spacing, Spacing)
     return _surface_distances(gt, pred, class_id, spacing, (_box(gt, class_id), _box(pred, class_id)))
 
 

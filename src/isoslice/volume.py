@@ -107,6 +107,19 @@ def _as_float(value) -> float:
         return np.inf if value > 0 else -np.inf
 
 
+def _config(name: str, value, kind: type, default=None):
+    """``value``, or ``default`` where it is None, if that is a ``kind``.
+
+    The one check of a config argument at the public boundary: anything
+    else raises ParameterError "<name> must be a(n) <kind>, got <value>".
+    """
+    value = default if value is None else value
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOUH" else "a"  # an HsParams, an ImputeConfig
+        raise ParameterError(f"{name} must be {article} {kind.__name__}, got {value!r}")
+    return value
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on (all of them where affinity is unknown)."""
     if hasattr(os, "sched_getaffinity"):
@@ -489,15 +502,19 @@ def pgm_window(s: Slice2D, lo: float | None = None, hi: float | None = None) -> 
     """The ``(lo, hi)`` window ``export_pgm`` maps onto 0..255.
 
     Omitted bounds are the slice min / max, except that a constant slice with
-    both omitted gets ``(c, c + 1)``.  Raises ParameterError unless ``lo < hi``
-    and both are finite.
+    both omitted gets ``(c, c + 1)``.  A given bound must be a finite real
+    number (see ``_is_number``).  Raises ParameterError unless both are and
+    ``lo < hi``; the bounds come back as Python floats.
     """
+    for name, value in (("lo", lo), ("hi", hi)):
+        if value is not None and not math.isfinite(_as_float(value)):
+            raise ParameterError(f"window {name}={value!r} must be a finite real number")
     both_omitted = lo is None and hi is None
-    lo = float(s.data.min()) if lo is None else lo
-    hi = float(s.data.max()) if hi is None else hi
+    lo = float(s.data.min()) if lo is None else _as_float(lo)
+    hi = float(s.data.max()) if hi is None else _as_float(hi)
     if both_omitted and hi == lo:
         hi = lo + 1.0
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+    if not lo < hi:
         raise ParameterError(f"window lo={lo!r} must be strictly below hi={hi!r}")
     return lo, hi
 

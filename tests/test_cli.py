@@ -22,6 +22,7 @@ from isoslice import (
     load_volume,
     moving_disk_phantom,
     save_volume,
+    surface_voxels,
 )
 from isoslice.cli import canonical_json, main
 from isoslice.volume import _volume_planes
@@ -584,6 +585,33 @@ class TestMetrics:
         payload(run_cli("metrics", "--gt", pg, "--pred", pp, "--out-json", out_json))
         digest = hashlib.sha256(out_json.read_bytes()).hexdigest()
         assert digest == "33619ddc0e3c923bd19b5b25b3c84093e4346ea44dbabc756ab1e93f77528c95"
+
+    def test_large_surface_report_bytes_match_recorded_hash(self, tmp_path):
+        """A report whose classes have thousands of surface points off the other surface.
+
+        Three overlapping boxes of about 40^3 voxels, the prediction shifted
+        against the reference, at a non-unit spacing: class 1 has more than
+        4096 surface voxels off the other surface in each direction, so each
+        k-d query covers thousands of rows.
+        """
+        shape = (64, 64, 64)
+        boxes = {1: ((4, 4, 4), (40, 42, 38)), 2: ((22, 18, 24), (38, 40, 36)), 3: ((30, 6, 10), (30, 24, 44))}
+        gt, pred = np.zeros(shape, np.uint8), np.zeros(shape, np.uint8)
+        for cid, ((z, y, x), (dz, dy, dx)) in boxes.items():
+            gt[z : z + dz, y : y + dy, x : x + dx] = cid
+            pred[z + 1 : z + dz, y + 2 : y + dy + 1, x - 3 : x + dx - 2] = cid
+        spacing = Spacing(0.7, 0.9, 2.5)
+        gt_l, pred_l = LabelVolume(gt, spacing, 4), LabelVolume(pred, spacing, 4)
+        surf_gt = {tuple(p) for p in surface_voxels(gt_l, 1)}
+        surf_pred = {tuple(p) for p in surface_voxels(pred_l, 1)}
+        assert min(len(surf_gt - surf_pred), len(surf_pred - surf_gt)) > 4096
+        pg, pp = tmp_path / "gt.vvol", tmp_path / "pred.vvol"
+        save_volume(gt_l, pg)
+        save_volume(pred_l, pp)
+        out_json = tmp_path / "report.json"
+        payload(run_cli("metrics", "--gt", pg, "--pred", pp, "--out-json", out_json))
+        digest = hashlib.sha256(out_json.read_bytes()).hexdigest()
+        assert digest == "eb3cd4808d2e40c3b64554038c759245bac319c7247e707c7bf24cb8be2fa096"
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_report_bytes_do_not_depend_on_cpu_count(self, tmp_path, monkeypatch, usable_cpus, capsys, cpus):

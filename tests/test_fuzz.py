@@ -7,7 +7,7 @@ a magic byte.  A reader must return a valid object or raise an
 line and no output file.  The ``loss`` command is given series and weights
 files one change away from a valid pair (or any JSON value) and must either
 print one JSON object or fail that way.  Numeric flags of ``phantom``,
-``impute``, ``export`` and ``decimate`` are drawn from any integer or float text; each run
+``impute``, ``flow``, ``export`` and ``decimate`` are drawn from any integer or float text; each run
 must print one JSON object or exit 1 or 2 with one ``error:`` line.
 """
 
@@ -183,14 +183,16 @@ def test_loss_reports_or_fails_cleanly_on_any_json(tmp_path_factory, series, wei
 # inf and values that underflow or overflow inside the library, with small
 # values drawn often enough that many runs succeed.
 NUMBER_TEXT = (st.integers() | st.integers(-3, 40) | st.floats() | st.floats(-64, 64)).map(str)
-GOLDEN_PAIR = (  # a flat slice, then a deterministic pseudo-noise slice
-    b'VVOL\n{"dims":[8,8,2],"spacing":[1.0,1.0,2.0],"dtype":"f32"}\n'
-    + np.zeros(64, "<f4").tobytes()
-    + (np.arange(64) * 37 % 64 / 64.0).astype("<f4").tobytes()
-)
+FLAT, NOISE = np.zeros(64, "<f4").tobytes(), (np.arange(64) * 37 % 64 / 64.0).astype("<f4").tobytes()
+INPUTS = {  # a flat slice, then a deterministic pseudo-noise slice, as one volume and as two
+    "in.vvol": b'VVOL\n{"dims":[8,8,2],"spacing":[1.0,1.0,2.0],"dtype":"f32"}\n' + FLAT + NOISE,
+    "a.vvol": b'VVOL\n{"dims":[8,8,1],"spacing":[1.0,1.0,2.0],"dtype":"f32"}\n' + FLAT,
+    "b.vvol": b'VVOL\n{"dims":[8,8,1],"spacing":[1.0,1.0,2.0],"dtype":"f32"}\n' + NOISE,
+}
 FIXED_ARGS = {
     "phantom": ["--out", "{tmp}/p.vvol", "--out-labels", "{tmp}/l.vvol"],
     "impute": ["--in", "{tmp}/in.vvol", "--out", "{tmp}/o.vvol", "--n", "1", "--method", "flow"],
+    "flow": ["--a", "{tmp}/a.vvol", "--b", "{tmp}/b.vvol", "--out", "{tmp}/o.vflo"],
     "export": ["--in", "{tmp}/in.vvol", "--axis", "axial", "--index", "1", "--out", "{tmp}/o.pgm"],
     "decimate": ["--in", "{tmp}/in.vvol", "--out", "{tmp}/o.vvol"],
 }
@@ -204,7 +206,7 @@ def cli_flags(draw) -> list[str]:
         extents = st.lists(st.integers(12, 64), min_size=3, max_size=3)
         flags = {"size": extents.map(lambda e: ",".join(map(str, e)))}
         flags |= dict.fromkeys(["radius", "step", "seed"], NUMBER_TEXT)
-    elif command == "impute":
+    elif command in ("impute", "flow"):
         # Sweep and warp counts multiply the run time, so they stay small.
         flags = dict.fromkeys(["iterations", "warps-per-level"], st.integers(0, 3).map(str))
         flags |= {"alpha": NUMBER_TEXT, "pyramid-levels": NUMBER_TEXT | st.just("auto")}
@@ -220,10 +222,12 @@ def cli_flags(draw) -> list[str]:
 @given(argv=cli_flags())
 @example(argv=["phantom", "--step=nan"])
 @example(argv=["impute", "--alpha=1e-160"])
+@example(argv=["flow", "--pyramid-levels=4"])
 @example(argv=["decimate", "--stride=1" + "0" * 400])
 def test_cli_argv_reports_or_fails_cleanly(tmp_path_factory, argv):
     tmp = tmp_path_factory.mktemp("argv")
-    (tmp / "in.vvol").write_bytes(GOLDEN_PAIR)
+    for name, data in INPUTS.items():
+        (tmp / name).write_bytes(data)
     command, *flags = argv
     fixed = [arg.format(tmp=tmp) for arg in FIXED_ARGS[command]]
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -241,4 +245,4 @@ def test_cli_argv_reports_or_fails_cleanly(tmp_path_factory, argv):
         assert stdout.getvalue() == ""
         assert [line for line in lines if "error:" in line] == lines[-1:], lines
         assert code == 2 or (len(lines) == 1 and lines[0].startswith("error: ")), lines
-        assert sorted(p.name for p in tmp.iterdir()) == ["in.vvol"]
+        assert sorted(p.name for p in tmp.iterdir()) == sorted(INPUTS)

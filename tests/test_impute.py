@@ -362,6 +362,13 @@ class TestImputeVolume:
         with pytest.raises(ParameterError):
             ImputeConfig(method="cubic")
 
+    @pytest.mark.parametrize("cfg", [HsParams(), {}, 0, "linear"], ids=["hs-params", "dict", "zero", "str"])
+    def test_cfg_must_be_an_impute_config(self, cfg):
+        v = self.two_slice_volume(np.random.default_rng(44))
+        with pytest.raises(ParameterError, match=r"^cfg must be an ImputeConfig, got "):
+            impute_volume(v, cfg=cfg)
+        assert impute_volume(v, cfg=None)[0] == impute_volume(v, cfg=ImputeConfig())[0]
+
     def test_output_over_voxel_limit_is_refused(self):
         v = Volume(np.zeros((2, 64, 64), np.float32), UNIT)
         with pytest.raises(ParameterError, match="exceeds the limit"):

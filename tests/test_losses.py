@@ -459,6 +459,15 @@ class TestTotalLoss:
         with pytest.raises(ParameterError, match="overflows"):
             total_loss({"l_adv": 2.0}, LossWeights(lambda_adv=1e308))
 
+    @pytest.mark.parametrize("loss", [total_loss, loss_report])
+    @pytest.mark.parametrize(
+        "weights", [{}, {"lambda_rec": 2.0}, 0, (2.0,)], ids=["empty-dict", "dict", "zero", "tuple"]
+    )
+    def test_weights_must_be_loss_weights(self, loss, weights):
+        with pytest.raises(ParameterError, match=r"^weights must be a LossWeights, got "):
+            loss({"l_rec": 1.0}, weights)
+        assert total_loss({"l_rec": 1.0, "l_adv": 1.0}, None) == total_loss({"l_rec": 1.0, "l_adv": 1.0}, LossWeights())
+
     def test_weight_override(self):
         weights = LossWeights.from_dict({"lambda_adv": 0.5})
         assert total_loss({"l_adv": 1.0}, weights) == pytest.approx(0.5)

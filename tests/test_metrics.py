@@ -489,3 +489,14 @@ def test_class_id_must_be_a_declared_class(metric, class_id):
     metric(gt, pred, np.uint8(2))
     with pytest.raises(ParameterError, match="class_id"):
         metric(gt, pred, class_id)
+
+
+@pytest.mark.parametrize(
+    "spacing", [(1, 1, 1), [0.7, 1.1, 2.3], {}, 0, "1"], ids=["tuple", "list", "empty-dict", "zero", "str"]
+)
+@pytest.mark.parametrize("metric", [assd, mssd])
+def test_spacing_must_be_a_spacing_or_none(metric, spacing):
+    gt, pred = random_pair(np.random.default_rng(92))
+    with pytest.raises(ParameterError, match=r"^spacing must be a Spacing, got "):
+        metric(gt, pred, 1, spacing)
+    assert metric(gt, pred, 1, None) == metric(gt, pred, 1, gt.spacing)

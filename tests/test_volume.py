@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -33,6 +34,7 @@ from isoslice import (
     synth_intermediate_label,
     synth_intermediate_slice,
 )
+from isoslice.volume import pgm_window
 
 GOLDEN_F32 = (
     b'VVOL\n{"dims":[1,1,1],"spacing":[1.0,1.0,1.0],"dtype":"f32"}\n' + b"\x00\x00\x00\x00"
@@ -627,3 +629,23 @@ class TestExportPgm:
         with pytest.raises(ParameterError):
             export_pgm(Slice2D(np.array(data)), path, lo, hi)
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, np.True_, "0", 1 + 0j, [5.0], 10**400, float("nan"), float("-inf")],
+        ids=["bool", "numpy-bool", "str", "complex", "list", "huge-int", "nan", "-inf"],
+    )
+    @pytest.mark.parametrize("side", ["lo", "hi"])
+    def test_bounds_must_be_finite_real_numbers(self, tmp_path, side, value):
+        path = tmp_path / "x.pgm"
+        bounds = {"lo": -10.0, "hi": 10.0, side: value}
+        with pytest.raises(ParameterError, match=f"^window {side}={re.escape(repr(value))} must be"):
+            export_pgm(Slice2D(np.array([[2.0, 4.0]])), path, **bounds)
+        assert not path.exists()
+
+    def test_window_is_two_python_floats(self):
+        s = Slice2D(np.array([[2.0, 4.0]]))
+        for bounds in [(np.float32(0.5), np.float64(3.5)), (np.int64(1), 3), (None, np.float32(3.0)), (None, None)]:
+            window = pgm_window(s, *bounds)
+            assert [type(b) for b in window] == [float, float], bounds
+        assert pgm_window(s, np.float32(0.5), 3) == (0.5, 3.0)
