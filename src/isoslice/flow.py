@@ -1,27 +1,19 @@
 """Dense 2D displacement fields between slice pairs.
 
 ``estimate_flow`` is a classical Horn-Schunck estimator run coarse-to-fine
-over an image pyramid with incremental warping.  After every warp's Jacobi
-sweeps on a level coarser than the slices a 5x5 median filter is applied to
-both flow components, the step Sun, Roth and Black ("Secrets of Optical Flow
-Estimation and Their Principles", CVPR 2010) found essential: without it the
-estimate diverges across warps on deeper pyramids, and with it 25 sweeps per
-warp suffice.  The full-resolution level filters once, after its last warp:
-that is cheaper, and the sweeps in between keep the zero flow of a small
-static structure, which a median after each warp there would erase.  Every
-sweep and filter has a fixed order, so repeated runs on the same inputs are
-bit-identical.
+over an image pyramid with incremental warping, with 5x5 median filters of
+the flow between warps (see ``_refine``), the step Sun, Roth and Black
+("Secrets of Optical Flow Estimation and Their Principles", CVPR 2010) found
+essential: without it the estimate diverges across warps on deeper
+pyramids, and with it 25 sweeps per warp suffice.  Every sweep and filter
+has a fixed order, so repeated runs on the same inputs are bit-identical.
 
 The solver works on (2B, H, W) stacks of B independent pairs, sources over
 targets, and on their flows ``u`` over ``v``, so each pyramid level is one
 ``_downsample`` and each sweep and median filter one pass over both.  Each
 pair's result is bit-identical to solving it alone, so ``_gap_flows`` solves
 the flows of many gaps of a volume as one stack and ``estimate_flow`` is the
-one-pair case.  ``_gap_flows`` picks its own runs of gaps and workers, by
-the package's one block budget and pool rule (``volume._slabs`` and
-``volume._pool``).  ``_pyramid`` builds the levels and ``_refine`` solves any
-run of them, so ``_gap_flows`` solves levels too small to overlap across
-threads once for several runs (268630b).
+one-pair case.
 
 Flow semantics are forward for estimation: the field returned by
 ``estimate_flow(i0, i1)`` maps a pixel ``(x, y)`` of ``i0`` to
@@ -80,11 +72,10 @@ _AVG_KERNEL = np.array(
     ]
 )
 # Its non-zero taps as (row offset, column offset, weight) into a slice
-# padded by one pixel, in the kernel's C order: ndimage.correlate's order.
-# ``_add_taps`` adds them in this order, reading each tap's product from one
-# of two whole-buffer products, by 1/12 or by 1/6, picked by its weight.  The
-# weights, and ``_BINOMIAL5``'s where they are used, are Python floats: numpy
-# scalar weights keep two threads' loops from overlapping (baabf5e).
+# padded by one pixel, in the kernel's C order: ndimage.correlate's order,
+# which ``_hs_sweeps`` adds them in.  The weights, and ``_BINOMIAL5``'s where
+# they are used, are Python floats: numpy scalar weights keep two threads'
+# loops from overlapping (baabf5e).
 _AVG_TAPS = tuple((dy, dx, float(w)) for (dy, dx), w in np.ndenumerate(_AVG_KERNEL) if w)
 
 _BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
@@ -288,56 +279,6 @@ def _normalize(ab: np.ndarray) -> None:
     pairs *= gain[:, None]
 
 
-def _tap_views(padded: np.ndarray, twelfths: np.ndarray, sixths: np.ndarray) -> tuple:
-    """The flat operands of the ``_AVG_KERNEL`` mean: ``padded``, the two scratch buffers, the eight taps and the span.
-
-    ``padded`` is a C-contiguous (K, H+2, W+2) stack with edge-replicated
-    borders.  ``twelfths`` and ``sixths`` are scratch of its shape that take
-    ``padded`` times 1/12 and times 1/6, so each tap's products sit at a
-    constant offset in one of them, flat.  ``_add_taps`` adds them in
-    ``_AVG_TAPS`` order over one flat span that covers every interior pixel,
-    then ``+= 0.0`` (ndimage's start, which only turns a sum of eight -0.0
-    products into +0.0): the interior ``padded[:, 1:-1, 1:-1]`` then holds
-    the bytes of ``ndimage.correlate(stack, _AVG_KERNEL[None],
-    mode="nearest")``.  The span crosses the border pixels between rows and
-    slices, which are left holding sums of no use.  Views only, so a warp
-    builds them once and its sweeps reuse them.
-    """
-    width = padded.shape[2]
-    flat, flat12, flat6 = padded.reshape(-1), twelfths.reshape(-1), sixths.reshape(-1)
-    scaled = {1.0 / 12.0: flat12, 1.0 / 6.0: flat6}
-    first = width + 1  # the first interior pixel, and the span's distance from each end
-    span = flat[first:-first]
-    taps = tuple(scaled[weight][first + (dy - 1) * width + dx - 1 :][: len(span)] for dy, dx, weight in _AVG_TAPS)
-    return flat, flat12, flat6, taps, span
-
-
-def _add_taps(flat: np.ndarray, flat12: np.ndarray, flat6: np.ndarray, taps: tuple, span: np.ndarray) -> None:
-    """The mean's ten numpy calls on the views ``_tap_views`` built, written over the span."""
-    np.multiply(flat, 1.0 / 12.0, out=flat12)
-    np.multiply(flat, 1.0 / 6.0, out=flat6)
-    np.add(taps[0], taps[1], out=span)
-    for tap in taps[2:]:
-        np.add(span, tap, out=span)
-    np.add(span, 0.0, out=span)
-
-
-def _edge_pairs(padded: np.ndarray) -> tuple:
-    """(destination, source) views for copying the outermost interior rows, then columns, of a (B, H+2, W+2) stack
-    onto its one-pixel border, in that order."""
-    return (
-        (padded[:, 0], padded[:, 1]),
-        (padded[:, -1], padded[:, -2]),
-        (padded[:, :, 0], padded[:, :, 1]),
-        (padded[:, :, -1], padded[:, :, -2]),
-    )
-
-
-def _padded(stack: np.ndarray) -> np.ndarray:
-    """A (B, H, W) stack inside a one-pixel border of zeros."""
-    return np.pad(stack, ((0, 0), (1, 1), (1, 1)))
-
-
 def _hs_sweeps(a: np.ndarray, b: np.ndarray, uv0: np.ndarray, params: HsParams) -> np.ndarray:
     """One warp iteration: linearize around ``uv0``, then fixed Jacobi sweeps.
 
@@ -347,34 +288,54 @@ def _hs_sweeps(a: np.ndarray, b: np.ndarray, uv0: np.ndarray, params: HsParams) 
     ``ub``, ``vb`` the neighbour means and ``shared = (gx * (ub - u0) + gy *
     (vb - v0) + it) / denom``.  Every operand lives in one (H+2, W+2) layout
     with a one-pixel border, so each step of a sweep is one pass over whole
-    contiguous buffers and the neighbour mean needs no copy.  The border of
-    ``uv`` is re-replicated before each sweep; between sweeps it holds sums
-    of no use (see ``_tap_views``).  The borders of ``uv0``, the
-    gradients and ``it`` are 0, so ``denom``'s is ``alpha ** 2``, never 0,
-    and every border step stays finite.  The two scaled copies the mean
-    takes are then reused as the sweep's ``step`` and ``shared``.  Every
-    view a sweep touches is built once, before the first, so a sweep is its
-    21 numpy calls and no more.  The result is ``uv``'s interior, a view.
+    contiguous buffers.  The borders of ``uv0``, the gradients and ``it``
+    are 0, so ``denom``'s is ``alpha ** 2``, never 0, and every border step
+    stays finite.
+
+    A sweep first copies the outermost interior rows, then columns, of
+    ``uv`` onto its border.  Its neighbour mean then writes ``uv`` times
+    1/12 and times 1/6 into the two scratch stacks, so each of the eight
+    taps is a constant flat offset into one of them, and adds the taps in
+    ``_AVG_TAPS`` order over one flat span that covers every interior pixel,
+    then ``+= 0.0`` (ndimage's start, which only turns a sum of eight -0.0
+    products into +0.0).  The interior then holds the bytes of
+    ``ndimage.correlate(uv, _AVG_KERNEL[None], mode="nearest")``.  The span
+    crosses the border pixels between rows and slices, which are left
+    holding sums of no use until the next sweep re-replicates them.  The
+    scratch stacks are then reused as the sweep's ``step`` and ``shared``.
+    Every view is built once per warp, before the first sweep, so a sweep
+    is its 21 numpy calls and no more.  The result is ``uv``'s interior, a
+    view.
     """
     n = len(a)
+    border = ((0, 0), (1, 1), (1, 1))
     warped = _warp_by(b, uv0[:n], uv0[n:])
-    it = _padded(warped - a)
-    grad = _padded(np.concatenate(_central_gradients(0.5 * (a + warped))))
+    it = np.pad(warped - a, border)
+    grad = np.pad(np.concatenate(_central_gradients(0.5 * (a + warped))), border)
     del warped
-    gx, gy = grad[:n], grad[n:]
-    denom = params.alpha * params.alpha + gx * gx + gy * gy
-    uv0 = _padded(uv0)
+    denom = params.alpha * params.alpha + grad[:n] * grad[:n] + grad[n:] * grad[n:]
+    uv0 = np.pad(uv0, border)
     uv = uv0.copy()
     step, scratch = np.empty_like(uv), np.empty_like(uv)
-    edges = _edge_pairs(uv)
-    taps = _tap_views(uv, step, scratch)  # uv holds the mean until the sweep's last line
+    edges = ((uv[:, 0], uv[:, 1]), (uv[:, -1], uv[:, -2]), (uv[:, :, 0], uv[:, :, 1]), (uv[:, :, -1], uv[:, :, -2]))
+    width = uv.shape[2]
+    first = width + 1  # the first interior pixel, and the span's distance from each end
+    flat, twelfths, sixths = uv.reshape(-1), step.reshape(-1), scratch.reshape(-1)
+    span = flat[first:-first]  # uv holds the mean until the sweep's last line
+    scaled = {1.0 / 12.0: twelfths, 1.0 / 6.0: sixths}
+    taps = [scaled[weight][first + (dy - 1) * width + dx - 1 :][: len(span)] for dy, dx, weight in _AVG_TAPS]
     shared, step_u, step_v = scratch[:n], step[:n], step[n:]
     halves = (2, *it.shape)
     grad_halves, step_halves = grad.reshape(halves), step.reshape(halves)
     for _ in range(params.iterations):
         for dest, source in edges:
             np.copyto(dest, source)
-        _add_taps(*taps)
+        np.multiply(flat, 1.0 / 12.0, out=twelfths)
+        np.multiply(flat, 1.0 / 6.0, out=sixths)
+        np.add(taps[0], taps[1], out=span)
+        for tap in taps[2:]:
+            np.add(span, tap, out=span)
+        np.add(span, 0.0, out=span)
         np.subtract(uv, uv0, out=step)
         np.multiply(step, grad, out=step)
         np.add(step_u, step_v, out=shared)
@@ -449,7 +410,9 @@ def _refine(pyramid: list[np.ndarray], uv: np.ndarray | None, params: HsParams, 
     rescaled to the coarsest level given, or from zero motion when ``uv`` is
     None.  Each warp of a level ends with ``_median``, except on the
     full-resolution level, ``pyramid[0]`` when ``finest``: its warps share
-    one median, after the last.
+    one median, after the last.  That is cheaper, and the sweeps in between
+    keep the zero flow of a small static structure, which a median after
+    each warp there would erase.
     """
     n = len(pyramid[0]) // 2
     if uv is None:
@@ -481,6 +444,8 @@ def estimate_flow(i0: Slice2D, i1: Slice2D, params: HsParams | None = None) -> F
     overflows float64 (1e308 against -1e308, 0 against 1e-310) raises DomainError.
     """
     params = _config("params", params, HsParams, HsParams())
+    _config("i0", i0, Slice2D)
+    _config("i1", i1, Slice2D)
     if i0.dims != i1.dims:
         raise ShapeError(f"slice dims {i0.dims} and {i1.dims} differ")
     levels = len(_pyramid_shapes(i0.dims, params.pyramid_levels))
@@ -505,10 +470,11 @@ def _gap_flows(slices: np.ndarray, params: HsParams, finish) -> None:
     The gaps are split into contiguous runs of one length, the last maybe
     shorter: ``ceil(gaps / usable CPUs)`` gaps each, but few enough that a
     run's endpoint stack holds at most ``_BLOCK_PIXELS`` unless one gap
-    alone is larger (see ``_slabs``).  ``finish(run, f01, f10)`` is called once per run, on the
-    worker that solved it, with the ``(u, v)`` stacks of ``estimate_flow``
-    from each gap's slice k to k+1 and back, bit for bit.  The runs go to
-    ``_pool``, as the solver's numpy calls mostly release the GIL.
+    alone is larger (see ``_slabs``).  ``finish(run, f01, f10)`` is called
+    once per run, on the worker that solved it.  ``f01`` and ``f10`` are
+    (2, g, H, W) views, ``u`` over ``v``, of the flows ``estimate_flow``
+    gives from each gap's slice k to k+1 and back, bit for bit.  The runs go
+    to ``_pool``, as the solver's numpy calls mostly release the GIL.
 
     A run solves both directions of its g gaps as one stack per pyramid
     level (see ``_pairs``).  Levels below the finest on which its stack is
@@ -544,7 +510,7 @@ def _gap_flows(slices: np.ndarray, params: HsParams, finish) -> None:
         while pyramid:  # coarsest first, each level dropped once its pair stack is built
             uv = _refine([_pairs([pyramid.pop()])], uv, params, finest=not pyramid)
         # uv is u over v, each the run's forward flows over its backward ones.
-        finish(gaps, *zip(*(np.split(half, 2) for half in np.split(uv, 2))))
+        finish(gaps, *uv.reshape(2, 2, len(gaps), *uv.shape[1:]).swapaxes(0, 1))
 
     with _pool(len(runs)) as each:
         starts = [None] * len(runs)
@@ -568,10 +534,13 @@ def compose_intermediate_flow(
 
     At ``t == 0`` this is exactly ``(0, f01)``; at ``t == 1``, ``(f10, 0)``.
     """
+    _config("f01", f01, FlowField)
+    _config("f10", f10, FlowField)
     if f01.dims != f10.dims:
         raise ShapeError(f"flow dims {f01.dims} and {f10.dims} differ")
     _check_t(t)
-    return tuple(FlowField(*uv) for uv in _compose((f01.u, f01.v), (f10.u, f10.v), t))
+    ft0, ft1 = _compose(np.stack((f01.u, f01.v)), np.stack((f10.u, f10.v)), t)
+    return FlowField(*ft0), FlowField(*ft1)
 
 
 def _check_t(t: float) -> None:
@@ -580,23 +549,22 @@ def _check_t(t: float) -> None:
         raise ParameterError(f"t={t!r} must be a real number in [0, 1]")
 
 
-def _compose(f01: tuple[np.ndarray, np.ndarray], f10: tuple[np.ndarray, np.ndarray], t: float):
-    """The quadratic weights of ``compose_intermediate_flow``, elementwise on ``(u, v)`` slices or stacks."""
+def _compose(f01: np.ndarray, f10: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """The quadratic weights of ``compose_intermediate_flow``, elementwise on ``u``-over-``v`` arrays."""
     cross = -(1.0 - t) * t
-    sq = (1.0 - t) * (1.0 - t)
-    ft0 = tuple(cross * a + t * t * b for a, b in zip(f01, f10))
-    ft1 = tuple(sq * a + cross * b for a, b in zip(f01, f10))
-    return ft0, ft1
+    return cross * f01 + t * t * f10, (1.0 - t) * (1.0 - t) * f01 + cross * f10
 
 
 def flow_magnitude_stats(f: FlowField) -> tuple[float, float]:
     """(mean, max) of the per-pixel Euclidean displacement magnitude."""
+    _config("f", f, FlowField)
     mag = np.hypot(f.u, f.v)
     return float(mag.mean()), float(mag.max())
 
 
 def save_flow(f: FlowField, path: str | Path) -> None:
     """Write ``f`` to ``path`` in the VFLO container (components stored as f32)."""
+    _config("f", f, FlowField)
     w, h = f.dims
     _write_container(path, FLOW_MAGIC, {"dims": [w, h]}, f.u.astype("<f4"), f.v.astype("<f4"))
 

@@ -90,6 +90,8 @@ def backward_warp(img: Slice2D, flow: FlowField) -> Slice2D:
     interpolation and clamp-to-edge boundary.  A zero flow reproduces the
     input bit for bit.
     """
+    _config("img", img, Slice2D)
+    _config("flow", flow, FlowField)
     if img.dims != flow.dims:
         raise ShapeError(f"image dims {img.dims} and flow dims {flow.dims} differ")
     return Slice2D(_warp_by(img.data, flow.u, flow.v))
@@ -99,6 +101,10 @@ def synth_intermediate_slice(
     i0: Slice2D, i1: Slice2D, ft0: FlowField, ft1: FlowField, t: float
 ) -> Slice2D:
     """Blend the two warped endpoints: ``(1-t) * warp(i0, ft0) + t * warp(i1, ft1)``."""
+    _config("i0", i0, Slice2D)
+    _config("i1", i1, Slice2D)
+    _config("ft0", ft0, FlowField)
+    _config("ft1", ft1, FlowField)
     if not (i0.dims == i1.dims == ft0.dims == ft1.dims):
         raise ShapeError(
             f"dims differ: slices {i0.dims}/{i1.dims}, flows {ft0.dims}/{ft1.dims}"
@@ -161,6 +167,8 @@ def synth_intermediate_label(
         raise ShapeError(f"id slices must share an (H, W) shape, got {l0.shape} and {l1.shape}")
     if not all(a.dtype.kind in "iu" and np.can_cast(a.dtype, np.intp) for a in (l0, l1)):
         raise ParameterError(f"id slices must hold integers that fit np.intp, got {l0.dtype} and {l1.dtype}")
+    _config("ft0", ft0, FlowField)
+    _config("ft1", ft1, FlowField)
     if ft0.dims != l0.shape[::-1] or ft1.dims != l0.shape[::-1]:
         raise ShapeError(f"flow dims {ft0.dims}/{ft1.dims} do not match label dims {l0.shape[::-1]}")
     _check_t(t)
@@ -197,10 +205,12 @@ def impute_volume(
     of more than ``MAX_OUTPUT_VOXELS`` voxels, before anything is allocated.
     """
     cfg = _config("cfg", cfg, ImputeConfig, ImputeConfig())
+    _config("v", v, Volume)
     x, y, z = v.dims
     if z < 2:
         raise InsufficientSlicesError(f"imputation needs Z >= 2, got Z={z}")
     if labels is not None:
+        _config("labels", labels, LabelVolume)
         if labels.dims != v.dims:
             raise ShapeError(f"label dims {labels.dims} do not match volume dims {v.dims}")
         if labels.spacing != v.spacing:
@@ -235,9 +245,9 @@ def impute_volume(
         out_labels = np.empty((z_out, y, x), dtype=labels.data.dtype)
         out_labels[:: n + 1] = labels.data
 
-    def synthesize(gaps: range, f01: tuple | None = None, f10: tuple | None = None) -> None:
+    def synthesize(gaps: range, f01: np.ndarray | None = None, f10: np.ndarray | None = None) -> None:
         """Write the n synthetic slices of each gap in ``gaps``, one (g, H, W) stack per t, warped along ``f01``
-        and ``f10``, the ``(u, v)`` stacks that ``_gap_flows`` hands over, or blended in place without them."""
+        and ``f10``, the (2, g, H, W) ``u``-over-``v`` flows ``_gap_flows`` hands over, or blended without them."""
         ends = v.data[gaps.start : gaps.stop + 1].astype(np.float64)
         fore, aft = ends[:-1], ends[1:]
         for i in range(1, n + 1):

@@ -22,14 +22,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataValidationError, DomainError, ParameterError, ShapeError
 from .flow import FlowField
 from .impute import backward_warp
-from .volume import Slice2D, Volume, _all_finite, _as_float, _config, _is_number, _pool, _slabs, _usable_cpus
+from .volume import LabelVolume, Slice2D, Volume, _all_finite, _as_float, _config, _is_number, _pool, _slabs
+from .volume import _usable_cpus
 
 LOSS_TERMS = ("l_rec", "l_per", "l_warp", "l_smooth", "l_adv", "l_tp_smooth")
 
@@ -93,7 +94,7 @@ def rec_loss(pairs: Iterable[tuple[Slice2D | np.ndarray, Slice2D | np.ndarray]])
     ``Slice2D``, must be real and finite.  ``pairs`` may be any iterable,
     a generator included, so a caller need not hold every slice at once.
     """
-    values = [_mean_abs_diff(a, b) for a, b in pairs]
+    values = [_mean_abs_diff(a, b) for a, b in _config("pairs", pairs, Iterable)]
     if not values:
         raise ParameterError("rec_loss needs at least one slice pair")
     return float(np.mean(values))
@@ -113,6 +114,10 @@ def warp_loss(
     slice reconstructed from each endpoint.  ``mids`` entries are
     ``(target, flow sampling i0, flow sampling iN1)``.
     """
+    _config("i0", i0, Slice2D)
+    _config("iN1", iN1, Slice2D)
+    _config("f01", f01, FlowField)
+    _config("f10", f10, FlowField)
     total = _mean_abs_diff(i0, backward_warp(iN1, f01))
     total += _mean_abs_diff(iN1, backward_warp(i0, f10))
     if mids:
@@ -138,6 +143,8 @@ def _field_gradient_l1(f: FlowField) -> float:
 
 def smooth_loss(f01: FlowField, f10: FlowField) -> float:
     """L1 of the flow gradients, summed over the bidirectional pair."""
+    _config("f01", f01, FlowField)
+    _config("f10", f10, FlowField)
     if f01.dims != f10.dims:
         raise ShapeError(f"flow dims {f01.dims} and {f10.dims} differ")
     return _field_gradient_l1(f01) + _field_gradient_l1(f10)
@@ -151,7 +158,7 @@ def tp_smooth_slice(s: Slice2D) -> float:
     the 1/(rows*cols) normalization stays put.  The slice runs through
     ``tp_smooth_loss``'s kernel as a one-slice stack.
     """
-    return float(_tp_smooth_blocks([s.data[None]])[0][0])
+    return float(_tp_smooth_blocks([_config("s", s, Slice2D).data[None]])[0][0])
 
 
 def _tp_smooth_blocks(stacks: list[np.ndarray]) -> list[np.ndarray]:
@@ -176,8 +183,8 @@ def _tp_smooth_blocks(stacks: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def tp_smooth_loss(v: Volume) -> float:
-    """Mean of ``tp_smooth_slice`` over every sagittal and coronal slice."""
-    x, y, z = v.dims
+    """Mean of ``tp_smooth_slice`` over every sagittal and coronal slice of a Volume or LabelVolume."""
+    x, y, z = _config("v", v, (Volume, LabelVolume)).dims
     if min(x, y, z) < 2:
         raise ParameterError(f"volume extents {v.dims} must all be at least 2")
     # The volume is already validated, so slices need no Slice2D check.  Blocks
@@ -277,6 +284,7 @@ def total_loss(parts: Mapping[str, float], weights: LossWeights | None = None) -
     ParameterError.
     """
     weights = _config("weights", weights, LossWeights, LossWeights())
+    _config("parts", parts, Mapping)
     total = 0.0
     for term, value in parts.items():
         weight = weights.for_term(term)

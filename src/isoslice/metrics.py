@@ -21,9 +21,10 @@ tree of ``_nearest``) are imported inside those functions on first use, not
 when this module is imported: every command imports this module, but only
 scoring needs them, and their first loads cost a command time (b83059b).
 
-The per-class functions refuse with ``ParameterError`` a class id that is
-not an integer in ``0..classes-1``, and ``assd`` and ``mssd`` a ``spacing``
-that is neither a ``Spacing`` nor None.  They refuse with ``DomainError``
+Every public function refuses with ``ParameterError`` a volume that is not
+a ``LabelVolume``.  The per-class functions refuse with it a class id that
+is not an integer in ``0..classes-1``, and ``assd`` and ``mssd`` a
+``spacing`` that is neither a ``Spacing`` nor None.  They refuse with ``DomainError``
 a spacing that takes a surface point or distance past the float64 range,
 and one below about 1.49e-154 mm, where squared distances underflow.
 """
@@ -71,12 +72,15 @@ class MetricReport:
 
 
 def _check_dims(gt: LabelVolume, pred: LabelVolume) -> None:
+    _config("gt", gt, LabelVolume)
+    _config("pred", pred, LabelVolume)
     if gt.dims != pred.dims:
         raise ShapeError(f"label dims {gt.dims} and {pred.dims} differ")
 
 
 def _check_class(class_id, *volumes: LabelVolume) -> None:
     for l in volumes:
+        _config("l", l, LabelVolume)
         if not (_is_int(class_id) and 0 <= class_id < l.classes):
             raise ParameterError(f"class_id={class_id!r} must be an integer in 0..{l.classes - 1}")
 

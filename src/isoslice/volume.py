@@ -107,16 +107,21 @@ def _as_float(value) -> float:
         return np.inf if value > 0 else -np.inf
 
 
-def _config(name: str, value, kind: type, default=None):
-    """``value``, or ``default`` where it is None, if that is a ``kind``.
+def _config(name: str, value, kind: type | tuple[type, ...], default=None):
+    """``value``, or ``default`` where it is None, if that is a ``kind`` (or one of a tuple of kinds).
 
-    The one check of a config argument at the public boundary: anything
-    else raises ParameterError "<name> must be a(n) <kind>, got <value>".
+    The one type check of an argument at the public boundary: anything
+    else raises ParameterError "<name> must be a(n) <kind> [or a(n) <kind>],
+    got <value>", where an array or array value is shown by its type name,
+    as its repr spans lines.
     """
     value = default if value is None else value
     if not isinstance(value, kind):
-        article = "an" if kind.__name__[0] in "AEIOUH" else "a"  # an HsParams, an ImputeConfig
-        raise ParameterError(f"{name} must be {article} {kind.__name__}, got {value!r}")
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        # an HsParams, an ImputeConfig
+        wanted = " or ".join(("an " if k.__name__[0] in "AEIOUH" else "a ") + k.__name__ for k in kinds)
+        got = type(value).__name__ if isinstance(value, (np.ndarray, _ArrayValue)) else repr(value)
+        raise ParameterError(f"{name} must be {wanted}, got {got}")
     return value
 
 
@@ -374,6 +379,7 @@ def save_volume(v: AnyVolume, path: str | Path) -> None:
     The header JSON keeps a fixed key order (dims, spacing, dtype, classes)
     so identical objects always serialize to identical bytes.
     """
+    _config("v", v, (Volume, LabelVolume))
     header: dict = {
         "dims": list(v.dims),
         "spacing": list(v.spacing.as_tuple()),
@@ -470,6 +476,7 @@ def extract_slice(v: AnyVolume, axis: Axis, index: int) -> Slice2D:
     An ``axis`` that is not an ``Axis`` or an ``index`` that is not an
     integer raises ParameterError, one outside the volume BoundsError.
     """
+    _config("v", v, (Volume, LabelVolume))
     if not (isinstance(axis, Axis) and _is_int(index)):
         raise ParameterError(f"axis must be an Axis and index an integer, got {axis!r} and {index!r}")
     np_axis = _SLICE_AXIS[axis]
@@ -487,6 +494,7 @@ def decimate(v: AnyVolume, stride: int = 4) -> AnyVolume:
     overflows the float64 range raises ParameterError naming the stride and
     the input spacing.
     """
+    _config("v", v, (Volume, LabelVolume))
     if not _is_int(stride) or stride < 2:
         raise ParameterError(f"stride must be an integer >= 2, got {stride!r}")
     sz = v.spacing.sz * _as_float(stride)
@@ -506,6 +514,7 @@ def pgm_window(s: Slice2D, lo: float | None = None, hi: float | None = None) -> 
     number (see ``_is_number``).  Raises ParameterError unless both are and
     ``lo < hi``; the bounds come back as Python floats.
     """
+    _config("s", s, Slice2D)
     for name, value in (("lo", lo), ("hi", hi)):
         if value is not None and not math.isfinite(_as_float(value)):
             raise ParameterError(f"window {name}={value!r} must be a finite real number")

@@ -1,3 +1,5 @@
+import ast
+
 import code_lines
 
 SAMPLE = '''"""Module docstring,
@@ -27,3 +29,11 @@ def test_kinds_sum_to_each_modules_line_count():
     for path in paths:
         source = path.read_text()
         assert sum(code_lines.line_kinds(source).values()) == len(source.splitlines()), path.name
+
+
+def test_sources_parse_as_python_3_10():
+    """``requires-python = ">=3.10"``: no module uses syntax newer than 3.10."""
+    paths = sorted(code_lines.SRC.glob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -42,13 +42,11 @@ from isoslice.flow import (
     _downsample,
     _gap_flows,
     _hs_sweeps,
-    _add_taps,
     _median,
     _normalize,
     _pyramid,
     _pyramid_shapes,
     _refine,
-    _tap_views,
     _warp_by,
     sample_bilinear,
 )
@@ -449,18 +447,26 @@ class TestFiltersMatchNdimage:
         blurred = ndimage.correlate1d(blurred, _BINOMIAL5, axis=2, mode="nearest")
         assert _downsample(x).tobytes() == blurred[:, ::2, ::2].tobytes()
 
+    @staticmethod
+    def neighbour_mean(x):
+        """One sweep of ``_hs_sweeps`` from the flow ``x`` over ``x`` between constant slices: exactly the mean of ``x``.
+
+        ``it`` and the gradients are 0, so the sweep subtracts only zeros from the mean.
+        """
+        zeros = np.zeros_like(x)
+        return _hs_sweeps(zeros, zeros, np.concatenate((x, x)), HsParams(iterations=1))[: len(x)]
+
     @settings(max_examples=80, deadline=None)
     @given(filter_stacks())
     def test_neighbour_mean_is_correlate(self, x):
-        _add_taps(*_tap_views(p := np.pad(x, ((0, 0), (1, 1), (1, 1)), mode="edge"), np.empty_like(p), np.empty_like(p)))
-        assert p[:, 1:-1, 1:-1].tobytes() == ndimage.correlate(x, _AVG_KERNEL[None], mode="nearest").tobytes()
+        want = ndimage.correlate(x, _AVG_KERNEL[None], mode="nearest")
+        assert self.neighbour_mean(x).tobytes() == want.tobytes()
 
     def test_neighbour_mean_of_negative_zeros_is_positive_zero(self):
         x = np.full((1, 3, 4), -0.0)
-        _add_taps(*_tap_views(p := np.pad(x, ((0, 0), (1, 1), (1, 1)), mode="edge"), np.empty_like(p), np.empty_like(p)))
         want = ndimage.correlate(x, _AVG_KERNEL[None], mode="nearest")
         assert not np.signbit(want).any()
-        assert p[:, 1:-1, 1:-1].tobytes() == want.tobytes()
+        assert self.neighbour_mean(x).tobytes() == want.tobytes()
 
     @settings(max_examples=80, deadline=None)
     @given(filter_stacks())
@@ -502,6 +508,37 @@ class TestFiltersMatchNdimage:
         }[start]
         uv = _hs_sweeps(a, b, uv0, hs)
         assert not np.signbit(uv[uv == 0.0]).any()
+
+
+class TestSweepWork:
+    COUNTED = ("add", "subtract", "multiply", "divide", "copyto")
+
+    def test_each_sweep_is_21_numpy_calls(self, monkeypatch):
+        """Views are built once per warp, so one more sweep costs exactly the loop body's calls."""
+        calls = Counter()
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                attr = getattr(np, name)
+                if name not in TestSweepWork.COUNTED:
+                    return attr
+
+                def counted(*args, **kwargs):
+                    calls[name] += 1
+                    return attr(*args, **kwargs)
+
+                return counted
+
+        monkeypatch.setattr(flow_module, "np", CountingNumpy())
+        rng = np.random.default_rng(21)
+        a, b = rng.random((2, 2, 9, 11)) * 255.0
+        uv0 = rng.normal(size=(4, 9, 11))
+        totals = []
+        for k in (3, 4):
+            calls.clear()
+            _hs_sweeps(a, b, uv0, HsParams(iterations=k))
+            totals.append(sum(calls.values()))
+        assert totals[1] - totals[0] == 21
 
 
 def traced_peak(fn, *args):
