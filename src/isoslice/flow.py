@@ -25,8 +25,16 @@ The solver runs on numpy alone.  Its three filters (the pyramid's binomial
 blur, the sweeps' 8-neighbour mean and the 5x5 median, all with
 edge-replicated borders) repeat the arithmetic of ``scipy.ndimage``'s
 ``correlate1d``, ``correlate`` and ``median_filter`` in mode "nearest" bit
-for bit, as the tests check, so a flow solve never pays scipy's load time
-and memory (baabf5e); only ``metrics`` loads it.
+for bit on float64 stacks, as the tests check, so a flow solve never pays
+scipy's load time and memory (baabf5e); only ``metrics`` loads it.
+
+The solver runs those same kernels on float32: ``_pyramid`` normalizes each
+pair in float64 and builds every level as float32, and the levels' dtype
+carries through the sweeps, medians and resizes.  On float32 the median
+still selects ndimage's value; the blur and the mean, which ndimage sums in
+float64, stay within a few float32 ulps of it.  Volumes and flow files are
+float32, so float64 sweeps bought no output precision, while float32 halves
+the memory every sweep streams.  Flows leave the solver as float64.
 
 The on-disk container ("VFLO") is the volume container with its own magic::
 
@@ -48,6 +56,7 @@ from .volume import (
     Slice2D,
     _ArrayValue,
     _adopted,
+    _all_finite,
     _as_float,
     _config,
     _frozen,
@@ -81,8 +90,9 @@ _AVG_TAPS = tuple((dy, dx, float(w)) for (dy, dx), w in np.ndenumerate(_AVG_KERN
 _BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
 # Output pixels per block of ``_median``: whole slices of a stack or rows of
-# one slice, so a block's 25 window values per pixel take 1.6 MB per thread
-# whatever the slice size; whole-stack temporaries raised peak RSS (3d84590).
+# one slice, so a block's 25 window values per pixel take 0.8 MB per thread
+# in float32 (1.6 MB in float64) whatever the slice size; whole-stack
+# temporaries raised peak RSS (3d84590).
 _MEDIAN_BLOCK = 1 << 13
 
 # Fewest pixels in a run's (4g, h, w) flow stack for a pyramid level below
@@ -123,11 +133,15 @@ class HsParams:
 
     The defaults suit smooth slices regardless of intensity units, since the
     estimator range-normalizes its inputs to 0..255 before differentiating.
-    ``alpha`` must be a real number of at least 1e-100 (it is stored as a
-    float): where the image gradient vanishes each Jacobi sweep divides an
-    intensity difference of up to 255 by ``alpha ** 2``, which stays near
-    1e202 at that floor but overflows float64 below about 1e-153 and turns
-    the flow into NaN.
+    ``alpha`` must be a finite real number of at least 1e-15 (it is stored
+    as a float): where the image gradient vanishes each float32 Jacobi sweep
+    divides an intensity difference of up to 255 by ``alpha ** 2``, which
+    stays near 2.6e32 at that floor, a millionth of float32's 3.4e38, but
+    overflows below ``sqrt(255 / 3.4e38)``, about 8.7e-19, and turns the
+    flow into NaN.  There is no ceiling: an ``alpha`` whose square float32
+    cannot hold (above about 1.8e19) is solved as if its square were
+    float32's largest value, which, like any huge ``alpha``, leaves the flow
+    near zero (about 1e-34 px between a flat and a noise slice).
 
     ``iterations`` is the number of Jacobi sweeps per warp.  Each warp of a
     coarser level ends with a 5x5 median filter of the flow; on the
@@ -144,8 +158,8 @@ class HsParams:
 
     def __post_init__(self) -> None:
         alpha = _as_float(self.alpha)
-        if not (math.isfinite(alpha) and alpha >= 1e-100):
-            raise ParameterError(f"alpha={self.alpha!r} must be a finite number of at least 1e-100")
+        if not (math.isfinite(alpha) and alpha >= 1e-15):
+            raise ParameterError(f"alpha={self.alpha!r} must be a finite number of at least 1e-15")
         object.__setattr__(self, "alpha", alpha)
         for name in ("iterations", "warps_per_level"):
             value = getattr(self, name)
@@ -283,14 +297,16 @@ def _hs_sweeps(a: np.ndarray, b: np.ndarray, uv0: np.ndarray, params: HsParams) 
     """One warp iteration: linearize around ``uv0``, then fixed Jacobi sweeps.
 
     ``uv0`` stacks the B ``u`` slices over the B ``v`` slices as one (2B, H,
-    W) array, so each sweep averages both components in one pass.  Per pixel
-    a sweep is ``u = ub - gx * shared`` and ``v = vb - gy * shared`` with
-    ``ub``, ``vb`` the neighbour means and ``shared = (gx * (ub - u0) + gy *
-    (vb - v0) + it) / denom``.  Every operand lives in one (H+2, W+2) layout
-    with a one-pixel border, so each step of a sweep is one pass over whole
-    contiguous buffers.  The borders of ``uv0``, the gradients and ``it``
-    are 0, so ``denom``'s is ``alpha ** 2``, never 0, and every border step
-    stays finite.
+    W) array, so each sweep averages both components in one pass.  ``a``,
+    ``b`` and ``uv0`` share one float dtype, which every buffer and the
+    result take; ``alpha ** 2`` is capped at that dtype's largest value.
+    Per pixel a sweep is ``u = ub - gx * shared`` and ``v = vb - gy *
+    shared`` with ``ub``, ``vb`` the neighbour means and ``shared = (gx *
+    (ub - u0) + gy * (vb - v0) + it) / denom``.  Every operand lives in one
+    (H+2, W+2) layout with a one-pixel border, so each step of a sweep is
+    one pass over whole contiguous buffers.  The borders of ``uv0``, the gradients and ``it``
+    are 0, so ``denom``'s is the capped ``alpha ** 2``, never 0, and every
+    border step stays finite.
 
     A sweep first copies the outermost interior rows, then columns, of
     ``uv`` onto its border.  Its neighbour mean then writes ``uv`` times
@@ -309,11 +325,12 @@ def _hs_sweeps(a: np.ndarray, b: np.ndarray, uv0: np.ndarray, params: HsParams) 
     """
     n = len(a)
     border = ((0, 0), (1, 1), (1, 1))
-    warped = _warp_by(b, uv0[:n], uv0[n:])
+    warped = _warp_by(b, uv0[:n], uv0[n:]).astype(a.dtype, copy=False)
     it = np.pad(warped - a, border)
     grad = np.pad(np.concatenate(_central_gradients(0.5 * (a + warped))), border)
     del warped
-    denom = params.alpha * params.alpha + grad[:n] * grad[:n] + grad[n:] * grad[n:]
+    square = a.dtype.type(min(params.alpha * params.alpha, float(np.finfo(a.dtype).max)))
+    denom = square + grad[:n] * grad[:n] + grad[n:] * grad[n:]
     uv0 = np.pad(uv0, border)
     uv = uv0.copy()
     step, scratch = np.empty_like(uv), np.empty_like(uv)
@@ -364,7 +381,7 @@ def _pyramid_shapes(dims: tuple[int, int], levels: int | str) -> list[tuple[int,
 
 
 def _median(arr: np.ndarray) -> np.ndarray:
-    """The 5x5 median of each slice of a (B, H, W) stack, edge-replicated, as a new array.
+    """The 5x5 median of each slice of a (B, H, W) stack, edge-replicated, as a new array of its dtype.
 
     The bytes of ``ndimage.median_filter(arr, size=(1, 5, 5),
     mode="nearest")`` for inputs without NaN or -0.0 (the solver makes
@@ -373,7 +390,7 @@ def _median(arr: np.ndarray) -> np.ndarray:
     pixels, whose windows are copied out and partitioned in place.
     """
     depth, h, w = arr.shape
-    out = np.empty((depth, h, w))
+    out = np.empty((depth, h, w), arr.dtype)
     cols = np.clip(np.arange(-2, w + 2), 0, w - 1)
     slices = max(1, _MEDIAN_BLOCK // (h * w))
     rows = h if slices > 1 else max(1, _MEDIAN_BLOCK // w)
@@ -390,38 +407,40 @@ def _median(arr: np.ndarray) -> np.ndarray:
 
 
 def _pyramid(ab: np.ndarray, levels: int) -> list[np.ndarray]:
-    """``levels`` levels of the (2B, H, W) pair stack ``ab``, finest first: ``ab`` normalized in place, then halved.
+    """``levels`` float32 levels of the (2B, H, W) pair stack ``ab``, finest first: ``ab`` normalized, then halved.
 
-    ``levels`` is a depth that ``_pyramid_shapes`` accepts for these slices.
+    ``ab`` is float64 and normalized in place, so ``_normalize``'s range
+    refusals see the input's own values.  ``levels`` is a depth that
+    ``_pyramid_shapes`` accepts for these slices.
     """
     _normalize(ab)
-    pyramid = [ab]
+    pyramid = [ab.astype(np.float32)]
     for _ in range(levels - 1):
         pyramid.append(_downsample(pyramid[-1]))
     return pyramid
 
 
 def _refine(pyramid: list[np.ndarray], uv: np.ndarray | None, params: HsParams, finest: bool = True) -> np.ndarray:
-    """The (2B, h, w) flows ``u`` over ``v`` after the warps of every level of ``pyramid``.
+    """The (2B, h, w) float64 flows ``u`` over ``v`` after the warps of every level of ``pyramid``.
 
     ``pyramid`` lists (2B, h, w) stacks of sources over targets, finest
     first, as ``_pyramid`` builds them; they are solved coarsest first.  The
     warps start from ``uv``, a coarser level's flows that are resized and
     rescaled to the coarsest level given, or from zero motion when ``uv`` is
-    None.  Each warp of a level ends with ``_median``, except on the
-    full-resolution level, ``pyramid[0]`` when ``finest``: its warps share
-    one median, after the last.  That is cheaper, and the sweeps in between
-    keep the zero flow of a small static structure, which a median after
-    each warp there would erase.
+    None; either way they are solved in the pyramid's dtype.  Each warp of
+    a level ends with ``_median``, except on the full-resolution level,
+    ``pyramid[0]`` when ``finest``: its warps share one median, after the
+    last.  That is cheaper, and the sweeps in between keep the zero flow of
+    a small static structure, which a median after each warp there would
+    erase.
     """
-    n = len(pyramid[0]) // 2
-    if uv is None:
-        uv = np.zeros((2 * n, *pyramid[-1].shape[1:]))
+    n, dtype = len(pyramid[0]) // 2, pyramid[0].dtype
+    uv = np.zeros((2 * n, *pyramid[-1].shape[1:]), dtype) if uv is None else uv.astype(dtype)
     for level, ab in reversed(list(enumerate(pyramid))):
         if uv.shape[1:] != ab.shape[1:]:
             scale_x = ab.shape[2] / uv.shape[2]
             scale_y = ab.shape[1] / uv.shape[1]
-            uv = _resize_bilinear(uv, ab.shape[1:])
+            uv = _resize_bilinear(uv, ab.shape[1:]).astype(dtype)
             uv[:n] *= scale_x
             uv[n:] *= scale_y
         full = finest and level == 0
@@ -429,7 +448,7 @@ def _refine(pyramid: list[np.ndarray], uv: np.ndarray | None, params: HsParams, 
             uv = _hs_sweeps(ab[:n], ab[n:], uv, params)
             if left == 1 or not full:
                 uv = _median(uv)
-    return uv
+    return uv.astype(np.float64)
 
 
 def estimate_flow(i0: Slice2D, i1: Slice2D, params: HsParams | None = None) -> FlowField:
@@ -472,7 +491,7 @@ def _gap_flows(slices: np.ndarray, params: HsParams, finish) -> None:
     run's endpoint stack holds at most ``_BLOCK_PIXELS`` unless one gap
     alone is larger (see ``_slabs``).  ``finish(run, f01, f10)`` is called
     once per run, on the worker that solved it.  ``f01`` and ``f10`` are
-    (2, g, H, W) views, ``u`` over ``v``, of the flows ``estimate_flow``
+    (2, g, H, W) float64 views, ``u`` over ``v``, of the flows ``estimate_flow``
     gives from each gap's slice k to k+1 and back, bit for bit.  The runs go
     to ``_pool``, as the solver's numpy calls mostly release the GIL.
 
@@ -563,10 +582,19 @@ def flow_magnitude_stats(f: FlowField) -> tuple[float, float]:
 
 
 def save_flow(f: FlowField, path: str | Path) -> None:
-    """Write ``f`` to ``path`` in the VFLO container (components stored as f32)."""
+    """Write ``f`` to ``path`` in the VFLO container (components stored as f32).
+
+    A component with a value that f32 cannot hold raises DomainError, naming
+    it, before the file is created: ``load_flow`` would refuse its infinity.
+    """
     _config("f", f, FlowField)
     w, h = f.dims
-    _write_container(path, FLOW_MAGIC, {"dims": [w, h]}, f.u.astype("<f4"), f.v.astype("<f4"))
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        stored = {"u": f.u.astype("<f4"), "v": f.v.astype("<f4")}
+    for name, values in stored.items():
+        if not _all_finite(values):
+            raise DomainError(f"flow {name} holds values beyond the float32 range of the VFLO file")
+    _write_container(path, FLOW_MAGIC, {"dims": [w, h]}, *stored.values())
 
 
 def _flow_payload_size(header: dict) -> int:

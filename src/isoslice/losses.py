@@ -86,6 +86,20 @@ def _mean_abs_diff(a: Slice2D | np.ndarray, b: Slice2D | np.ndarray) -> float:
     return float(np.mean(np.abs(np.subtract(a, b, dtype=np.float64))))
 
 
+def _entry(name: str, item: object, kinds: tuple[type, ...], what: str) -> tuple:
+    """``item``, an entry of argument ``name``, as a tuple of one value of each of ``kinds``; else ParameterError."""
+    try:
+        values = tuple(item)
+    except TypeError:
+        values = None
+    shown = type(item).__name__
+    if values is not None and len(values) == len(kinds):
+        if all(map(isinstance, values, kinds)):
+            return values
+        shown = f"({', '.join(type(value).__name__ for value in values)})"
+    raise ParameterError(f"{name} entries must be {what}, got {shown}")
+
+
 def rec_loss(pairs: Iterable[tuple[Slice2D | np.ndarray, Slice2D | np.ndarray]]) -> float:
     """Mean over pairs of the mean absolute per-pixel difference.
 
@@ -94,7 +108,8 @@ def rec_loss(pairs: Iterable[tuple[Slice2D | np.ndarray, Slice2D | np.ndarray]])
     ``Slice2D``, must be real and finite.  ``pairs`` may be any iterable,
     a generator included, so a caller need not hold every slice at once.
     """
-    values = [_mean_abs_diff(a, b) for a, b in _config("pairs", pairs, Iterable)]
+    pairs = _config("pairs", pairs, Iterable)
+    values = [_mean_abs_diff(*_entry("pairs", pair, (object, object), "(slice, slice) pairs")) for pair in pairs]
     if not values:
         raise ParameterError("rec_loss needs at least one slice pair")
     return float(np.mean(values))
@@ -111,13 +126,16 @@ def warp_loss(
 
     Two endpoint terms (each endpoint reconstructed by warping the other)
     plus, when ``mids`` is given, the mean residual of every intermediate
-    slice reconstructed from each endpoint.  ``mids`` entries are
-    ``(target, flow sampling i0, flow sampling iN1)``.
+    slice reconstructed from each endpoint.  ``mids`` is a sequence of
+    ``(target, flow sampling i0, flow sampling iN1)`` tuples of a
+    ``Slice2D`` and two ``FlowField``s.
     """
     _config("i0", i0, Slice2D)
     _config("iN1", iN1, Slice2D)
     _config("f01", f01, FlowField)
     _config("f10", f10, FlowField)
+    what = "(Slice2D, FlowField, FlowField) tuples"
+    mids = [_entry("mids", mid, (Slice2D, FlowField, FlowField), what) for mid in _config("mids", mids, Sequence)]
     total = _mean_abs_diff(i0, backward_warp(iN1, f01))
     total += _mean_abs_diff(iN1, backward_warp(i0, f10))
     if mids:

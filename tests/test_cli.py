@@ -233,10 +233,10 @@ class TestImpute:
             "--method", "flow", "--n", 3,
         ))
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "964cb87a5a2677252b826d310dc3177773da70e6cd1924e7787ca08299f02058"
+            "e1b521c61acf189a71aa6043360a6c96c46e2c9caab305084ba94f1e2129345d"
         )
         assert hashlib.sha256(out_labels.read_bytes()).hexdigest() == (
-            "34d0ee266b2ac12b7a4b07f7a4be4e97991197c1a38a16151a2d022753bec315"
+            "0a2b33bac027227f624fa20cbe7690037dcf7a53eed34f0a7b3742e8e776608c"
         )
 
     def test_flow_output_bytes_match_recorded_hash_when_every_gap_is_its_own_run(self, tmp_path):
@@ -255,7 +255,7 @@ class TestImpute:
             "--method", "flow", "--n", 2, "--iterations", 8,
         ))
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "7b68b6c43ced07ccdfb589ce75da1430442128d8813f2c5ac002f7bbc1ab1291"
+            "546494291fb6cd0be159498eae8b4fe01c53e259a5b70bcc79224b5388b4e919"
         )
         assert hashlib.sha256(out_labels.read_bytes()).hexdigest() == (
             "1dbdafd4bff068e4d7f167c075ecf645899da0aded4ac15d2187b6fd88f0a2ad"
@@ -285,7 +285,7 @@ class TestImpute:
             "--method", "flow", "--n", 3, "--iterations", 5,
         ))
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "6a46682cc88b1019cd1dc51f67a51bd328ddac658b2caafcac11ff6e2f243ac6"
+            "d1cac9ac49fc92389dc7a4853b8bee2352964345dcc792156b553378623fd52b"
         )
         assert hashlib.sha256(out_labels.read_bytes()).hexdigest() == (
             "3ae8ebebe0b1121e96c514d5076fb75e3a3f4217efcda98584d147953efd0615"
@@ -493,11 +493,11 @@ class TestFlow:
         "dims, radius, step, seed, flags, digest",
         [
             ((64, 64, 33), 8.0, (0.75, 0.0), 7, [],
-             "12acf39d5e895ae1e31956ecea4ab3b1033408c6664f3eed7c65f7aadf51b1cf"),
+             "9a2beec1f115dd7d4baff18d448724be49f04b2a01915f2c1c00c0d9b5a36d56"),
             ((256, 256, 16), 40.0, (0.75, 0.5), 3, [],
-             "40b558fea61b32823981857b25c731e87876b32ac1b106d7c894db22461b03ca"),
-            ((64, 64, 33), 8.0, (0.75, 0.0), 7, ["--alpha", "1e-100"],
-             "ec3865f338343cd40e7848ef3fc28547084ce79aefb3ef27f075820f70e2ccbe"),
+             "69c064af31e7d6f15690578e54386d401a049d5213df1b5081ead186b5af6be9"),
+            ((64, 64, 33), 8.0, (0.75, 0.0), 7, ["--alpha", "1e-15"],
+             "569a94d9f0274e48577081a2102d2fbbf6414710ff86db19f129c17243954e0a"),
         ],
         ids=["gate8-pair", "256x256-pair", "alpha-floor"],
     )

@@ -179,7 +179,7 @@ class TestEstimate:
         # Warnings are errors in this suite, so an overflow in a sweep fails here.
         flat = Slice2D(np.zeros((32, 32)))
         noise = Slice2D(np.random.default_rng(31).random((32, 32)))
-        field = estimate_flow(flat, noise, HsParams(alpha=1e-100))
+        field = estimate_flow(flat, noise, HsParams(alpha=1e-15))
         assert np.all(np.isfinite(field.u)) and np.all(np.isfinite(field.v))
 
     @pytest.mark.parametrize(
@@ -218,6 +218,19 @@ class TestEstimate:
         for kwargs in bad:
             with pytest.raises(ParameterError):
                 HsParams(**kwargs)
+
+    @pytest.mark.parametrize("alpha", [1e-100, 1e-19, 9.9e-16])
+    def test_alpha_below_the_float32_floor_is_refused(self, alpha):
+        with pytest.raises(ParameterError, match=r"must be a finite number of at least 1e-15$"):
+            HsParams(alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", [1.9e19, 1e20, 1e154, 1e308])
+    def test_alpha_whose_square_overflows_float32_solves_to_near_zero_flow(self, alpha):
+        # Warnings are errors in this suite, so an overflow in a cast or a sweep fails here.
+        flat = Slice2D(np.zeros((32, 32)))
+        noise = Slice2D(np.random.default_rng(31).random((32, 32)))
+        field = estimate_flow(flat, noise, HsParams(alpha=alpha))
+        assert np.abs(field.u).max() <= 1e-30 and np.abs(field.v).max() <= 1e-30
 
     @pytest.mark.parametrize("alpha", [15, np.float32(15.0), np.int64(15)])
     def test_any_real_alpha_is_stored_as_a_float(self, alpha):
@@ -355,17 +368,17 @@ class TestMedianSchedule:
         assert medians == {finest: flows, **{shape: 3 * flows for shape in coarser}}
 
     def test_one_warp_per_level_keeps_the_earlier_bytes(self):
-        """With one warp per level every warp still ends with a median: these digests predate the shared one."""
+        """With one warp per level every warp still ends with a median, as it did before the shared one (float32 digests)."""
         ph = moving_disk_phantom(dims=(64, 64, 33), radius=8.0, step=(0.75, 0.0), seed=7)
         thinned, labels = decimate(ph.volume, 4), decimate(ph.labels, 4)
         hs = HsParams(warps_per_level=1)
         f = estimate_flow(Slice2D(thinned.data[0]), Slice2D(thinned.data[1]), hs)
         assert hashlib.sha256(f.u.tobytes() + f.v.tobytes()).hexdigest() == (
-            "261f317e3be940edff43ca06365a894d048fc693e3e39675670f33a6a0ae4a84"
+            "263f63ae7b26f7d79540f2e4f0b3fcf307e57eb69e509e7bd47564203b48c4f9"
         )
         out, out_labels = impute_volume(thinned, labels, ImputeConfig(n_slices=3, method="flow", hs=hs))
         assert hashlib.sha256(out.data.tobytes() + out_labels.data.tobytes()).hexdigest() == (
-            "b64211eb0e203bc477e299433f397c51217a4bd0649c872f2280a1417fb193bd"
+            "8c472661b03718b1b1dd93c53f9e2fa977984a232ad3acf66ba365d5f187d7ad"
         )
 
     def test_gate8_endpoint_error_inside_the_disk(self):
@@ -499,7 +512,7 @@ class TestFiltersMatchNdimage:
         """``_median`` matches ndimage only without -0.0; the sweeps' last ``avg - step`` never makes one."""
         a, b, hs = case
         if tiny_alpha:
-            hs = HsParams(alpha=1e-100, iterations=hs.iterations)
+            hs = HsParams(alpha=1e-15, iterations=hs.iterations)
         shape = (2 * len(a), *a.shape[1:])
         uv0 = {
             "zeros": np.zeros(shape),
@@ -508,6 +521,110 @@ class TestFiltersMatchNdimage:
         }[start]
         uv = _hs_sweeps(a, b, uv0, hs)
         assert not np.signbit(uv[uv == 0.0]).any()
+
+
+@st.composite
+def float32_stacks(draw):
+    """A float32 stack of ``filter_stacks``, whose huge magnitudes are scaled from near 1e200 to near 1e30."""
+    x = draw(filter_stacks())
+    return (x * 1e-170 if np.abs(x).max() > 1e100 else x).astype(np.float32)
+
+
+@st.composite
+def exact_float32_pairs(draw):
+    """Float32 pairs of integers in 0..255, an integer start flow and HS params.
+
+    The warp, ``it``, the gradients and ``denom`` are then exact in float32
+    and float64 alike, so the two differ only by the sweeps' own rounding.
+    """
+    depth, h, w = draw(st.integers(1, 4)), draw(st.integers(2, 19)), draw(st.integers(2, 19))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.integers(0, 256, (depth, h, w))
+    b = np.roll(a, draw(st.integers(-2, 2)), axis=2)
+    b = np.where(rng.random(a.shape) < draw(st.sampled_from([0.0, 0.2, 1.0])), rng.integers(0, 256, a.shape), b)
+    uv0 = rng.integers(-3, 4, (2 * depth, h, w))
+    hs = HsParams(alpha=draw(st.sampled_from([0.5, 15.0])), iterations=draw(st.integers(1, 25)))
+    return a.astype(np.float32), b.astype(np.float32), uv0.astype(np.float32), hs
+
+
+def float32_ulps(got, want, scale):
+    """The largest distance of float32 ``got`` from float64 ``want``, in float32 ulps of ``scale``."""
+    return float(np.abs(got.astype(np.float64) - want).max() / np.spacing(np.float32(scale)))
+
+
+class TestFloat32Solver:
+    """The solver's filters on float32 stacks: the median is ndimage's, the sums stay within a few ulps of float64 ndimage."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(float32_stacks())
+    def test_median_is_median_filter(self, x):
+        want = ndimage.median_filter(x, size=(1, 5, 5), mode="nearest")
+        assert want.dtype == np.float32
+        assert _median(x).tobytes() == want.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(float32_stacks())
+    def test_downsample_is_within_4_ulps_of_correlate1d(self, x):
+        blurred = ndimage.correlate1d(x.astype(np.float64), _BINOMIAL5, axis=1, mode="nearest")
+        blurred = ndimage.correlate1d(blurred, _BINOMIAL5, axis=2, mode="nearest")
+        got = _downsample(x)
+        assert got.dtype == np.float32
+        assert float32_ulps(got, blurred[:, ::2, ::2], np.abs(x).max()) <= 4
+
+    @settings(max_examples=80, deadline=None)
+    @given(float32_stacks())
+    def test_neighbour_mean_is_within_4_ulps_of_correlate(self, x):
+        got = TestFiltersMatchNdimage.neighbour_mean(x)
+        want = ndimage.correlate(x.astype(np.float64), _AVG_KERNEL[None], mode="nearest")
+        assert got.dtype == np.float32
+        assert float32_ulps(got, want, np.abs(x).max()) <= 4
+
+    @settings(max_examples=40, deadline=None)
+    @given(exact_float32_pairs())
+    def test_sweeps_are_within_8_ulps_of_the_ndimage_sweeps(self, case):
+        a, b, uv0, hs = case
+        got = _hs_sweeps(a, b, uv0, hs)
+        want = ndimage_sweeps(a.astype(np.float64), b.astype(np.float64), uv0.astype(np.float64), hs)
+        assert got.dtype == np.float32
+        assert float32_ulps(got, want, max(np.abs(want).max(), np.abs(uv0).max())) <= 8
+
+    def test_float32_inside_the_solver_and_float64_out(self, monkeypatch):
+        """Pyramid levels, every array a sweep step touches and the medians are float32; flows leave as float64."""
+        rng = np.random.default_rng(33)
+        assert [level.dtype for level in _pyramid(rng.random((4, 32, 24)), 3)] == [np.float32] * 3
+        inside = Counter()
+
+        class RecordingNumpy:
+            """``np``, recording the float dtypes of the arrays each sweep step reads or writes."""
+
+            def __getattr__(self, name):
+                attr = getattr(np, name)
+                if name not in TestSweepWork.COUNTED:
+                    return attr
+
+                def recorded(*args, **kwargs):
+                    arrays = (x for x in (*args, *kwargs.values()) if isinstance(x, np.ndarray))
+                    inside.update(f"{name} {x.dtype}" for x in arrays if x.dtype.kind == "f")
+                    return attr(*args, **kwargs)
+
+                return recorded
+
+        median = flow_module._median
+
+        def recorded_median(arr):
+            out = median(arr)
+            inside.update((f"median {arr.dtype}", f"median {out.dtype}"))
+            return out
+
+        monkeypatch.setattr(flow_module, "np", RecordingNumpy())
+        monkeypatch.setattr(flow_module, "_median", recorded_median)
+        f = estimate_flow(Slice2D(gaussian_blob(15.0, 16.0, size=32)), Slice2D(gaussian_blob(16.0, 16.0, size=32)))
+        assert f.u.dtype == f.v.dtype == np.float64
+        finished = []
+        _gap_flows(rng.random((4, 32, 24), dtype=np.float32), HsParams(iterations=2), lambda run, *flows: finished.append(flows))
+        assert {name.split()[1] for name in inside} == {"float32"}
+        assert {name.split()[0] for name in inside} == {*TestSweepWork.COUNTED, "median"}
+        assert finished and {f.dtype for flows in finished for f in flows} == {np.dtype(np.float64)}
 
 
 class TestSweepWork:
@@ -726,6 +843,18 @@ class TestFlowFile:
         path.write_bytes(b'VFLO\n{"dims":[2,1]}\n' + np.array([0.0, np.nan, 1.0, 2.0], "<f4").tobytes())
         with pytest.raises(DataValidationError, match=f"^{re.escape(str(path))}: flow u contains non-finite values$"):
             load_flow(path)
+
+    @pytest.mark.parametrize("component", ["u", "v"])
+    def test_values_beyond_float32_are_refused_before_the_file_is_created(self, tmp_path, component):
+        path = tmp_path / "f.vflo"
+        big, zero = np.full((2, 2), 1e39), np.zeros((2, 2))
+        f = FlowField(big, zero) if component == "u" else FlowField(zero, -big)
+        with pytest.raises(DomainError, match=f"^flow {component} holds values beyond the float32 range"):
+            save_flow(f, path)
+        assert not path.exists()
+        largest = FlowField(np.full((2, 2), float(np.finfo(np.float32).max)), zero)
+        save_flow(largest, path)
+        assert load_flow(path) == largest
 
     def test_truncated(self, tmp_path):
         path = tmp_path / "f.vflo"

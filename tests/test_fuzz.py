@@ -222,6 +222,10 @@ def cli_flags(draw) -> list[str]:
 @given(argv=cli_flags())
 @example(argv=["phantom", "--step=nan"])
 @example(argv=["impute", "--alpha=1e-160"])
+@example(argv=["impute", "--alpha=9.9e-16"])  # just below the float32 sweeps' floor
+@example(argv=["flow", "--alpha=9.9e-16"])
+@example(argv=["impute", "--alpha=1e20"])  # alpha ** 2 overflows float32
+@example(argv=["flow", "--alpha=1e20"])
 @example(argv=["flow", "--pyramid-levels=4"])
 @example(argv=["decimate", "--stride=1" + "0" * 400])
 def test_cli_argv_reports_or_fails_cleanly(tmp_path_factory, argv):

@@ -104,6 +104,13 @@ class TestRecLoss:
         with pytest.raises(ShapeError):
             rec_loss([(a, b)])
 
+    @pytest.mark.parametrize(
+        "item", [1, (np.zeros((2, 2)),), (np.zeros((2, 2)),) * 3], ids=["not-iterable", "one-slice", "three-slices"]
+    )
+    def test_entries_that_are_not_pairs_are_refused(self, item):
+        with pytest.raises(ParameterError, match="^pairs entries must be"):
+            rec_loss([(np.zeros((2, 2)), np.zeros((2, 2))), item])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_arrays_rejected(self, bad):
         a = np.zeros((2, 2))
@@ -150,6 +157,17 @@ class TestWarpLoss:
         i0 = Slice2D(np.zeros((2, 2)))
         with pytest.raises(ShapeError):
             warp_loss(i0, i0, FlowField.zeros((3, 3)), FlowField.zeros((2, 2)))
+
+    def test_mids_must_be_a_sequence_of_slice_and_two_flows(self):
+        s, z = Slice2D(np.zeros((3, 3))), FlowField.zeros((3, 3))
+        bad = {
+            "mids must be a Sequence": [5, (mid for mid in [(s, z, z)])],
+            "mids entries must be": [[s], [(s, z)], [(s, z, z, z)], [(s, z, 3)], [(s, s, z)], [(z, z, z)]],
+        }
+        for message, cases in bad.items():
+            for mids in cases:
+                with pytest.raises(ParameterError, match=f"^{message}"):
+                    warp_loss(s, s, z, z, mids)
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(75)
